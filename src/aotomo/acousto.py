@@ -14,39 +14,36 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from . import kernels
 from .diffusion import OpticalSolution, RobinOperator, RobinProblem, solve_T
-from .fields import BoundaryTrace, Grid, ScalarField, VectorField, integrate
+from .fields import (
+    BoundaryTrace,
+    Grid,
+    ScalarField,
+    VectorField,
+    gradient,
+    integrate,
+)
 from .phantom import Phantom
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
 
 def _w_l1():
-    val, _ = quad(
-        lambda s: math.exp(1.0 - 1.0 / (1.0 - s * s)) if abs(s) < 1 else 0.0,
-        -1.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    return val
+    """||w||_1 by the trapezoid rule on 400 intervals of [-1, 1].
+
+    w and all its derivatives vanish at +-1, so the rule converges faster
+    than any power of the step; the endpoint terms are zero.
+    """
+    s = np.linspace(-1.0, 1.0, 401)[1:-1]
+    return (2.0 / 400) * float(np.sum(np.exp(1.0 - 1.0 / (1.0 - s * s))))
 
 
 def _w_prime_sup():
-    def neg_abs(s):
-        t = 1.0 - s * s
-        return -abs(-2.0 * s / (t * t) * math.exp(1.0 - 1.0 / t))
-
-    res = minimize_scalar(
-        neg_abs, bounds=(1e-6, 1.0 - 1e-9), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return -res.fun
+    """sup |w'| in closed form: w'' = 0 at s = 3^(-1/4)."""
+    t = 1.0 - 3.0**-0.5
+    return 2.0 * 3.0**-0.25 / (t * t) * math.exp(1.0 - 1.0 / t)
 
 
 @dataclass(frozen=True)
@@ -260,17 +257,6 @@ def make_context(phantom: Phantom, grid: Grid, g=1.0, l=0.1) -> ForwardContext:
     return ForwardContext(phantom, grid, trace, l)
 
 
-def _shell_misses_support(phantom, config, y, r):
-    """True when the displaced shell cannot touch any inclusion."""
-    slack = config.eta * (1.0 + config.r0 / max(r, config.r0)) + config.eta
-    for inc in phantom.inclusions:
-        dc = math.hypot(inc.center[0] - y[0], inc.center[1] - y[1])
-        rb = inc.bounding_radius()
-        if dc - rb - slack <= r <= dc + rb + slack:
-            return False
-    return True
-
-
 def perturbed_solution(ctx: ForwardContext, config: AcousticConfig, y, r):
     """Coefficient and optical solution in the displaced medium."""
     u = displacement_u(config, y, r, ctx.grid)
@@ -316,15 +302,6 @@ def _ray_rim_crossings(inclusion, y, ct, st):
     return lo, hi
 
 
-def _grad_component(values, h, axis):
-    v = values if axis == 0 else values.T
-    out = np.empty_like(v)
-    out[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    out[0, :] = (-3 * v[0, :] + 4 * v[1, :] - v[2, :]) / (2 * h)
-    out[-1, :] = (3 * v[-1, :] - 4 * v[-2, :] + v[-3, :]) / (2 * h)
-    return out if axis == 0 else out.T
-
-
 _NUDGE = 1e-9
 
 
@@ -357,6 +334,21 @@ class _ShellQuadrature:
         # multiple of 4 so the angular lattice respects quarter turns
         self.ntheta = 4 * max(16, int(np.ceil(np.pi / (2 * angular_step))))
 
+    @staticmethod
+    def misses_support(phantom, config, y, r):
+        """True when the measurement at (y, r) is zero: the wave has not
+        left the r <= r0 dead zone, or the displaced shell cannot touch any
+        inclusion."""
+        if r <= config.r0:
+            return True
+        slack = config.eta * (1.0 + config.r0 / max(r, config.r0)) + config.eta
+        for inc in phantom.inclusions:
+            dc = math.hypot(inc.center[0] - y[0], inc.center[1] - y[1])
+            rb = inc.bounding_radius()
+            if dc - rb - slack <= r <= dc + rb + slack:
+                return False
+        return True
+
     def base_angles(self):
         return np.linspace(0.0, 2 * np.pi, self.ntheta, endpoint=False)
 
@@ -367,18 +359,20 @@ class _ShellQuadrature:
             roots.extend(_ray_rim_crossings(inc, self.y, ct, st))
         return roots
 
-    def radial_integrals(self, lattice_vals, jump_rays, jump_radii,
-                         jump_below, jump_above):
+    def radial_integrals(self, lattice_vals, jumps):
         """Per-ray composite trapezoid in rho with exact jump corrections.
 
-        ``jump_below``/``jump_above`` are the one-sided limits of the full
-        integrand (radial Jacobian included) at each jump radius.
+        ``jumps`` lists (rays, radii, below, above) array tuples: below and
+        above are the one-sided limits of the full integrand (radial
+        Jacobian included) at each jump radius on each ray.
         """
         w = np.full(self.rho.size, self.drho)
         w[0] *= 0.5
         w[-1] *= 0.5
         per_ray = lattice_vals.T @ w
-        if jump_rays.size:
+        if jumps:
+            jump_rays, jump_radii, jump_below, jump_above = (
+                np.concatenate(part) for part in zip(*jumps))
             cells = np.clip(
                 ((jump_radii - self.rho[0]) / self.drho).astype(int),
                 0,
@@ -456,6 +450,13 @@ class _ShellQuadrature:
         gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
         return float(np.sum(0.5 * gaps * (per_ray + np.roll(per_ray, -1))))
 
+    def normalized_total(self, per_ray_integrals):
+        """(1/eta^2) times the shell integral, given the per-ray radial
+        integrals as a function of the ray direction cosines and sines."""
+        angles = self.adaptive_theta_nodes()
+        per_ray = per_ray_integrals(np.cos(angles), np.sin(angles))
+        return self.theta_total(angles, per_ray) / self.eta**2
+
 
 def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
                   quadrature="polar", radial_points=96,
@@ -470,7 +471,7 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     trapezoid on the field grid instead (needs h well below eta*r0/r to see
     the jump slivers); the two act as independent cross-checks.
     """
-    if r <= config.r0 or _shell_misses_support(ctx.phantom, config, y, r):
+    if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
         return 0.0
     a_u, sol_u = perturbed_solution(ctx, config, y, r)
     if quadrature == "grid":
@@ -516,7 +517,7 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
             * rho[:, None]
         )
 
-        jump_rays, jump_radii, jump_below, jump_above = [], [], [], []
+        jumps = []
         for root in quad.crossing_roots(ct, st):
             keep = np.isfinite(root) & (root > rho[0]) & (root < rho[-1])
             if not np.any(keep):
@@ -546,10 +547,7 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
             adisp = phantom.eval(quad.y[0] + rstar * ctv,
                                  quad.y[1] + rstar * stv)
             sm = smooth_at(rc, ctv, stv)
-            jump_rays.append(rays)
-            jump_radii.append(rc)
-            jump_below.append((adisp - a_in) * sm)
-            jump_above.append((adisp - a_out) * sm)
+            jumps.append((rays, rc, (adisp - a_in) * sm, (adisp - a_out) * sm))
             # displaced jump: the displaced radius crosses rc at the image
             # of rc under the position map
             img = rc + f_rc
@@ -561,26 +559,11 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
                 base = phantom.eval(quad.y[0] + (rr + _NUDGE) * ctm,
                                     quad.y[1] + (rr + _NUDGE) * stm)
                 smm = smooth_at(rr, ctm, stm)
-                jump_rays.append(rays_m)
-                jump_radii.append(rr)
-                jump_below.append((a_in[move] - base) * smm)
-                jump_above.append((a_out[move] - base) * smm)
-        if jump_rays:
-            return quad.radial_integrals(
-                lattice,
-                np.concatenate(jump_rays),
-                np.concatenate(jump_radii),
-                np.concatenate(jump_below),
-                np.concatenate(jump_above),
-            )
-        return quad.radial_integrals(
-            lattice, np.array([], dtype=int), np.array([]), np.array([]),
-            np.array([]),
-        )
+                jumps.append((rays_m, rr, (a_in[move] - base) * smm,
+                              (a_out[move] - base) * smm))
+        return quad.radial_integrals(lattice, jumps)
 
-    angles = quad.adaptive_theta_nodes()
-    per_ray = per_ray_integrals(np.cos(angles), np.sin(angles))
-    return quad.theta_total(angles, per_ray) / eta**2
+    return quad.normalized_total(per_ray_integrals)
 
 
 def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
@@ -592,7 +575,7 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
     profile and its divergence are closed-form, and phi^2 is interpolated
     from the grid solution.
     """
-    if r <= config.r0 or _shell_misses_support(ctx.phantom, config, y, r):
+    if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
         return 0.0
     if not (ctx.a.values - ctx.phantom.a0).any():
         return 0.0
@@ -601,8 +584,8 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
     rho = quad.rho
     phantom = ctx.phantom
     phi = ctx.solution.phi.values
-    gx = _grad_component(phi, quad.h, axis=0)
-    gy = _grad_component(phi, quad.h, axis=1)
+    grad_phi = gradient(ctx.solution.phi)
+    gx, gy = grad_phi.vx, grad_phi.vy
 
     def smooth_factor(radii_grid, ct, st):
         """[d/drho(phi^2) f + phi^2 (f\' + f/rho)] * rho at polar points."""
@@ -626,7 +609,7 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
         lattice = qvals * smooth_factor(
             rho[:, None], ct[None, :], st[None, :]
         )
-        jump_rays, jump_radii, jump_below, jump_above = [], [], [], []
+        jumps = []
         for root in quad.crossing_roots(ct, st):
             keep = np.isfinite(root) & (root > rho[0]) & (root < rho[-1])
             if not np.any(keep):
@@ -639,26 +622,10 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
             q_out = phantom.eval(quad.y[0] + (rc + _NUDGE) * ctv,
                                  quad.y[1] + (rc + _NUDGE) * stv) - phantom.a0
             sm = smooth_factor(rc, ctv, stv)
-            jump_rays.append(rays)
-            jump_radii.append(rc)
-            jump_below.append(q_in * sm)
-            jump_above.append(q_out * sm)
-        if jump_rays:
-            return quad.radial_integrals(
-                lattice,
-                np.concatenate(jump_rays),
-                np.concatenate(jump_radii),
-                np.concatenate(jump_below),
-                np.concatenate(jump_above),
-            )
-        return quad.radial_integrals(
-            lattice, np.array([], dtype=int), np.array([]), np.array([]),
-            np.array([]),
-        )
+            jumps.append((rays, rc, q_in * sm, q_out * sm))
+        return quad.radial_integrals(lattice, jumps)
 
-    angles = quad.adaptive_theta_nodes()
-    per_ray = per_ray_integrals(np.cos(angles), np.sin(angles))
-    return quad.theta_total(angles, per_ray) / eta**2
+    return quad.normalized_total(per_ray_integrals)
 
 
 def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import acousto, diffusion, fields, helmholtz, inversion, radon
+from . import __version__, acousto, fields, helmholtz, inversion, radon
 from . import phantom as phantom_mod
 from . import segmentation
 from .fields import Grid, SolverError
 
 SCHEMA_VERSION = 1
-__version__ = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -43,8 +42,6 @@ class ExperimentConfig:
     max_iter: int
     stop_tol: float
     partition_step: float
-    seed: int
-    output_dir: str
 
     @property
     def grid(self) -> Grid:
@@ -112,8 +109,6 @@ def load_config(path) -> ExperimentConfig:
         max_iter=int(recon.get("max_iter", 200)),
         stop_tol=float(recon.get("stop_tol", 1e-3)),
         partition_step=float(recon.get("partition_step", 0.125)),
-        seed=int(doc.get("seed", 0)),
-        output_dir=doc.get("output_dir", "."),
     )
 
 
@@ -284,7 +279,8 @@ def cmd_reconstruct(cfg, args):
     fields.save_field(os.path.join(args.outdir, "recon.aorf"), rec)
     inversion.save_log_csv(os.path.join(args.outdir, "recon_log.csv"), state)
     print(
-        f"initial guess {guess.alphas} (J = {guess.misfit:.3e}); "
+        f"initial guess {[float(a) for a in guess.alphas]} "
+        f"(J = {guess.misfit:.3e}); "
         f"{len(state.residuals)} iterations, {state.stopped_reason}"
     )
     return 0
@@ -430,11 +426,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        # export is the one command without --config
+        cfg = load_config(args.config) if "config" in args else None
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

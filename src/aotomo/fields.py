@@ -23,12 +23,14 @@ KIND_TRACE = 2
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative solve misses its residual target."""
+    """Raised when an iterative solve misses its residual target; carries
+    the last iterate next to its residual and iteration count."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, iterate=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.iterate = iterate
 
 
 def _frozen(values, shape):
@@ -226,6 +228,21 @@ def divergence(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, d)
 
 
+def edge_diff(values):
+    """Undivided node-to-edge differences: (x-edges, y-edges)."""
+    return values[1:, :] - values[:-1, :], values[:, 1:] - values[:, :-1]
+
+
+def edge_diff_transpose(ex, ey):
+    """Exact transpose of :func:`edge_diff`: edge values summed onto nodes."""
+    out = np.zeros((ex.shape[0] + 1, ex.shape[1]))
+    out[1:, :] += ex
+    out[:-1, :] -= ex
+    out[:, 1:] += ey
+    out[:, :-1] -= ey
+    return out
+
+
 def integrate(f, mask=None) -> float:
     """Trapezoidal integral over the square, or over the masked nodes."""
     grid, vals = _unwrap(f)
@@ -300,8 +317,12 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
     bnorm = np.sqrt(dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64, copy=True)
-    r = b - apply_op(x)
+    if x0 is None:
+        # a cold start needs no operator application: A(0) = 0
+        x, r = np.zeros_like(b), b.astype(np.float64)
+    else:
+        x = x0.astype(np.float64, copy=True)
+        r = b - apply_op(x)
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = dot(r, z)
@@ -326,6 +347,7 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
             f"CG stalled at relative residual {res:.3e} after {it} iterations",
             residual=res,
             iterations=it,
+            iterate=x,
         )
     return x, res, it
 
@@ -372,7 +394,7 @@ def neumann_edge_coefficients(grid):
     return cx, cy
 
 
-def neumann_solve_weighted(grid, b, tol=1e-10, max_iter=None, coeffs=None):
+def neumann_solve_weighted(grid, b, tol=1e-10, max_iter=None):
     """Solve the edge-form Neumann system E z = b on the zero-mean subspace.
 
     ``b`` is a plain-dot assembled right-hand side (must have zero sum up to
@@ -381,7 +403,7 @@ def neumann_solve_weighted(grid, b, tol=1e-10, max_iter=None, coeffs=None):
     n = grid.n
     if max_iter is None:
         max_iter = 50 * n
-    cx, cy = coeffs if coeffs is not None else neumann_edge_coefficients(grid)
+    cx, cy = neumann_edge_coefficients(grid)
     w = grid.trapezoid_weights()
     wsum = w.sum()
 

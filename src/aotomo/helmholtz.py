@@ -26,6 +26,8 @@ from .fields import (
     VectorField,
     cg,
     divergence,
+    edge_diff,
+    edge_diff_transpose,
     gradient,
     inner,
     integrate,
@@ -40,13 +42,6 @@ def edge_average(values):
     ex = 0.5 * (values[1:, :] + values[:-1, :])
     ey = 0.5 * (values[:, 1:] + values[:, :-1])
     return ex, ey
-
-
-def edge_gradient(values, h):
-    """Two-point difference quotients on the edges."""
-    gx = (values[1:, :] - values[:-1, :]) / h
-    gy = (values[:, 1:] - values[:, :-1]) / h
-    return gx, gy
 
 
 @dataclass(frozen=True)
@@ -75,20 +70,22 @@ class WeakVectorFunctional:
 
     def pair_gradient(self, v: ScalarField) -> float:
         """U(grad v) in the edge pairing used by :func:`decompose`."""
+        return float(np.sum(self.gradient_rhs() * v.values))
+
+    def gradient_rhs(self):
+        """Node vector b with b . v = U(grad v) in the edge pairing."""
         grid = self.grid
         ex, ey = self.edge_data()
-        gvx, gvy = edge_gradient(v.values, grid.h)
         cx, cy = neumann_edge_coefficients(grid)
-        scale = grid.h * grid.h
-        return scale * float(np.sum(cx * ex * gvx) + np.sum(cy * ey * gvy))
+        # the edge form sums undivided differences, so pairing the edge data
+        # against grad v carries one factor h per edge
+        return edge_diff_transpose(grid.h * cx * ex, grid.h * cy * ey)
 
     def edge_data(self):
         """Edge representation of phi^2 grad(a - a0)."""
-        grid = self.grid
-        q = self.contrast()
         p2x, p2y = edge_average(self.phi.values**2)
-        qx, qy = edge_gradient(q, grid.h)
-        return p2x * qx, p2y * qy
+        dqx, dqy = edge_diff(self.contrast())
+        return p2x * (dqx / self.grid.h), p2y * (dqy / self.grid.h)
 
 
 @dataclass(frozen=True)
@@ -123,18 +120,7 @@ def decompose(U: WeakVectorFunctional, tol=1e-10) -> PsiField:
     (the remainder is orthogonal to all gradients, to solver tolerance).
     """
     grid = U.grid
-    ex, ey = U.edge_data()
-    cx, cy = neumann_edge_coefficients(grid)
-    # the edge form sums undivided differences, so pairing the edge data
-    # against grad v carries one factor h per edge
-    b = np.zeros(grid.shape)
-    fx = grid.h * cx * ex
-    b[1:, :] += fx
-    b[:-1, :] -= fx
-    fy = grid.h * cy * ey
-    b[:, 1:] += fy
-    b[:, :-1] -= fy
-    psi = -neumann_solve_weighted(grid, b, tol=tol, coeffs=(cx, cy))
+    psi = -neumann_solve_weighted(grid, U.gradient_rhs(), tol=tol)
     return PsiField(ScalarField(grid, psi), "ground_truth")
 
 
@@ -145,12 +131,10 @@ def orthogonality_residual(U: WeakVectorFunctional, psi: PsiField,
     Zero (to solver tolerance) for the decomposed potential; this is the
     discrete statement that the remainder is divergence free.
     """
-    grid = U.grid
-    gpx, gpy = edge_gradient(psi.psi.values, grid.h)
-    gvx, gvy = edge_gradient(v.values, grid.h)
-    cx, cy = neumann_edge_coefficients(grid)
-    scale = grid.h * grid.h
-    pairing = scale * float(np.sum(cx * gpx * gvx) + np.sum(cy * gpy * gvy))
+    dpx, dpy = edge_diff(psi.psi.values)
+    dvx, dvy = edge_diff(v.values)
+    cx, cy = neumann_edge_coefficients(U.grid)
+    pairing = float(np.sum(cx * dpx * dvx) + np.sum(cy * dpy * dvy))
     return U.pair_gradient(v) + pairing
 
 
@@ -189,7 +173,8 @@ def free_space_potential(U: WeakVectorFunctional, pad=2.25,
 
     big_psi, _, _ = cg(apply_op, rhs, tol=tol, max_iter=100 * nbig)
     inner_vals = big_psi[npad:npad + n, npad:npad + n].copy()
-    restricted = ScalarField(grid, inner_vals - _mean(grid, inner_vals))
+    restricted = ScalarField(grid, inner_vals)
+    restricted = restricted - integrate(restricted)
     return PsiField(restricted, "ground_truth",
                     ExtendedField(big_psi, origin, h))
 
@@ -202,11 +187,6 @@ def _nodal_components(U: WeakVectorFunctional):
     gq = gradient(ScalarField(grid, q * g2))
     gg = gradient(ScalarField(grid, g2))
     return gq.vx - q * gg.vx, gq.vy - q * gg.vy
-
-
-def _mean(grid, vals):
-    w = grid.trapezoid_weights()
-    return float(np.sum(w * vals))
 
 
 def psi_from_field(field: ScalarField) -> PsiField:

@@ -29,6 +29,8 @@ from .fields import (
     Grid,
     ScalarField,
     cg,
+    edge_diff,
+    edge_diff_transpose,
     gradient,
 )
 from .helmholtz import PsiField, edge_average
@@ -71,25 +73,21 @@ class MaskSpace:
         out = kernels.edge_form_apply(xm, cx, cy)
         return np.where(self.interior, out, 0.0)
 
+    def diff(self, x):
+        """Edge differences of x with its values off the interior zeroed."""
+        return edge_diff(np.where(self.interior, x, 0.0))
+
     def bilinear(self, u, v, coef_x=None, coef_y=None):
         """sum over in-mask edges of c_e du dv (undivided differences)."""
         cx = self.cx if coef_x is None else self.cx * coef_x
         cy = self.cy if coef_y is None else self.cy * coef_y
-        du_x = u[1:, :] - u[:-1, :]
-        dv_x = v[1:, :] - v[:-1, :]
-        du_y = u[:, 1:] - u[:, :-1]
-        dv_y = v[:, 1:] - v[:, :-1]
+        du_x, du_y = edge_diff(u)
+        dv_x, dv_y = edge_diff(v)
         return float(np.sum(cx * du_x * dv_x) + np.sum(cy * du_y * dv_y))
 
     def assemble(self, coef_x, coef_y):
         """Vector b with b . v = sum_e c_e dv for all interior v."""
-        b = np.zeros(self.grid.shape)
-        fx = self.cx * coef_x
-        b[1:, :] += fx
-        b[:-1, :] -= fx
-        fy = self.cy * coef_y
-        b[:, 1:] += fy
-        b[:, :-1] -= fy
+        b = edge_diff_transpose(self.cx * coef_x, self.cy * coef_y)
         return np.where(self.interior, b, 0.0)
 
     def riesz_solve(self, b, tol=1e-10):
@@ -335,9 +333,7 @@ def F_apply(problem: ReconstructionProblem, alphas, correction: HElement,
     phi2x, phi2y = edge_average(solution.phi.values**2)
     raw = []
     for j, space in enumerate(problem.spaces):
-        aj = np.where(space.interior, correction.parts[j], 0.0)
-        dax = aj[1:, :] - aj[:-1, :]
-        day = aj[:, 1:] - aj[:, :-1]
+        dax, day = space.diff(correction.parts[j])
         raw.append(space.assemble(phi2x * dax, phi2y * day))
     return problem.functional(raw)
 
@@ -346,12 +342,10 @@ def delta_psi_functional(problem: ReconstructionProblem,
                          psi: PsiField) -> HFunctional:
     """The potential's Laplacian as a functional: v -> sum int grad psi
     . grad v_j over the masks."""
-    vals = psi.psi.values
+    dpx, dpy = edge_diff(psi.psi.values)
     # the potential follows the divergence-of-the-vector-solve orientation,
     # so its weak Laplacian functional carries a minus sign
-    dpx = -(vals[1:, :] - vals[:-1, :])
-    dpy = -(vals[:, 1:] - vals[:, :-1])
-    raw = [space.assemble(dpx, dpy) for space in problem.spaces]
+    raw = [space.assemble(-dpx, -dpy) for space in problem.spaces]
     return problem.functional(raw)
 
 
@@ -359,6 +353,12 @@ def DF_apply(problem: ReconstructionProblem, alphas, correction: HElement,
              h: HElement, solution: OpticalSolution | None = None,
              tangent: ScalarField | None = None) -> HFunctional:
     """Directional derivative of F at the iterate in direction h."""
+    return problem.functional(
+        _DF_raw(problem, alphas, correction, h, solution, tangent))
+
+
+def _DF_raw(problem, alphas, correction, h, solution, tangent):
+    """Assembled vectors of DF[a](h), one per inclusion."""
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
     if tangent is None:
@@ -368,16 +368,12 @@ def DF_apply(problem: ReconstructionProblem, alphas, correction: HElement,
     crossx, crossy = edge_average(2.0 * phi * tangent.values)
     raw = []
     for j, space in enumerate(problem.spaces):
-        aj = np.where(space.interior, correction.parts[j], 0.0)
-        hj = np.where(space.interior, h.parts[j], 0.0)
-        dax = aj[1:, :] - aj[:-1, :]
-        day = aj[:, 1:] - aj[:, :-1]
-        dhx = hj[1:, :] - hj[:-1, :]
-        dhy = hj[:, 1:] - hj[:, :-1]
+        dax, day = space.diff(correction.parts[j])
+        dhx, dhy = space.diff(h.parts[j])
         raw.append(space.assemble(
             crossx * dax + phi2x * dhx, crossy * day + phi2y * dhy
         ))
-    return problem.functional(raw)
+    return raw
 
 
 def _tangent_solve(problem, alphas, correction, h: HElement,
@@ -393,25 +389,8 @@ def _tangent_solve(problem, alphas, correction, h: HElement,
 def DF_quadratic_form(problem, alphas, correction, h: HElement,
                       solution=None) -> float:
     """DF[a](h, h) without Riesz solves (used by the coercivity checks)."""
-    if solution is None:
-        solution = problem.solve_forward(alphas, correction)
-    tangent = _tangent_solve(problem, alphas, correction, h, solution)
-    phi = solution.phi.values
-    phi2x, phi2y = edge_average(phi**2)
-    crossx, crossy = edge_average(2.0 * phi * tangent.values)
-    total = 0.0
-    for j, space in enumerate(problem.spaces):
-        aj = np.where(space.interior, correction.parts[j], 0.0)
-        hj = np.where(space.interior, h.parts[j], 0.0)
-        dax = aj[1:, :] - aj[:-1, :]
-        day = aj[:, 1:] - aj[:, :-1]
-        dhx = hj[1:, :] - hj[:-1, :]
-        dhy = hj[:, 1:] - hj[:, :-1]
-        total += float(
-            np.sum(space.cx * (crossx * dax + phi2x * dhx) * dhx)
-            + np.sum(space.cy * (crossy * day + phi2y * dhy) * dhy)
-        )
-    return total
+    raw = _DF_raw(problem, alphas, correction, h, solution, None)
+    return sum(float(np.sum(b * hp)) for b, hp in zip(raw, h.parts))
 
 
 def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
@@ -433,12 +412,8 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
     sigma = np.zeros(grid.shape)
     raw = []
     for j, space in enumerate(problem.spaces):
-        aj = np.where(space.interior, correction.parts[j], 0.0)
-        rj = np.where(space.interior, rho.representer.parts[j], 0.0)
-        dax = aj[1:, :] - aj[:-1, :]
-        day = aj[:, 1:] - aj[:, :-1]
-        drx = rj[1:, :] - rj[:-1, :]
-        dry = rj[:, 1:] - rj[:, :-1]
+        dax, day = space.diff(correction.parts[j])
+        drx, dry = space.diff(rho.representer.parts[j])
         ex = space.cx * dax * drx
         ey = space.cy * day * dry
         acc = np.zeros(grid.shape)
@@ -571,8 +546,6 @@ def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
         state.correction = project_K(problem, state.alphas, state.correction,
                                      kcfg)
         state.stopped_reason = "max iterations"
-    if not state.stopped_reason:
-        state.stopped_reason = "converged"
     return state
 
 

@@ -24,7 +24,7 @@ from scipy.linalg import solve_banded
 
 from . import kernels
 from .acousto import AcousticConfig, Sinogram
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, SolverError, cg, gradient
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ _layout_cache = {}
 
 
 def _layout(config, ny, nr, grid):
-    key = (id(config), config.mu, config.R, ny, nr, grid.n)
+    key = (config, ny, nr, grid)
     if key not in _layout_cache:
         _layout_cache.clear()
         _layout_cache[key] = _SampleLayout(config, ny, nr, grid)
@@ -281,8 +281,8 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int,
     grid = U.grid
     h = grid.h
     phi = U.phi.values
-    gx = _grad_comp(phi, h, 0)
-    gy = _grad_comp(phi, h, 1)
+    grad_phi = gradient(U.phi)
+    gx, gy = grad_phi.vx, grad_phi.vy
     sources = config.sources(ny)
     radii = config.radii(nr)
     out = np.zeros((ny, nr))
@@ -364,15 +364,6 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int,
             t1 = -float(np.interp(r, rho_f, cum))
             out[m, qi] = t1 - t2
     return Sinogram(config, ny, nr, out)
-
-
-def _grad_comp(values, h, axis):
-    v = values if axis == 0 else values.T
-    out = np.empty_like(v)
-    out[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    out[0, :] = (-3 * v[0, :] + 4 * v[1, :] - v[2, :]) / (2 * h)
-    out[-1, :] = (3 * v[-1, :] - 4 * v[-2, :] + v[-3, :]) / (2 * h)
-    return out if axis == 0 else out.T
 
 
 def radon_adjoint(s: Sinogram, grid: Grid) -> ScalarField:
@@ -489,31 +480,14 @@ def invert_radon(s: Sinogram, grid: Grid, tikhonov=1e-6, tol=1e-8,
     def dot(u1, u2):
         return float(np.sum(v * u1 * u2))
 
-    bnorm = math.sqrt(dot(b, b))
-    if bnorm == 0.0:
-        return ScalarField(grid, np.zeros(grid.shape)), {
-            "iterations": 0, "residual": 0.0}
-    x = np.zeros(grid.shape)
-    r = b.copy()
-    p = r.copy()
-    rz = dot(r, r)
-    it = 0
-    res = math.sqrt(rz) / bnorm
-    while res > tol and it < max_iter:
-        ap = normal_op(p)
-        alpha = rz / dot(p, ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rz_new = dot(r, r)
-        res = math.sqrt(rz_new) / bnorm
-        p = r + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    if res > tol:
+    try:
+        x, res, it = cg(normal_op, b, tol=tol, max_iter=max_iter, dot=dot)
+    except SolverError as exc:
+        x, res, it = exc.iterate, exc.residual, exc.iterations
         warnings.warn(
             f"radon inversion stopped at relative residual {res:.3e} "
             f"after {it} iterations",
             RuntimeWarning,
             stacklevel=2,
         )
-    return ScalarField(grid, x), {"iterations": it, "residual": res}
+    return ScalarField(grid, x), {"iterations": it, "residual": float(res)}

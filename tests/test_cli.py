@@ -1,0 +1,102 @@
+"""The command-line pipeline, driven through ``cli.main`` in a temp dir."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import aotomo
+from aotomo import cli, fields
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A small config (n=35, eta=0.12, 8 x 16 sweep, 2 Landweber steps)
+    and the preset disk phantom it points to."""
+    d = tmp_path_factory.mktemp("cli")
+    config = {
+        "grid": {"n": 35},
+        "acoustic": {"eta": 0.12, "ny": 8, "nr": 16},
+        "optics": {"l": 0.1, "g": 1.0},
+        "phantom_file": str(d / "phantom.json"),
+        "reconstruction": {"max_iter": 2},
+    }
+    (d / "config.json").write_text(json.dumps(config))
+    return d
+
+
+def run(argv, capsys):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def test_every_command_in_sequence(workdir, capsys):
+    d = workdir
+    cfg = d / "config.json"
+    steps = [
+        (["phantom", "gen", "--config", cfg, "--out", d / "phantom.json"],
+         ["phantom.json"]),
+        (["forward", "--config", cfg, "--outdir", d / "fwd"],
+         ["fwd/a.aorf", "fwd/phi.aorf", "fwd/flux.aorf"]),
+        (["sinogram", "--config", cfg, "--outdir", d / "sino"],
+         ["sino/sinogram.csv"]),
+        (["recover-psi", "--config", cfg, "--sinogram",
+          d / "sino" / "sinogram.csv", "--out", d / "psi.aorf"],
+         ["psi.aorf"]),
+        (["segment", "--config", cfg, "--psi", d / "psi.aorf", "--outdir",
+          d / "seg"], ["seg/masks.json"]),
+        (["reconstruct", "--config", cfg, "--psi", d / "psi.aorf",
+          "--masks", d / "seg" / "masks.json", "--flux",
+          d / "fwd" / "flux.aorf", "--outdir", d / "rec"],
+         ["rec/recon.aorf", "rec/recon_log.csv"]),
+        (["evaluate", "--config", cfg, "--phantom", d / "phantom.json",
+          "--recon", d / "rec" / "recon.aorf", "--masks",
+          d / "seg" / "masks.json", "--log", d / "rec" / "recon_log.csv",
+          "--out", d / "metrics.json"], ["metrics.json"]),
+        (["export", "--pgm", d / "rec" / "recon.aorf", d / "recon.pgm"],
+         ["recon.pgm"]),
+    ]
+    outputs = {}
+    for argv, written in steps:
+        code, out = run(argv, capsys)
+        assert code == 0, (argv[0], out)
+        for name in written:
+            assert os.path.getsize(d / name) > 0, name
+        outputs[argv[0]] = out
+
+    # the initial guess prints as plain floats, not NumPy scalar reprs
+    assert "initial guess [" in outputs["reconstruct"]
+    assert "np.float64" not in outputs["reconstruct"]
+    metrics = json.loads((d / "metrics.json").read_text())
+    assert np.isfinite(metrics["l2_rel_error"])
+    assert (d / "recon.pgm").read_bytes().startswith(b"P5")
+    assert isinstance(fields.load_field(d / "psi.aorf"), fields.ScalarField)
+
+
+def test_missing_config_is_exit_code_2(tmp_path, capsys):
+    code = cli.main(["forward", "--config", str(tmp_path / "none.json"),
+                     "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "config file not found" in capsys.readouterr().err
+
+
+def test_version_is_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert f"aotomo {aotomo.__version__} " in capsys.readouterr().out
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    src = os.path.dirname(os.path.dirname(aotomo.__file__))
+    code = ("import sys, aotomo.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.optimize'))))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -6,9 +6,13 @@ from aotomo.fields import (
     BoundaryTrace,
     Grid,
     ScalarField,
+    SolverError,
     VectorField,
     boundary_integral,
+    cg,
     divergence,
+    edge_diff,
+    edge_diff_transpose,
     gradient,
     h1_seminorm,
     inner,
@@ -125,6 +129,41 @@ class TestCalculus:
         lhs = inner_vec(gradient(f), v)
         rhs = -inner(f, divergence(v))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    def test_edge_transpose_is_exact_adjoint(self):
+        rng = np.random.default_rng(3)
+        n = 17
+        for _ in range(5):
+            x = rng.standard_normal((n, n))
+            fx = rng.standard_normal((n - 1, n))
+            fy = rng.standard_normal((n, n - 1))
+            dx, dy = edge_diff(x)
+            lhs = np.sum(dx * fx) + np.sum(dy * fy)
+            rhs = np.sum(x * edge_diff_transpose(fx, fy))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    def test_edge_diff_of_linear_is_constant(self, grid33):
+        x, y = grid33.meshgrid()
+        dx, dy = edge_diff(2.0 * x - 3.0 * y)
+        np.testing.assert_allclose(dx, 2.0 * grid33.h, atol=1e-14)
+        np.testing.assert_allclose(dy, -3.0 * grid33.h, atol=1e-14)
+
+
+class TestCg:
+    def test_failure_carries_last_iterate(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((40, 40))
+        mat = a @ a.T + 0.1 * np.eye(40)
+        b = rng.standard_normal(40)
+        with pytest.raises(SolverError) as info:
+            cg(lambda v: mat @ v, b, tol=1e-14, max_iter=3)
+        exc = info.value
+        assert exc.iterations == 3
+        assert exc.iterate.shape == b.shape
+        # the reported residual is the residual of the carried iterate
+        true_res = np.linalg.norm(b - mat @ exc.iterate) / np.linalg.norm(b)
+        assert true_res == pytest.approx(exc.residual, rel=1e-8)
+        assert np.any(exc.iterate)
 
 
 class TestNorms:

@@ -236,6 +236,26 @@ class TestGNorms:
         assert g_dual_norm(s) <= np.sqrt(cylinder_inner(s, s)) + 1e-12
 
 
+class TestLayoutCache:
+    def test_equal_configs_share_a_layout(self):
+        c1, c2 = AcousticConfig(), AcousticConfig()
+        assert c1 is not c2
+        grid = Grid(33)
+        assert radon._layout(c1, 8, 16, grid) is radon._layout(c2, 8, 16,
+                                                               grid)
+
+    def test_layout_follows_the_center(self):
+        grid = Grid(33)
+        base = radon._layout(AcousticConfig(), 8, 16, grid)
+        base_sources = base.sources.copy()
+        moved_config = AcousticConfig(center=(0.4, 0.6))
+        moved = radon._layout(moved_config, 8, 16, grid)
+        np.testing.assert_array_equal(moved.sources,
+                                      moved_config.sources(8))
+        np.testing.assert_allclose(moved.sources - base_sources,
+                                   np.tile([-0.1, 0.1], (8, 1)), atol=1e-14)
+
+
 class TestInversion:
     def test_zero_data(self, config, grid65):
         f, info = invert_radon(Sinogram.zeros(config, 8, 16), grid65)
