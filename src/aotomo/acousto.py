@@ -211,29 +211,15 @@ def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     return VectorField(grid, ux, uy)
 
 
-def divergence_v_values(config: AcousticConfig, y, r, grid: Grid):
-    """Closed-form divergence of the wavefront displacement profile.
-
-    For the radial field f(rho) e_rho in 2-D, div = f'(rho) + f(rho)/rho.
-    """
-    x, ygrid = grid.meshgrid()
-    d = np.hypot(x - y[0], ygrid - y[1])
-    amp = config.eta * (config.r0 / r)
-    s = (r - d) / config.eta
-    fval = amp * kernels.bump(s)
-    fprime = -(config.r0 / r) * kernels.bump_prime(s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(d > 0, fval / d, 0.0)
-    return fprime + ratio
-
-
 # ---------------------------------------------------------------------------
 # measurements
 
 
 @dataclass
 class ForwardContext:
-    """Cached unperturbed forward solve shared across a measurement sweep."""
+    """Cached unperturbed forward solve shared across a measurement sweep,
+    with the factorization of its operator (l > 0) that preconditions both
+    that solve and the sweep's perturbed solves."""
 
     phantom: Phantom
     grid: Grid
@@ -246,10 +232,11 @@ class ForwardContext:
     def __post_init__(self):
         if self.a is None:
             self.a = self.phantom.sample(self.grid)
-        if self.solution is None:
-            self.solution = solve_T(RobinProblem(self.a, self.g, self.l))
         if self.operator is None and self.l > 0:
             self.operator = RobinOperator(self.grid, self.a.values, self.l)
+        if self.solution is None:
+            self.solution = solve_T(RobinProblem(self.a, self.g, self.l),
+                                    precond_with=self.operator)
 
 
 def make_context(phantom: Phantom, grid: Grid, g=1.0, l=0.1) -> ForwardContext:

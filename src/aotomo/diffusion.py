@@ -21,8 +21,9 @@ from .fields import (
     BoundaryTrace,
     Grid,
     ScalarField,
-    SolverError,
     cg,
+    edge_form_matrix,
+    neumann_edge_coefficients,
     trace_from_grid,
 )
 
@@ -58,13 +59,9 @@ class RobinOperator:
         self.a = np.ascontiguousarray(a_values, dtype=np.float64)
         self.l = float(l)
         self._splu = None
-        n = grid.n
-        w = np.ones((n, n))
-        w[0, :] *= 0.5
-        w[-1, :] *= 0.5
-        w[:, 0] *= 0.5
-        w[:, -1] *= 0.5
-        self.row_weights = w
+        c = np.ones(grid.n)
+        c[0] = c[-1] = 0.5
+        self.row_weights = np.outer(c, c)
 
     def apply(self, x):
         return kernels.robin_apply(x, self.a, self.l, self.grid.h)
@@ -83,37 +80,20 @@ class RobinOperator:
         return self.row_weights * vals
 
     def sparse_matrix(self):
-        n, h, l = self.grid.n, self.grid.h, self.l
-        h2 = h * h
-        robin = 2.0 / (l * h)
-        rows, cols, data = [], [], []
-
-        def idx(i, j):
-            return i * n + j
-
-        for i in range(n):
-            for j in range(n):
-                nb = (i in (0, n - 1)) + (j in (0, n - 1))
-                w = 0.5**nb
-                diag = 4.0 / h2 + self.a[i, j] + nb * robin
-                rows.append(idx(i, j))
-                cols.append(idx(i, j))
-                data.append(w * diag)
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ii, jj = i + di, j + dj
-                    if not (0 <= ii < n and 0 <= jj < n):
-                        ii, jj = i - di, j - dj  # ghost folds to inner neighbor
-                    rows.append(idx(i, j))
-                    cols.append(idx(ii, jj))
-                    data.append(-w / h2)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n))
+        n, h = self.grid.n, self.grid.h
+        ends = np.zeros(n)
+        ends[0] = ends[-1] = 1.0
+        sides = ends[:, None] + ends[None, :]
+        diag = self.row_weights * (self.a + sides * (2.0 / (self.l * h)))
+        form = edge_form_matrix(*neumann_edge_coefficients(self.grid))
+        return (form / (h * h) + sp.diags(diag.ravel())).tocsr()
 
     def factorized(self):
         if self._splu is None:
             self._splu = spla.splu(self.sparse_matrix().tocsc())
         return self._splu
 
-    def solve(self, b, tol=1e-10, x0=None, precond_with=None):
+    def solve(self, b, x0=None, precond_with=None):
         """CG solve of S x = b; optionally preconditioned by the factorization
         of a nearby operator (PCG)."""
         n = self.grid.n
@@ -124,20 +104,16 @@ class RobinOperator:
             def precond(r):
                 return lu.solve(r.ravel()).reshape(n, n)
 
-        x, res, it = cg(
-            self.apply, b, tol=tol, max_iter=50 * n, x0=x0, precond=precond
-        )
-        return x, res, it
+        return cg(self.apply, b, max_iter=50 * n, x0=x0, precond=precond)
 
 
-def _dirichlet_solve(grid, a_values, g: BoundaryTrace, tol=1e-10):
+def _dirichlet_solve(grid, a_values, g: BoundaryTrace):
     """phi = g on the boundary, (-lap + a) phi = 0 inside."""
     n, h = grid.n, grid.h
     bc = g.as_grid_array()
     a = np.ascontiguousarray(a_values)
 
     # move boundary values to the right-hand side of the interior system
-    full = kernels.dirichlet_apply(np.zeros_like(bc), a, h)
     bvec = np.zeros((n, n))
     bvec[1, 1:-1] += bc[0, 1:-1] / h**2
     bvec[-2, 1:-1] += bc[-1, 1:-1] / h**2
@@ -147,7 +123,7 @@ def _dirichlet_solve(grid, a_values, g: BoundaryTrace, tol=1e-10):
     def apply_op(x):
         return kernels.dirichlet_apply(x, a, h)
 
-    x, res, it = cg(apply_op, bvec, tol=tol, max_iter=50 * n)
+    x, res, it = cg(apply_op, bvec, max_iter=50 * n)
     x = x.copy()
     ii, jj = grid.boundary_indices()
     x[ii, jj] = g.values
@@ -176,29 +152,27 @@ def _one_sided_flux(grid, phi_values):
 
 
 def solve_T(problem: RobinProblem, x0: ScalarField | None = None,
-            precond_with: RobinOperator | None = None,
-            tol=1e-10) -> OpticalSolution:
+            precond_with: RobinOperator | None = None) -> OpticalSolution:
     """Solve the diffusion problem and return the energy density and its
     outgoing boundary flux."""
     grid = problem.a.grid
     if problem.l == 0.0:
-        x, res, it = _dirichlet_solve(grid, problem.a.values, problem.g, tol=tol)
+        x, res, it = _dirichlet_solve(grid, problem.a.values, problem.g)
         phi = ScalarField(grid, x)
         flux = _one_sided_flux(grid, x)
         return OpticalSolution(phi, flux, res, it)
     op = RobinOperator(grid, problem.a.values, problem.l)
     b = op.boundary_rhs(problem.g)
     x0v = None if x0 is None else x0.values
-    x, res, it = op.solve(b, tol=tol, x0=x0v, precond_with=precond_with)
+    x, res, it = op.solve(b, x0=x0v, precond_with=precond_with)
     phi = ScalarField(grid, x)
     ii, jj = grid.boundary_indices()
     flux = BoundaryTrace(grid, (problem.g.values - x[ii, jj]) / problem.l)
     return OpticalSolution(phi, flux, res, it)
 
 
-def solve_adjoint(a: ScalarField, source: ScalarField, l: float,
-                  precond_with: RobinOperator | None = None,
-                  tol=1e-10) -> ScalarField:
+def solve_adjoint(a: ScalarField, source: ScalarField,
+                  l: float) -> ScalarField:
     """Solve (-lap + a) z = source with homogeneous Robin data.
 
     The operator equals its own adjoint in the trapezoid inner product, so
@@ -207,16 +181,16 @@ def solve_adjoint(a: ScalarField, source: ScalarField, l: float,
     grid = a.grid
     op = RobinOperator(grid, a.values, l)
     b = op.source_rhs(source)
-    x, res, it = op.solve(b, tol=tol, precond_with=precond_with)
+    x, res, it = op.solve(b)
     return ScalarField(grid, x)
 
 
-def solve_DT(a: ScalarField, phi: ScalarField, h: ScalarField, l: float,
-             tol=1e-10) -> ScalarField:
+def solve_DT(a: ScalarField, phi: ScalarField, h: ScalarField,
+             l: float) -> ScalarField:
     """Directional derivative of the coefficient-to-solution map.
 
     Solves (-lap + a) dphi = -h * phi with homogeneous Robin data, where phi
     is the solution at coefficient ``a``.
     """
     source = ScalarField(a.grid, -h.values * phi.values)
-    return solve_adjoint(a, source, l, tol=tol)
+    return solve_adjoint(a, source, l)

@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import kernels
 
@@ -197,15 +198,13 @@ def boundary_integral(trace):
     return trace.grid.h * float(np.sum(trace.values))
 
 
-def boundary_norm_l2(trace):
-    return float(np.sqrt(trace.grid.h * np.sum(trace.values**2)))
-
-
 # ---------------------------------------------------------------------------
 # discrete calculus
 
 
-def _diff_axis0(v, h):
+def diff_axis0(v, h):
+    """Derivative along axis 0 at spacing h: central differences inside,
+    one-sided second order at the two ends."""
     out = np.empty_like(v)
     out[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
     out[0, :] = (-3 * v[0, :] + 4 * v[1, :] - v[2, :]) / (2 * h)
@@ -217,14 +216,14 @@ def gradient(f: ScalarField) -> VectorField:
     """Nodal gradient: central differences inside, one-sided second order at
     the boundary."""
     h = f.grid.h
-    gx = _diff_axis0(f.values, h)
-    gy = _diff_axis0(f.values.T, h).T
+    gx = diff_axis0(f.values, h)
+    gy = diff_axis0(f.values.T, h).T
     return VectorField(f.grid, gx, gy)
 
 
 def divergence(v: VectorField) -> ScalarField:
     h = v.grid.h
-    d = _diff_axis0(v.vx, h) + _diff_axis0(v.vy.T, h).T
+    d = diff_axis0(v.vx, h) + diff_axis0(v.vy.T, h).T
     return ScalarField(v.grid, d)
 
 
@@ -241,6 +240,38 @@ def edge_diff_transpose(ex, ey):
     out[:, 1:] += ey
     out[:, :-1] -= ey
     return out
+
+
+def edge_average(values):
+    """Arithmetic edge means of a node field: (x-edges, y-edges)."""
+    ex = 0.5 * (values[1:, :] + values[:-1, :])
+    ey = 0.5 * (values[:, 1:] + values[:, :-1])
+    return ex, ey
+
+
+def edge_average_transpose(ex, ey):
+    """Exact transpose of :func:`edge_average`: half of each edge value
+    onto both of its end nodes."""
+    out = np.zeros((ex.shape[0] + 1, ex.shape[1]))
+    out[1:, :] += 0.5 * ex
+    out[:-1, :] += 0.5 * ex
+    out[:, 1:] += 0.5 * ey
+    out[:, :-1] += 0.5 * ey
+    return out
+
+
+def edge_form_matrix(cx, cy):
+    """CSR matrix of v -> edge_diff_transpose(cx * dx v, cy * dy v) on the
+    row-major node vector; the assembled form of ``kernels.edge_form_apply``.
+    """
+    n = cx.shape[1]
+    ones = np.ones(n - 1)
+    d = sp.diags([-ones, ones], [0, 1], shape=(n - 1, n))
+    eye = sp.identity(n)
+    dx = sp.kron(d, eye)
+    dy = sp.kron(eye, d)
+    return (dx.T @ sp.diags(cx.ravel()) @ dx
+            + dy.T @ sp.diags(cy.ravel()) @ dy).tocsr()
 
 
 def integrate(f, mask=None) -> float:
@@ -356,15 +387,13 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
 # Poisson solvers
 
 
-def poisson_dirichlet(rhs, tol=1e-10, max_iter=None, x0=None) -> ScalarField:
+def poisson_dirichlet(rhs) -> ScalarField:
     """Solve -lap(u) = rhs with u = 0 on the boundary (5-point stencil, CG)."""
     if isinstance(rhs, ScalarField):
         grid, b = rhs.grid, rhs.values
     else:
         raise TypeError("rhs must be a ScalarField")
-    n, h = grid.n, grid.h
-    if max_iter is None:
-        max_iter = 50 * n
+    h = grid.h
     bvec = b.copy()
     bvec[0, :] = 0.0
     bvec[-1, :] = 0.0
@@ -374,8 +403,7 @@ def poisson_dirichlet(rhs, tol=1e-10, max_iter=None, x0=None) -> ScalarField:
     def apply_op(x):
         return kernels.dirichlet_apply(x, None, h)
 
-    x0v = None if x0 is None else x0.values
-    u, res, it = cg(apply_op, bvec, tol=tol, max_iter=max_iter, x0=x0v)
+    u, res, it = cg(apply_op, bvec, max_iter=50 * grid.n)
     return ScalarField(grid, u)
 
 
@@ -394,15 +422,12 @@ def neumann_edge_coefficients(grid):
     return cx, cy
 
 
-def neumann_solve_weighted(grid, b, tol=1e-10, max_iter=None):
+def neumann_solve_weighted(grid, b):
     """Solve the edge-form Neumann system E z = b on the zero-mean subspace.
 
     ``b`` is a plain-dot assembled right-hand side (must have zero sum up to
     roundoff; the mean is projected out). Returns a zero-weighted-mean array.
     """
-    n = grid.n
-    if max_iter is None:
-        max_iter = 50 * n
     cx, cy = neumann_edge_coefficients(grid)
     w = grid.trapezoid_weights()
     wsum = w.sum()
@@ -416,11 +441,11 @@ def neumann_solve_weighted(grid, b, tol=1e-10, max_iter=None):
     # the edge-form matrix is symmetric in the plain dot product with kernel
     # = constants, so compatibility means plain zero sum of b
     bproj = b - b.sum() / b.size
-    z, res, it = cg(apply_op, bproj, tol=tol, max_iter=max_iter)
+    z, res, it = cg(apply_op, bproj, max_iter=50 * grid.n)
     return project(z)
 
 
-def poisson_neumann(rhs, tol=1e-10, max_iter=None) -> ScalarField:
+def poisson_neumann(rhs) -> ScalarField:
     """Solve lap(f) = rhs with homogeneous Neumann data, zero-mean solution.
 
     The compatibility condition is enforced by subtracting the weighted mean
@@ -431,7 +456,7 @@ def poisson_neumann(rhs, tol=1e-10, max_iter=None) -> ScalarField:
     r0 = r - np.sum(w * r) / w.sum()
     # weak form: E f = -(W * rhs)
     b = -(w * r0)
-    f = neumann_solve_weighted(grid, b, tol=tol, max_iter=max_iter)
+    f = neumann_solve_weighted(grid, b)
     return ScalarField(grid, f)
 
 

@@ -25,7 +25,9 @@ from .fields import (
     ScalarField,
     VectorField,
     cg,
+    diff_axis0,
     divergence,
+    edge_average,
     edge_diff,
     edge_diff_transpose,
     gradient,
@@ -35,13 +37,6 @@ from .fields import (
     neumann_solve_weighted,
 )
 from .phantom import Phantom
-
-
-def edge_average(values):
-    """Arithmetic edge means of a node field: (x-edges, y-edges)."""
-    ex = 0.5 * (values[1:, :] + values[:-1, :])
-    ey = 0.5 * (values[:, 1:] + values[:, :-1])
-    return ex, ey
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ class PsiField:
         return self.psi.grid
 
 
-def decompose(U: WeakVectorFunctional, tol=1e-10) -> PsiField:
+def decompose(U: WeakVectorFunctional) -> PsiField:
     """Curl-free potential of the weak vector data, zero-mean convention.
 
     Orientation follows the divergence-of-the-vector-solve convention, so
@@ -120,7 +115,7 @@ def decompose(U: WeakVectorFunctional, tol=1e-10) -> PsiField:
     (the remainder is orthogonal to all gradients, to solver tolerance).
     """
     grid = U.grid
-    psi = -neumann_solve_weighted(grid, U.gradient_rhs(), tol=tol)
+    psi = -neumann_solve_weighted(grid, U.gradient_rhs())
     return PsiField(ScalarField(grid, psi), "ground_truth")
 
 
@@ -163,9 +158,7 @@ def free_space_potential(U: WeakVectorFunctional, pad=2.25,
     big2 = np.zeros((nbig, nbig))
     big1[npad:npad + n, npad:npad + n] = u1
     big2[npad:npad + n, npad:npad + n] = u2
-    rhs = np.zeros((nbig, nbig))
-    rhs[1:-1, :] += (big1[2:, :] - big1[:-2, :]) / (2 * h)
-    rhs[:, 1:-1] += (big2[:, 2:] - big2[:, :-2]) / (2 * h)
+    rhs = diff_axis0(big1, h) + diff_axis0(big2.T, h).T
     rhs[0, :] = rhs[-1, :] = rhs[:, 0] = rhs[:, -1] = 0.0
 
     def apply_op(x):

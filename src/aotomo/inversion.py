@@ -21,19 +21,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from . import kernels
 from .diffusion import OpticalSolution, RobinOperator, RobinProblem, solve_T
 from .fields import (
     BoundaryTrace,
     Grid,
     ScalarField,
-    cg,
+    edge_average,
+    edge_average_transpose,
     edge_diff,
     edge_diff_transpose,
+    edge_form_matrix,
     gradient,
 )
-from .helmholtz import PsiField, edge_average
+from .helmholtz import PsiField
 from .segmentation import InclusionMask
 
 
@@ -49,7 +51,8 @@ class KProjectionConfig:
 
 
 class MaskSpace:
-    """Per-inclusion discrete space: in-mask edges and the Dirichlet form."""
+    """Per-inclusion discrete space: in-mask edges and the Dirichlet form,
+    factored once on the interior nodes."""
 
     def __init__(self, grid: Grid, mask: np.ndarray):
         self.grid = grid
@@ -65,37 +68,32 @@ class MaskSpace:
         self.cy = (self.mask[:, 1:] & self.mask[:, :-1]).astype(float)
         if not np.any(inner):
             raise ValueError("mask has no interior nodes")
-
-    def form_apply(self, x, coef_x=None, coef_y=None):
-        cx = self.cx if coef_x is None else self.cx * coef_x
-        cy = self.cy if coef_y is None else self.cy * coef_y
-        xm = np.where(self.interior, x, 0.0)
-        out = kernels.edge_form_apply(xm, cx, cy)
-        return np.where(self.interior, out, 0.0)
+        self._nodes = np.flatnonzero(inner)
+        form = edge_form_matrix(self.cx, self.cy)[self._nodes][:, self._nodes]
+        self._lu = spla.splu(form.tocsc())
 
     def diff(self, x):
         """Edge differences of x with its values off the interior zeroed."""
         return edge_diff(np.where(self.interior, x, 0.0))
 
-    def bilinear(self, u, v, coef_x=None, coef_y=None):
+    def bilinear(self, u, v):
         """sum over in-mask edges of c_e du dv (undivided differences)."""
-        cx = self.cx if coef_x is None else self.cx * coef_x
-        cy = self.cy if coef_y is None else self.cy * coef_y
         du_x, du_y = edge_diff(u)
         dv_x, dv_y = edge_diff(v)
-        return float(np.sum(cx * du_x * dv_x) + np.sum(cy * du_y * dv_y))
+        return float(np.sum(self.cx * du_x * dv_x)
+                     + np.sum(self.cy * du_y * dv_y))
 
     def assemble(self, coef_x, coef_y):
         """Vector b with b . v = sum_e c_e dv for all interior v."""
         b = edge_diff_transpose(self.cx * coef_x, self.cy * coef_y)
         return np.where(self.interior, b, 0.0)
 
-    def riesz_solve(self, b, tol=1e-10):
-        """Solve the mask Dirichlet form L rho = b."""
-        bm = np.where(self.interior, b, 0.0)
-        x, res, it = cg(self.form_apply, bm, tol=tol,
-                        max_iter=80 * self.grid.n)
-        return x
+    def riesz_solve(self, b):
+        """Solve the mask Dirichlet form L rho = b on the interior nodes;
+        rho is zero elsewhere."""
+        rho = np.zeros(self.grid.shape)
+        rho.flat[self._nodes] = self._lu.solve(b.ravel()[self._nodes])
+        return rho
 
 
 @dataclass
@@ -182,9 +180,9 @@ class ReconstructionProblem:
                 vals[space.interior] += correction.parts[j][space.interior]
         return ScalarField(self.grid, vals)
 
-    def solve_forward(self, alphas, correction=None, x0=None) -> OpticalSolution:
+    def solve_forward(self, alphas, correction=None) -> OpticalSolution:
         a = self.coefficient_field(alphas, correction)
-        return solve_T(RobinProblem(a, self.g, self.l), x0=x0)
+        return solve_T(RobinProblem(a, self.g, self.l))
 
     # -- H space operations --------------------------------------------------
 
@@ -237,7 +235,7 @@ class ReconstructionProblem:
         best = 0.0
         for _ in range(iterations):
             rhs = np.where(space.interior, w * v**3, 0.0)
-            v = space.riesz_solve(rhs, tol=1e-8)
+            v = space.riesz_solve(rhs)
             nrm = math.sqrt(space.bilinear(v, v))
             if nrm == 0:
                 break
@@ -414,13 +412,8 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
     for j, space in enumerate(problem.spaces):
         dax, day = space.diff(correction.parts[j])
         drx, dry = space.diff(rho.representer.parts[j])
-        ex = space.cx * dax * drx
-        ey = space.cy * day * dry
-        acc = np.zeros(grid.shape)
-        acc[1:, :] += ex
-        acc[:-1, :] += ex
-        acc[:, 1:] += ey
-        acc[:, :-1] += ey
+        acc = 2.0 * edge_average_transpose(space.cx * dax * drx,
+                                           space.cy * day * dry)
         sigma += phi * acc
         raw.append(space.assemble(phi2x * drx, phi2y * dry))
 

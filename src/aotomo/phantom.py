@@ -199,13 +199,6 @@ class Phantom:
         x, y = grid.meshgrid()
         return self.inclusions[index].contains(x, y)
 
-    def support_mask(self, grid: Grid):
-        """Union of the inclusion masks."""
-        m = np.zeros(grid.shape, dtype=bool)
-        for k in range(len(self.inclusions)):
-            m |= self.interior_mask(grid, k)
-        return m
-
 
 def check_transversality(phantom: Phantom, y, r, eta, min_angle_deg=5.0,
                          curvature_tol=1e-3, samples=1440) -> bool:

@@ -54,10 +54,6 @@ def cylinder_inner(s1: Sinogram, s2: Sinogram, radial_weight=False) -> float:
     return w * float(np.sum(prod))
 
 
-def cylinder_norm_l2(s: Sinogram) -> float:
-    return math.sqrt(max(cylinder_inner(s, s), 0.0))
-
-
 def radial_derivative(s: Sinogram) -> Sinogram:
     """Forward difference in r with a zero ghost past the last radius.
 

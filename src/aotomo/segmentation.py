@@ -52,10 +52,8 @@ def detect_edges(psi: PsiField, threshold="auto",
     grid = psi.grid
     vals = psi.psi
     if smooth_sigma > 0:
-        from scipy import ndimage as _ndi
-
-        vals = ScalarField(grid, _ndi.gaussian_filter(vals.values,
-                                                      smooth_sigma))
+        vals = ScalarField(grid, ndimage.gaussian_filter(vals.values,
+                                                         smooth_sigma))
     g = gradient(vals)
     strength = g.magnitude() * grid.h
     if strength.max() == 0.0:

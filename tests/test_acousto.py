@@ -149,6 +149,12 @@ class TestMeasurements:
         assert measure_M_eta(ctx, config, source_at(0.1), 0.9) == 0.0
         assert measure_Mtilde(ctx, config, source_at(0.1), 0.9) == 0.0
 
+    def test_context_solve_is_preconditioned_by_its_factorization(
+            self, disk_context65):
+        sol = disk_context65.solution
+        assert sol.iterations <= 2
+        assert sol.residual <= 1e-10
+
     def test_disjoint_wavefront_zero(self, disk_context65, config):
         # wavefront radius too small to reach the inclusion
         assert measure_M_eta(disk_context65, config, source_at(0.0), 0.4) == 0.0

@@ -42,6 +42,16 @@ class TestSolveT:
         ).reshape(g.shape)
         assert np.max(np.abs(dense - sol.phi.values)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [9, 33])
+    def test_sparse_matrix_matches_apply(self, n):
+        rng = np.random.default_rng(n)
+        op = RobinOperator(Grid(n), rng.uniform(0.0, 3.0, (n, n)), 0.1)
+        x = rng.standard_normal((n, n))
+        expected = op.apply(x)
+        got = (op.sparse_matrix() @ x.ravel()).reshape(n, n)
+        err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+        assert err <= 1e-12
+
     def test_residual_contract(self, disk_phantom, grid65):
         sol = solve_T(RobinProblem(disk_phantom.sample(grid65),
                                    BoundaryTrace.constant(grid65, 1.0), 0.1))

@@ -11,8 +11,11 @@ from aotomo.fields import (
     boundary_integral,
     cg,
     divergence,
+    edge_average,
+    edge_average_transpose,
     edge_diff,
     edge_diff_transpose,
+    edge_form_matrix,
     gradient,
     h1_seminorm,
     inner,
@@ -137,10 +140,26 @@ class TestCalculus:
             x = rng.standard_normal((n, n))
             fx = rng.standard_normal((n - 1, n))
             fy = rng.standard_normal((n, n - 1))
-            dx, dy = edge_diff(x)
-            lhs = np.sum(dx * fx) + np.sum(dy * fy)
-            rhs = np.sum(x * edge_diff_transpose(fx, fy))
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+            for op, op_t in ((edge_diff, edge_diff_transpose),
+                             (edge_average, edge_average_transpose)):
+                dx, dy = op(x)
+                lhs = np.sum(dx * fx) + np.sum(dy * fy)
+                rhs = np.sum(x * op_t(fx, fy))
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("n", [9, 33])
+    def test_edge_form_matrix_is_the_edge_form(self, n):
+        from aotomo.kernels import _numpy
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((n, n))
+        cx = rng.random((n - 1, n))
+        cy = rng.random((n, n - 1))
+        dx, dy = edge_diff(v)
+        expected = edge_diff_transpose(cx * dx, cy * dy)
+        got = (edge_form_matrix(cx, cy) @ v.ravel()).reshape(n, n)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _numpy.edge_form_apply(v, cx, cy),
+                                   rtol=0, atol=1e-12)
 
     def test_edge_diff_of_linear_is_constant(self, grid33):
         x, y = grid33.meshgrid()

@@ -43,6 +43,21 @@ def random_element(problem, rng, scale=0.05):
     ])
 
 
+class TestMaskSpace:
+    def test_riesz_solve_represents_the_functional(self, setup):
+        g, problem, _, _ = setup
+        rng = np.random.default_rng(11)
+        for space in problem.spaces:
+            b = rng.standard_normal(g.shape)
+            rho = space.riesz_solve(b)
+            assert not np.any(rho[~space.interior])
+            for _ in range(3):
+                v = np.where(space.interior, rng.standard_normal(g.shape), 0.0)
+                lhs = space.bilinear(rho, v)
+                rhs = float(np.sum(b * v))
+                assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
 class TestExhaustion:
     def test_on_lattice_recovery(self, flat_disk_phantom, setup):
         g, problem, _, _ = setup
