@@ -19,6 +19,7 @@ from . import kernels
 from .diffusion import OpticalSolution, RobinOperator, RobinProblem, solve_T
 from .fields import (
     BoundaryTrace,
+    FileFormatError,
     Grid,
     ScalarField,
     VectorField,
@@ -143,25 +144,37 @@ class Sinogram:
 
     @classmethod
     def load_csv(cls, path, config):
+        """Read a file written by ``save_csv``. The rows must be y-major and
+        rectangular and the r column must match ``config.radii(nr)``; any
+        other file raises FileFormatError."""
         rows = []
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "y_index,r,value":
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                m_s, r_s, v_s = line.strip().split(",")
-                rows.append((int(m_s), float(r_s), float(v_s)))
-        ny = max(r[0] for r in rows) + 1
-        nr = len(rows) // ny
-        values = np.zeros((ny, nr))
-        q = 0
-        last_m = 0
-        for m, _, v in rows:
-            if m != last_m:
-                q = 0
-                last_m = m
-            values[m, q] = v
-            q += 1
+                raise FileFormatError(f"{path}: unexpected header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    m_s, r_s, v_s = line.strip().split(",")
+                    rows.append((int(m_s), float(r_s), float(v_s)))
+                except ValueError:
+                    raise FileFormatError(
+                        f"{path}:{lineno}: expected y_index,r,value")
+        if not rows:
+            raise FileFormatError(f"{path}: no sinogram rows")
+        index = np.array([r[0] for r in rows])
+        ny = int(index.max()) + 1
+        nr = len(rows) // max(ny, 1)
+        if nr == 0 or not np.array_equal(index,
+                                         np.repeat(np.arange(ny), nr)):
+            raise FileFormatError(
+                f"{path}: rows are not {ny} sources of equal length "
+                "in y-major order")
+        radii = np.array([r[1] for r in rows]).reshape(ny, nr)
+        if np.max(np.abs(radii - config.radii(nr))) > 1e-9:
+            raise FileFormatError(
+                f"{path}: the r column differs from the config's {nr} "
+                f"radii on [0, {config.R:g}]")
+        values = np.array([r[2] for r in rows]).reshape(ny, nr)
         return cls(config, ny, nr, values)
 
 

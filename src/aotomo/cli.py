@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, acousto, fields, helmholtz, inversion, radon
 from . import phantom as phantom_mod
 from . import segmentation
-from .fields import Grid, SolverError
+from .fields import FileFormatError, Grid, SolverError
 
 SCHEMA_VERSION = 1
 
@@ -191,6 +191,10 @@ def cmd_recover_psi(cfg, args):
     if not os.path.exists(args.sinogram):
         raise ConfigError(f"sinogram file not found: {args.sinogram}")
     sino = acousto.Sinogram.load_csv(args.sinogram, cfg.acoustic)
+    if (sino.ny, sino.nr) != (cfg.ny, cfg.nr):
+        raise FileFormatError(
+            f"{args.sinogram}: {sino.ny} x {sino.nr} samples, but the config "
+            f"has acoustic.ny x nr = {cfg.ny} x {cfg.nr}")
     rpsi = radon.recover_Rpsi(sino, cfg.acoustic)
     rec, info = radon.invert_radon(rpsi, cfg.grid, tikhonov=args.tikhonov,
                                    max_iter=args.max_iter)
@@ -225,8 +229,20 @@ def _load_pgm(path):
                          count=w * h).reshape(h, w)
 
 
+def _load_on_grid(path, kind, grid):
+    """Load a field file that must hold a ``kind`` on the config's grid."""
+    obj = fields.load_field(path)
+    if not isinstance(obj, kind):
+        raise FileFormatError(f"{path} does not contain a {kind.__name__}")
+    if obj.grid != grid:
+        raise FileFormatError(
+            f"{path} is on an n={obj.grid.n} grid, but the config has "
+            f"grid.n = {grid.n}")
+    return obj
+
+
 def cmd_segment(cfg, args):
-    psi_field = fields.load_field(args.psi)
+    psi_field = _load_on_grid(args.psi, fields.ScalarField, cfg.grid)
     psi = helmholtz.PsiField(psi_field, "from_measurements")
     edge = segmentation.detect_edges(psi, threshold=args.threshold,
                                      smooth_sigma=args.smooth)
@@ -248,13 +264,15 @@ def cmd_segment(cfg, args):
 
 
 def cmd_reconstruct(cfg, args):
+    if cfg.l <= 0:
+        raise ConfigError("reconstruct needs optics.l > 0")
     masks = _masks_from_manifest(args.masks, cfg.grid)
     if not masks:
         raise ConfigError("mask manifest contains no masks")
-    psi = helmholtz.PsiField(fields.load_field(args.psi), "from_measurements")
-    flux = fields.load_field(args.flux)
-    if not isinstance(flux, fields.BoundaryTrace):
-        raise ConfigError(f"{args.flux} does not contain a boundary trace")
+    psi = helmholtz.PsiField(
+        _load_on_grid(args.psi, fields.ScalarField, cfg.grid),
+        "from_measurements")
+    flux = _load_on_grid(args.flux, fields.BoundaryTrace, cfg.grid)
     truth_phantom = None
     if args.truth:
         truth_phantom = phantom_mod.load_phantom(args.truth)
@@ -429,7 +447,7 @@ def main(argv=None):
         # export is the one command without --config
         cfg = load_config(args.config) if "config" in args else None
         return args.func(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -3,9 +3,11 @@
 The operator is (-lap + a) with the boundary condition l*dnu(phi) + phi = g
 discretized by second-order ghost elimination. Rows are scaled by the
 trapezoid pattern so the assembled system is symmetric positive definite;
-solves are conjugate gradient, optionally preconditioned by a cached sparse
-factorization of a nearby operator (used for the many slightly perturbed
-solves of a measurement sweep).
+solves are conjugate gradient, optionally preconditioned by the cached sparse
+factorization of a nearby operator. A measurement sweep preconditions its
+perturbed solves with the unperturbed operator; the reconstruction
+preconditions every forward, tangent and adjoint solve with the operator at
+the constant background coefficient.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ class RobinOperator:
 
     def factorized(self):
         if self._splu is None:
-            self._splu = spla.splu(self.sparse_matrix().tocsc())
+            # the matrix is SPD: a symmetric ordering keeps the factors small
+            self._splu = spla.splu(self.sparse_matrix().tocsc(),
+                                   permc_spec="MMD_AT_PLUS_A")
         return self._splu
 
     def solve(self, b, x0=None, precond_with=None):
@@ -171,8 +175,8 @@ def solve_T(problem: RobinProblem, x0: ScalarField | None = None,
     return OpticalSolution(phi, flux, res, it)
 
 
-def solve_adjoint(a: ScalarField, source: ScalarField,
-                  l: float) -> ScalarField:
+def solve_adjoint(a: ScalarField, source: ScalarField, l: float,
+                  precond_with: RobinOperator | None = None) -> ScalarField:
     """Solve (-lap + a) z = source with homogeneous Robin data.
 
     The operator equals its own adjoint in the trapezoid inner product, so
@@ -181,7 +185,7 @@ def solve_adjoint(a: ScalarField, source: ScalarField,
     grid = a.grid
     op = RobinOperator(grid, a.values, l)
     b = op.source_rhs(source)
-    x, res, it = op.solve(b)
+    x, res, it = op.solve(b, precond_with=precond_with)
     return ScalarField(grid, x)
 
 

@@ -21,6 +21,11 @@ FORMAT_VERSION = 1
 KIND_SCALAR = 0
 KIND_VECTOR = 1
 KIND_TRACE = 2
+_HEADER = struct.Struct("<HBI")
+
+
+class FileFormatError(ValueError):
+    """An input file is corrupt or does not match what the caller expects."""
 
 
 class SolverError(RuntimeError):
@@ -466,7 +471,7 @@ def poisson_neumann(rhs) -> ScalarField:
 
 def _write_payload(fh, kind, n, payload):
     fh.write(MAGIC)
-    fh.write(struct.pack("<HBI", FORMAT_VERSION, kind, n))
+    fh.write(_HEADER.pack(FORMAT_VERSION, kind, n))
     fh.write(payload.astype("<f8").tobytes(order="C"))
 
 
@@ -486,20 +491,38 @@ def save_field(path, obj):
 
 
 def load_field(path):
+    """Read a file written by ``save_field``; raise FileFormatError for
+    anything else (bad magic, version, kind or grid size, a truncated header,
+    a payload of the wrong length, non-finite values)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version, kind, n = struct.unpack("<HBI", fh.read(7))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        grid = Grid(int(n))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if kind == KIND_SCALAR:
-        return ScalarField(grid, raw.reshape(n, n))
-    if kind == KIND_VECTOR:
-        pair = raw.reshape(n, n, 2)
-        return VectorField(grid, pair[:, :, 0], pair[:, :, 1])
-    if kind == KIND_TRACE:
+        data = fh.read()
+    start = len(MAGIC) + _HEADER.size
+    if data[:len(MAGIC)] != MAGIC:
+        raise FileFormatError(f"{path}: bad magic {data[:len(MAGIC)]!r}")
+    if len(data) < start:
+        raise FileFormatError(f"{path}: truncated header")
+    version, kind, n = _HEADER.unpack_from(data, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise FileFormatError(f"{path}: unsupported version {version}")
+    counts = {KIND_SCALAR: n * n, KIND_VECTOR: 2 * n * n,
+              KIND_TRACE: 4 * (n - 1)}
+    if kind not in counts:
+        raise FileFormatError(f"{path}: unknown kind {kind}")
+    if n < 3:
+        raise FileFormatError(f"{path}: grid size {n} is below 3")
+    expected = 8 * counts[kind]
+    if len(data) - start != expected:
+        raise FileFormatError(
+            f"{path}: payload has {len(data) - start} bytes, "
+            f"expected {expected} for n={n}")
+    grid = Grid(n)
+    raw = np.frombuffer(data, dtype="<f8", offset=start)
+    try:
+        if kind == KIND_SCALAR:
+            return ScalarField(grid, raw.reshape(n, n))
+        if kind == KIND_VECTOR:
+            pair = raw.reshape(n, n, 2)
+            return VectorField(grid, pair[:, :, 0], pair[:, :, 1])
         return BoundaryTrace(grid, raw)
-    raise ValueError(f"{path}: unknown kind {kind}")
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

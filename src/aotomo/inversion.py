@@ -12,6 +12,13 @@ stored as base constants plus zero-trace corrections; every functional is
 handled through its Riesz representer (one masked Dirichlet solve per
 inclusion), and the constraint set (coefficient bounds plus an L4 gradient
 budget per inclusion) is enforced by clamping and scale-back.
+
+Every coefficient either stage solves at equals the background a0 off the
+masks and lies in [lower, upper] on them, so it differs from the constant
+background operator only by a diagonal term on the inclusions. The problem
+factors that background operator once, and its LU preconditions every Robin
+solve here: the exhaustion's and Landweber's forward solves and the tangent
+and adjoint solves of DF and DF*.
 """
 
 from __future__ import annotations
@@ -23,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .diffusion import OpticalSolution, RobinOperator, RobinProblem, solve_T
+from .diffusion import (
+    OpticalSolution,
+    RobinOperator,
+    RobinProblem,
+    solve_adjoint,
+    solve_T,
+)
 from .fields import (
     BoundaryTrace,
     Grid,
@@ -70,7 +83,7 @@ class MaskSpace:
             raise ValueError("mask has no interior nodes")
         self._nodes = np.flatnonzero(inner)
         form = edge_form_matrix(self.cx, self.cy)[self._nodes][:, self._nodes]
-        self._lu = spla.splu(form.tocsc())
+        self._lu = spla.splu(form.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def diff(self, x):
         """Edge differences of x with its values off the interior zeroed."""
@@ -152,6 +165,9 @@ class ReconstructionProblem:
 
     def __init__(self, grid: Grid, masks: list, a0: float, lower: float,
                  upper: float, g=1.0, l=0.1, theta=None):
+        if l <= 0:
+            raise ValueError("reconstruction needs an extrapolation length "
+                             "l > 0")
         self.grid = grid
         self.masks = masks
         self.spaces = [MaskSpace(grid, m.mask) for m in masks]
@@ -163,6 +179,9 @@ class ReconstructionProblem:
             grid, g)
         self._theta = theta
         self._phi_bounds = None
+        # its cached LU preconditions every Robin solve (see the module notes)
+        self.reference = RobinOperator(grid, np.full(grid.shape, self.a0),
+                                       self.l)
 
     @property
     def k(self):
@@ -182,7 +201,8 @@ class ReconstructionProblem:
 
     def solve_forward(self, alphas, correction=None) -> OpticalSolution:
         a = self.coefficient_field(alphas, correction)
-        return solve_T(RobinProblem(a, self.g, self.l))
+        return solve_T(RobinProblem(a, self.g, self.l),
+                       precond_with=self.reference)
 
     # -- H space operations --------------------------------------------------
 
@@ -377,11 +397,9 @@ def _DF_raw(problem, alphas, correction, h, solution, tangent):
 def _tangent_solve(problem, alphas, correction, h: HElement,
                    solution: OpticalSolution) -> ScalarField:
     a = problem.coefficient_field(alphas, correction)
-    op = RobinOperator(problem.grid, a.values, problem.l)
     source = -h.combined() * solution.phi.values
-    b = op.source_rhs(ScalarField(problem.grid, source))
-    x, _, _ = op.solve(b)
-    return ScalarField(problem.grid, x)
+    return solve_adjoint(a, ScalarField(problem.grid, source), problem.l,
+                         precond_with=problem.reference)
 
 
 def DF_quadratic_form(problem, alphas, correction, h: HElement,
@@ -419,7 +437,7 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
 
     a = problem.coefficient_field(alphas, correction)
     op = RobinOperator(grid, a.values, problem.l)
-    z, _, _ = op.solve(sigma)
+    z, _, _ = op.solve(sigma, precond_with=problem.reference)
     b1 = -phi * z * op.row_weights
     for j, space in enumerate(problem.spaces):
         raw[j] = raw[j] + np.where(space.interior, b1, 0.0)

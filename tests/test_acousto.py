@@ -266,6 +266,21 @@ class TestSinogram:
         back = Sinogram.load_csv(path, config)
         np.testing.assert_array_equal(back.values, sino.values)
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:-1],
+        lambda rows: rows[:15] + [rows[16], rows[15]] + rows[17:],
+        lambda rows: rows[:3] + ["0,0.5,1.0"] + rows[4:],
+        lambda rows: rows[:3] + ["0,0.5"] + rows[4:],
+    ], ids=["ragged", "not-y-major", "wrong-radius", "short-row"])
+    def test_csv_rejects_malformed(self, tmp_path, config, edit):
+        sino = Sinogram(config, 8, 16, np.zeros((8, 16)))
+        path = tmp_path / "s.csv"
+        sino.save_csv(path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + edit(rows)) + "\n")
+        with pytest.raises(fields.FileFormatError):
+            Sinogram.load_csv(path, config)
+
     def test_csv_deterministic(self, tmp_path, config):
         rng = np.random.default_rng(7)
         sino = Sinogram(config, 8, 16, rng.standard_normal((8, 16)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import aotomo
-from aotomo import cli, fields
+from aotomo import acousto, cli, fields
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,52 @@ def test_missing_config_is_exit_code_2(tmp_path, capsys):
                      "--outdir", str(tmp_path)])
     assert code == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+def _bad_inputs(d):
+    """(name, argv) pairs whose input does not fit the workdir config."""
+    cfg = d / "config.json"
+    doc = json.loads(cfg.read_text())
+    doc["optics"]["l"] = 0.0
+    (d / "dirichlet.json").write_text(json.dumps(doc))
+
+    (d / "magic.aorf").write_bytes(b"NOPE" + bytes(16))
+    (d / "header.aorf").write_bytes(b"AORF" + bytes(3))
+    fields.save_field(d / "short.aorf", fields.ScalarField.constant(
+        fields.Grid(35), 1.0))
+    (d / "short.aorf").write_bytes((d / "short.aorf").read_bytes()[:-8])
+    fields.save_field(d / "grid33.aorf", fields.ScalarField.constant(
+        fields.Grid(33), 1.0))
+
+    acoustic = cli.load_config(cfg).acoustic
+    sino = acousto.Sinogram(acoustic, 8, 16, np.zeros((8, 16)))
+    sino.save_csv(d / "sino_ok.csv")
+    rows = (d / "sino_ok.csv").read_text().splitlines()
+    m, r, v = rows[5].split(",")
+    rows[5] = f"{m},{float(r) + 1e-6!r},{v}"
+    (d / "sino_r.csv").write_text("\n".join(rows) + "\n")
+
+    segment = ["segment", "--config", cfg, "--outdir", d / "bad_seg",
+               "--psi"]
+    return [
+        ("l = 0", ["reconstruct", "--config", d / "dirichlet.json",
+                   "--psi", d / "none.aorf", "--masks", d / "none.json",
+                   "--flux", d / "none.aorf", "--outdir", d / "bad_rec"]),
+        ("bad magic", segment + [d / "magic.aorf"]),
+        ("truncated header", segment + [d / "header.aorf"]),
+        ("truncated payload", segment + [d / "short.aorf"]),
+        ("psi on another grid", segment + [d / "grid33.aorf"]),
+        ("edited r column", ["recover-psi", "--config", cfg, "--sinogram",
+                             d / "sino_r.csv", "--out", d / "bad_psi.aorf"]),
+    ]
+
+
+def test_bad_inputs_are_exit_code_2(workdir, capsys):
+    for name, argv in _bad_inputs(workdir):
+        code = cli.main([str(a) for a in argv])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2, name
+        assert len(err) == 1 and err[0].startswith("error: "), (name, err)
 
 
 def test_version_is_the_package_version(capsys):

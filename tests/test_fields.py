@@ -318,6 +318,21 @@ class TestFieldFiles:
         with pytest.raises(ValueError, match="magic"):
             fields.load_field(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda b: b[:9], "truncated header"),
+        (lambda b: b[:-8], "payload"),
+        (lambda b: b + bytes(8), "payload"),
+        (lambda b: b[:4] + b"\x02\x00" + b[6:], "version"),
+        (lambda b: b[:6] + b"\x07" + b[7:], "kind"),
+        (lambda b: b[:-8] + np.array([np.nan], "<f8").tobytes(), "finite"),
+    ], ids=["header", "short", "long", "version", "kind", "nan"])
+    def test_corrupt_file_rejected(self, tmp_path, grid33, edit, match):
+        path = tmp_path / "f.aorf"
+        fields.save_field(path, ScalarField.constant(grid33, 1.0))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(fields.FileFormatError, match=match):
+            fields.load_field(path)
+
     def test_boundary_integral(self, grid33):
         t = BoundaryTrace.constant(grid33, 1.0)
         assert boundary_integral(t) == pytest.approx(4.0, abs=1e-12)

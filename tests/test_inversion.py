@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from aotomo import diffusion, fields, helmholtz, inversion as inv
 from aotomo import segmentation as seg
@@ -56,6 +57,26 @@ class TestMaskSpace:
                 lhs = space.bilinear(rho, v)
                 rhs = float(np.sum(b * v))
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+class TestForwardSolve:
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_reference_preconditioner_at_the_bounds(self, setup, bound):
+        g, problem, _, _ = setup
+        alphas = [getattr(problem, bound)] * problem.k
+        sol = problem.solve_forward(alphas)
+        assert sol.iterations <= 10
+        op = diffusion.RobinOperator(
+            g, problem.coefficient_field(alphas).values, problem.l)
+        exact = spla.spsolve(op.sparse_matrix().tocsc(),
+                             op.boundary_rhs(problem.g).ravel())
+        err = np.linalg.norm(sol.phi.values.ravel() - exact)
+        assert err <= 1e-8 * np.linalg.norm(exact)
+
+    def test_needs_positive_extrapolation_length(self, grid33):
+        with pytest.raises(ValueError, match="l > 0"):
+            ReconstructionProblem(grid33, [], a0=1.0, lower=0.5, upper=2.0,
+                                  l=0.0)
 
 
 class TestExhaustion:
