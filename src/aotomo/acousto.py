@@ -305,6 +305,22 @@ def _ray_rim_crossings(inclusion, y, ct, st):
 _NUDGE = 1e-9
 
 
+def rays_meeting_support(phantom, y, lo, hi, ct, st):
+    """Indices of the rays y + rho (ct, st), rho in [lo, hi], that come within
+    an inclusion's bounding radius (plus 1e-9 for rounding) of its centre.
+
+    Phantom.eval returns exactly a0 at every point of the other rays.
+    """
+    hit = np.zeros(ct.shape, dtype=bool)
+    for inc in phantom.inclusions:
+        vx = inc.center[0] - y[0]
+        vy = inc.center[1] - y[1]
+        t = np.clip(vx * ct + vy * st, lo, hi)
+        reach = inc.bounding_radius() + _NUDGE
+        hit |= np.hypot(vx - t * ct, vy - t * st) <= reach
+    return np.nonzero(hit)[0]
+
+
 class _ShellQuadrature:
     """Polar quadrature over the wavefront shell with exact jump handling.
 
@@ -317,6 +333,15 @@ class _ShellQuadrature:
     variable the rim sweeps through the shell over a band of width
     ~eta/|d rho_c/d theta|, so the base angular grid is refined adaptively
     on those bands.
+
+    Both integrands vanish on a ray whose segment [r - eta, r + eta] meets
+    no inclusion, so the lattice is evaluated only on the rays that
+    ``rays_meeting_support`` keeps and is exactly zero on the others. The
+    cull is exact: the radial inverse fixes both ends of the shell, so the
+    displaced radius rho* stays in [r - eta, r + eta]; Phantom.eval returns
+    exactly a0 off every inclusion, so a - a0 and a_u - a are zero on the
+    dropped rays; and a rim-crossing root inside the shell lies on a rim, so
+    every ray that carries a jump correction is kept.
     """
 
     def __init__(self, ctx, config, y, r, radial_points, angular_step):
@@ -348,6 +373,11 @@ class _ShellQuadrature:
             if dc - rb - slack <= r <= dc + rb + slack:
                 return False
         return True
+
+    def rays_meeting_support(self, ct, st):
+        """Indices of the rays whose shell segment can meet an inclusion."""
+        return rays_meeting_support(self.ctx.phantom, self.y, self.rho[0],
+                                    self.rho[-1], ct, st)
 
     def base_angles(self):
         return np.linspace(0.0, 2 * np.pi, self.ntheta, endpoint=False)
@@ -470,6 +500,13 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     of a_u - a is resolved at any eta. ``quadrature="grid"`` selects plain
     trapezoid on the field grid instead (needs h well below eta*r0/r to see
     the jump slivers); the two act as independent cross-checks.
+
+    The polar lattice is computed only on the rays whose shell segment comes
+    near an inclusion, and is zero on the rest. This drops no nonzero term:
+    rho* = radial_invert(rho) stays in [r - eta, r + eta] because the
+    position map fixes both ends of the shell; Phantom.eval returns exactly
+    a0 off every inclusion, so a_u - a is zero on a dropped ray; and a
+    rim-crossing root inside the shell lies on the rim, so its ray is kept.
     """
     if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
         return 0.0
@@ -503,14 +540,17 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
                 * kernels.bilinear_gather(phi_u, px, py, quad.h)) * radii
 
     def per_ray_integrals(ct, st):
-        px = quad.y[0] + np.outer(rho, ct)
-        py = quad.y[1] + np.outer(rho, st)
-        qx = quad.y[0] + np.outer(rho_star, ct)
-        qy = quad.y[1] + np.outer(rho_star, st)
+        keep = quad.rays_meeting_support(ct, st)
+        ck, sk = ct[keep], st[keep]
+        px = quad.y[0] + np.outer(rho, ck)
+        py = quad.y[1] + np.outer(rho, sk)
+        qx = quad.y[0] + np.outer(rho_star, ck)
+        qy = quad.y[1] + np.outer(rho_star, sk)
         dcoef = phantom.eval(qx, qy) - phantom.eval(px, py)
         inside = (px >= 0) & (px <= 1) & (py >= 0) & (py <= 1)
         dcoef = np.where(inside, dcoef, 0.0)
-        lattice = (
+        lattice = np.zeros((rho.size, ct.size))
+        lattice[:, keep] = (
             dcoef
             * kernels.bilinear_gather(phi_b, px, py, quad.h)
             * kernels.bilinear_gather(phi_u, px, py, quad.h)
@@ -603,11 +643,14 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
         ) * radii_grid
 
     def per_ray_integrals(ct, st):
-        px = quad.y[0] + np.outer(rho, ct)
-        py = quad.y[1] + np.outer(rho, st)
+        keep = quad.rays_meeting_support(ct, st)
+        ck, sk = ct[keep], st[keep]
+        px = quad.y[0] + np.outer(rho, ck)
+        py = quad.y[1] + np.outer(rho, sk)
         qvals = phantom.eval(px, py) - phantom.a0
-        lattice = qvals * smooth_factor(
-            rho[:, None], ct[None, :], st[None, :]
+        lattice = np.zeros((rho.size, ct.size))
+        lattice[:, keep] = qvals * smooth_factor(
+            rho[:, None], ck[None, :], sk[None, :]
         )
         jumps = []
         for root in quad.crossing_roots(ct, st):

@@ -112,13 +112,24 @@ def load_config(path) -> ExperimentConfig:
     )
 
 
+def _require_file(path, what):
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found: {path}")
+
+
+def _read_phantom(path):
+    _require_file(path, "phantom file")
+    try:
+        return phantom_mod.load_phantom(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FileFormatError(f"{path}: not a phantom description ({exc!r})")
+
+
 def _load_phantom(cfg, override=None):
     path = override or cfg.phantom_file
     if not path:
         raise ConfigError("missing config field: phantom_file")
-    if not os.path.exists(path):
-        raise ConfigError(f"phantom file not found: {path}")
-    return phantom_mod.load_phantom(path)
+    return _read_phantom(path)
 
 
 PRESETS = {
@@ -188,8 +199,7 @@ def cmd_sinogram(cfg, args):
 
 
 def cmd_recover_psi(cfg, args):
-    if not os.path.exists(args.sinogram):
-        raise ConfigError(f"sinogram file not found: {args.sinogram}")
+    _require_file(args.sinogram, "sinogram file")
     sino = acousto.Sinogram.load_csv(args.sinogram, cfg.acoustic)
     if (sino.ny, sino.nr) != (cfg.ny, cfg.nr):
         raise FileFormatError(
@@ -206,32 +216,53 @@ def cmd_recover_psi(cfg, args):
 
 
 def _masks_from_manifest(path, grid):
-    with open(path) as fh:
-        manifest = json.load(fh)
+    _require_file(path, "mask manifest")
+    try:
+        with open(path) as fh:
+            entries = [(str(e["file"]), int(e["label"]),
+                        bool(e.get("clipped"))) for e in json.load(fh)["masks"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FileFormatError(f"{path}: not a mask manifest ({exc!r})")
     base = os.path.dirname(path)
     masks = []
-    for entry in manifest["masks"]:
-        img = _load_pgm(os.path.join(base, entry["file"]))
+    for name, label, clipped in entries:
+        pgm = os.path.join(base, name)
+        img = _load_pgm(pgm)
+        if img.shape != grid.shape:
+            raise FileFormatError(
+                f"{pgm}: {img.shape[1]} x {img.shape[0]} mask, but the "
+                f"config has grid.n = {grid.n}")
         mask = img.T[:, ::-1] > 127
-        masks.append(segmentation.InclusionMask(
-            grid, mask, entry["label"], entry.get("clipped", False)))
+        masks.append(segmentation.InclusionMask(grid, mask, label, clipped))
     return masks
 
 
 def _load_pgm(path):
+    """Read a binary PGM as written by ``segmentation.save_mask_pgm``."""
+    _require_file(path, "mask image")
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(b"P5"):
-        raise ConfigError(f"{path} is not a binary PGM")
+    if not data.startswith(b"P5\n"):
+        raise FileFormatError(f"{path} is not a binary PGM")
     parts = data.split(b"\n", 3)
-    w, h = (int(x) for x in parts[1].split())
-    return np.frombuffer(parts[3], dtype=np.uint8,
-                         count=w * h).reshape(h, w)
+    try:
+        w, h = (int(x) for x in parts[1].split())
+        if int(parts[2]) != 255:
+            raise ValueError("maxval is not 255")
+        return np.frombuffer(parts[3], dtype=np.uint8,
+                             count=w * h).reshape(h, w)
+    except (ValueError, IndexError) as exc:
+        raise FileFormatError(f"{path}: bad PGM header or payload ({exc})")
+
+
+def _load_field(path):
+    _require_file(path, "field file")
+    return fields.load_field(path)
 
 
 def _load_on_grid(path, kind, grid):
     """Load a field file that must hold a ``kind`` on the config's grid."""
-    obj = fields.load_field(path)
+    obj = _load_field(path)
     if not isinstance(obj, kind):
         raise FileFormatError(f"{path} does not contain a {kind.__name__}")
     if obj.grid != grid:
@@ -275,11 +306,15 @@ def cmd_reconstruct(cfg, args):
     flux = _load_on_grid(args.flux, fields.BoundaryTrace, cfg.grid)
     truth_phantom = None
     if args.truth:
-        truth_phantom = phantom_mod.load_phantom(args.truth)
-    problem = inversion.ReconstructionProblem(
-        cfg.grid, masks, a0=args.a0, lower=args.lower, upper=args.upper,
-        g=cfg.g_value, l=cfg.l, theta=cfg.theta,
-    )
+        truth_phantom = _read_phantom(args.truth)
+    try:
+        problem = inversion.ReconstructionProblem(
+            cfg.grid, masks, a0=args.a0, lower=args.lower, upper=args.upper,
+            g=cfg.g_value, l=cfg.l, theta=cfg.theta,
+        )
+    except ValueError as exc:
+        # an empty mask, or a theta the config sets to zero or below
+        raise ConfigError(f"reconstruct: {exc}")
     guess = inversion.initial_guess_exhaustion(
         problem, flux, partition_step=cfg.partition_step,
         mode="coordinate" if problem.k > 3 else "exhaustive",
@@ -306,7 +341,7 @@ def cmd_reconstruct(cfg, args):
 
 def cmd_evaluate(cfg, args):
     truth = _load_phantom(cfg, args.phantom)
-    rec = fields.load_field(args.recon)
+    rec = _load_field(args.recon)
     grid = rec.grid
     a_true = truth.sample(grid)
     num = fields.inner(rec - a_true, rec - a_true)
@@ -352,7 +387,7 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_export(cfg, args):
-    obj = fields.load_field(args.field)
+    obj = _load_field(args.field)
     if not isinstance(obj, fields.ScalarField):
         raise ConfigError("export --pgm needs a scalar field file")
     segmentation.save_field_pgm(args.out, obj)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import kernels
-from .acousto import AcousticConfig, Sinogram
+from .acousto import AcousticConfig, Sinogram, rays_meeting_support
 from .fields import Grid, ScalarField, SolverError, cg, gradient
 
 
@@ -271,7 +271,9 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int,
     (for disks); the area term is a cumulative radial integral of smooth
     circle integrals. Everything is evaluated from the symbolic phantom and
     the interpolated optical field, so the accuracy is independent of the
-    wavefront thickness.
+    wavefront thickness. Both integrands carry the factor a - a0, which is
+    exactly zero off the inclusions, so they are evaluated only on the rays
+    (and circle points) that ``rays_meeting_support`` keeps.
     """
     phantom = U.phantom
     grid = U.grid
@@ -307,14 +309,17 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int,
             return phantom.eval(px, py) - phantom.a0
 
         # area term integrand g(rho) = int (a - a0) d/drho(phi^2) dtheta
-        px = y[0] + np.outer(rho_f, ct)
-        py = y[1] + np.outer(rho_f, st)
-        qv = contrast_at(px, py)
+        keep = rays_meeting_support(phantom, y, lo, hi, ct, st)
+        ck, sk = ct[keep], st[keep]
+        px = y[0] + np.outer(rho_f, ck)
+        py = y[1] + np.outer(rho_f, sk)
         phi_at = kernels.bilinear_gather(phi, px, py, h)
         dpx = kernels.bilinear_gather(gx, px, py, h)
         dpy = kernels.bilinear_gather(gy, px, py, h)
-        dphi2 = 2.0 * phi_at * (dpx * ct[None, :] + dpy * st[None, :])
-        gvals = (2 * np.pi / ntheta) * np.sum(qv * dphi2, axis=1)
+        dphi2 = 2.0 * phi_at * (dpx * ck[None, :] + dpy * sk[None, :])
+        area = np.zeros((nrho, ntheta))
+        area[:, keep] = contrast_at(px, py) * dphi2
+        gvals = (2 * np.pi / ntheta) * np.sum(area, axis=1)
         # reverse cumulative trapezoid: C(rho) = int_rho^hi g
         drho = rho_f[1] - rho_f[0]
         rev = np.zeros(nrho)
@@ -349,10 +354,14 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int,
                 continue
 
             def boundary_eval(th):
-                pb = y[0] + r * np.cos(th)
-                qb = y[1] + r * np.sin(th)
+                cb, sb = np.cos(th), np.sin(th)
+                on = rays_meeting_support(phantom, y, r, r, cb, sb)
+                pb = y[0] + r * cb[on]
+                qb = y[1] + r * sb[on]
                 pv = kernels.bilinear_gather(phi, pb, qb, h)
-                return contrast_at(pb, qb) * pv**2
+                vals = np.zeros(th.size)
+                vals[on] = contrast_at(pb, qb) * pv**2
+                return vals
 
             # the cut introduces a circle term whose normal points back
             # toward the source, hence the minus sign

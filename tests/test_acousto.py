@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aotomo import acousto, fields
+from aotomo import acousto, fields, kernels, phantom
 from aotomo.acousto import (
     AcousticConfig,
     Sinogram,
@@ -219,6 +219,64 @@ class TestMeasurements:
         with pytest.raises(ValueError):
             measure_cross_correlation(disk_context65, config, source_at(0.0),
                                       0.9, bad, bad)
+
+
+@pytest.fixture(scope="module")
+def disk_ellipse_phantom():
+    return phantom.Phantom(
+        a0=1.0, lower=0.5, upper=2.0,
+        inclusions=[
+            phantom.Inclusion("disk", (0.35, 0.4), radius=0.12,
+                              base=1.5, amplitude=0.2),
+            phantom.Inclusion("ellipse", (0.66, 0.62), semi_axes=(0.14, 0.08),
+                              angle=0.7, base=0.7, amplitude=0.1),
+        ],
+    )
+
+
+class TestRayCull:
+    def test_dropped_rays_see_only_background(self, disk_ellipse_phantom):
+        ph = disk_ellipse_phantom
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(ph, Grid(33))
+        kept_total = dropped_total = 0
+        for angle in (0.0, 0.8, 2.0, 4.0):
+            y = source_at(angle)
+            for inc in ph.inclusions:
+                dc = np.hypot(*(np.asarray(inc.center) - y))
+                rb = inc.bounding_radius()
+                for r in (dc - rb, dc - 0.3 * rb, dc, dc + 0.9 * rb):
+                    quad = acousto._ShellQuadrature(ctx, cfg, y, r, 96, None)
+                    theta = quad.adaptive_theta_nodes()
+                    ct, st = np.cos(theta), np.sin(theta)
+                    kept = quad.rays_meeting_support(ct, st)
+                    dropped = np.setdiff1d(np.arange(theta.size), kept)
+                    rho_star = kernels.radial_invert(
+                        quad.rho, r, cfg.eta * cfg.r0 / r, cfg.eta)
+                    for radii in (quad.rho, rho_star):
+                        px = y[0] + np.outer(radii, ct[dropped])
+                        py = y[1] + np.outer(radii, st[dropped])
+                        assert np.all(ph.eval(px, py) == ph.a0), (angle, r)
+                    # every ray with a rim crossing inside the shell is kept
+                    for root in quad.crossing_roots(ct, st):
+                        inside = np.isfinite(root) & (root > quad.rho[0]) & (
+                            root < quad.rho[-1])
+                        assert np.all(np.isin(np.nonzero(inside)[0], kept))
+                    kept_total += kept.size
+                    dropped_total += dropped.size
+        assert kept_total > 0 and dropped_total > kept_total
+
+    @pytest.mark.parametrize("which", ["M_eta", "Mtilde"])
+    def test_cull_changes_no_value(self, disk_ellipse_phantom, monkeypatch,
+                                   which):
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(disk_ellipse_phantom, Grid(65))
+        culled = sample_sinogram(ctx, cfg, 8, 16, which=which)
+        assert culled.values.any()
+        monkeypatch.setattr(acousto._ShellQuadrature, "rays_meeting_support",
+                            lambda self, ct, st: np.arange(ct.size))
+        full = sample_sinogram(ctx, cfg, 8, 16, which=which)
+        assert np.array_equal(culled.values, full.values)
 
 
 class TestSinogram:

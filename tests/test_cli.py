@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import aotomo
-from aotomo import acousto, cli, fields
+from aotomo import acousto, cli, fields, phantom, segmentation
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +106,58 @@ def _bad_inputs(d):
     rows[5] = f"{m},{float(r) + 1e-6!r},{v}"
     (d / "sino_r.csv").write_text("\n".join(rows) + "\n")
 
+    # well-formed reconstruct inputs on the config's n=35 grid
+    grid = fields.Grid(35)
+    fields.save_field(d / "psi_ok.aorf",
+                      fields.ScalarField.constant(grid, 0.0))
+    fields.save_field(d / "flux_ok.aorf",
+                      fields.BoundaryTrace.constant(grid, 1.0))
+    for n, name in ((35, "mask_ok.pgm"), (33, "mask33.pgm")):
+        g = fields.Grid(n)
+        x, y = g.meshgrid()
+        segmentation.save_mask_pgm(d / name, segmentation.InclusionMask(
+            g, (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.04, 1))
+    (d / "pgm_dims.pgm").write_bytes(b"P5\n35 x\n255\n" + bytes(35 * 35))
+    (d / "pgm_cut.pgm").write_bytes(b"P5\n35 35")
+    (d / "pgm_maxval.pgm").write_bytes(b"P5\n35 35\n1\n" + b"\1" * 35 * 35)
+    (d / "pgm_empty.pgm").write_bytes(b"P5\n35 35\n255\n" + bytes(35 * 35))
+    manifests = {"ok": "mask_ok.pgm", "none_pgm": "none.pgm",
+                 "dims": "pgm_dims.pgm", "cut": "pgm_cut.pgm",
+                 "maxval": "pgm_maxval.pgm", "empty": "pgm_empty.pgm",
+                 "grid33": "mask33.pgm"}
+    for key, name in manifests.items():
+        (d / f"masks_{key}.json").write_text(json.dumps(
+            {"masks": [{"file": name, "label": 1, "clipped": False}]}))
+    (d / "masks_nokey.json").write_text(json.dumps({"files": []}))
+    phantom.save_phantom(d / "truth_ok.json", phantom.from_dict(
+        dict(cli.PRESETS["disk"], D_margin=0.1)))
+    (d / "truth_bad.json").write_text(json.dumps({"a0": 1.0}))
+
+    def reconstruct(*extra, masks="masks_ok.json", flux="flux_ok.aorf"):
+        return ["reconstruct", "--config", cfg, "--psi", d / "psi_ok.aorf",
+                "--masks", d / masks, "--flux", d / flux,
+                "--outdir", d / "bad_rec", *extra]
+
     segment = ["segment", "--config", cfg, "--outdir", d / "bad_seg",
                "--psi"]
     return [
+        ("missing psi", segment + [d / "none.aorf"]),
+        ("missing flux", reconstruct(flux="none.aorf")),
+        ("missing recon", ["evaluate", "--config", cfg, "--phantom",
+                           d / "truth_ok.json", "--recon", d / "none.aorf",
+                           "--out", d / "bad_metrics.json"]),
+        ("missing export field", ["export", "--pgm", d / "none.aorf",
+                                  d / "bad.pgm"]),
+        ("missing truth", reconstruct("--truth", d / "none.json")),
+        ("malformed truth", reconstruct("--truth", d / "truth_bad.json")),
+        ("missing manifest", reconstruct(masks="none.json")),
+        ("manifest without masks", reconstruct(masks="masks_nokey.json")),
+        ("missing PGM", reconstruct(masks="masks_none_pgm.json")),
+        ("bad PGM dimensions", reconstruct(masks="masks_dims.json")),
+        ("truncated PGM header", reconstruct(masks="masks_cut.json")),
+        ("PGM maxval not 255", reconstruct(masks="masks_maxval.json")),
+        ("mask on another grid", reconstruct(masks="masks_grid33.json")),
+        ("empty mask", reconstruct(masks="masks_empty.json")),
         ("l = 0", ["reconstruct", "--config", d / "dirichlet.json",
                    "--psi", d / "none.aorf", "--masks", d / "none.json",
                    "--flux", d / "none.aorf", "--outdir", d / "bad_rec"]),

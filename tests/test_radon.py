@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from aotomo import acousto, fields, radon
+from aotomo import acousto, diffusion, fields, radon
 from aotomo.acousto import AcousticConfig, Sinogram
-from aotomo.fields import Grid, ScalarField
+from aotomo.fields import BoundaryTrace, Grid, ScalarField
+from aotomo.helmholtz import WeakVectorFunctional
 from aotomo.radon import (
     apply_p,
     apply_p_star,
@@ -236,6 +237,21 @@ class TestGNorms:
         assert g_dual_norm(s) <= np.sqrt(cylinder_inner(s, s)) + 1e-12
 
 
+class TestIdealRadonPsi:
+    def test_ray_cull_changes_no_value(self, two_disk_phantom, monkeypatch):
+        g = Grid(33)
+        sol = diffusion.solve_T(diffusion.RobinProblem(
+            two_disk_phantom.sample(g), BoundaryTrace.constant(g, 1.0), 0.1))
+        U = WeakVectorFunctional(two_disk_phantom, sol.phi)
+        cfg = AcousticConfig(eta=0.08)
+        culled = radon.ideal_radon_psi(U, cfg, 8, 36)
+        assert culled.values.any()
+        monkeypatch.setattr(radon, "rays_meeting_support",
+                            lambda ph, y, lo, hi, ct, st: np.arange(ct.size))
+        full = radon.ideal_radon_psi(U, cfg, 8, 36)
+        assert np.array_equal(culled.values, full.values)
+
+
 class TestLayoutCache:
     def test_equal_configs_share_a_layout(self):
         c1, c2 = AcousticConfig(), AcousticConfig()
@@ -283,4 +299,7 @@ class TestInversion:
             rec, _ = invert_radon(s, g, tikhonov=eps, tol=1e-7, max_iter=300)
             return np.sqrt(fields.inner(rec - bump, rec - bump))
 
-        assert err(1e-6) < err(1e-4)
+        # the weaker regularization does not reach tol in 300 iterations
+        with pytest.warns(RuntimeWarning, match="radon inversion stopped"):
+            weak = err(1e-6)
+        assert weak < err(1e-4)
