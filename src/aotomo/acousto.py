@@ -344,7 +344,7 @@ class _ShellQuadrature:
     every ray that carries a jump correction is kept.
     """
 
-    def __init__(self, ctx, config, y, r, radial_points, angular_step):
+    def __init__(self, ctx, config, y, r):
         self.ctx = ctx
         self.config = config
         self.y = np.asarray(y, dtype=float)
@@ -352,10 +352,9 @@ class _ShellQuadrature:
         self.eta = config.eta
         grid = ctx.grid
         self.h = grid.h
-        self.rho = np.linspace(r - self.eta, r + self.eta, radial_points)
+        self.rho = np.linspace(r - self.eta, r + self.eta, 96)
         self.drho = self.rho[1] - self.rho[0]
-        if angular_step is None:
-            angular_step = 0.5 * self.h / r
+        angular_step = 0.5 * self.h / r
         # multiple of 4 so the angular lattice respects quarter turns
         self.ntheta = 4 * max(16, int(np.ceil(np.pi / (2 * angular_step))))
 
@@ -489,8 +488,7 @@ class _ShellQuadrature:
 
 
 def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
-                  quadrature="polar", radial_points=96,
-                  angular_step=None) -> float:
+                  quadrature="polar") -> float:
     """Normalized internal cross-term (1/eta^2) int (a_u - a) phi phi_u.
 
     The optical solves live on the field grid, but the integral is taken in
@@ -527,7 +525,7 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     phantom = ctx.phantom
     # the position map moves points by at most amp < eta and fixes the shell
     # boundary, so supp(a_u - a) lies strictly inside (r - eta, r + eta)
-    quad = _ShellQuadrature(ctx, config, y, r, radial_points, angular_step)
+    quad = _ShellQuadrature(ctx, config, y, r)
     rho = quad.rho
     rho_star = kernels.radial_invert(rho, r, amp, eta)
     phi_b = ctx.solution.phi.values
@@ -606,8 +604,7 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     return quad.normalized_total(per_ray_integrals)
 
 
-def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
-                   radial_points=96, angular_step=None) -> float:
+def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
     """Linearized measurement (1/eta^2) int (a - a0) div(phi^2 v).
 
     Same polar shell quadrature as measure_M_eta: the coefficient is
@@ -620,7 +617,7 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r,
     if not (ctx.a.values - ctx.phantom.a0).any():
         return 0.0
     eta, r0 = config.eta, config.r0
-    quad = _ShellQuadrature(ctx, config, y, r, radial_points, angular_step)
+    quad = _ShellQuadrature(ctx, config, y, r)
     rho = quad.rho
     phantom = ctx.phantom
     phi = ctx.solution.phi.values

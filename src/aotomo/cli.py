@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,12 @@ def load_config(path) -> ExperimentConfig:
     if g_value < 0:
         raise ConfigError("config field optics.g must be nonnegative")
     recon = doc.get("reconstruction", {})
-    theta = recon.get("theta")
-    tau = recon.get("tau")
+
+    def optional(key):
+        if recon.get(key) is None:
+            return None
+        return need("reconstruction", key, float)
+
     return ExperimentConfig(
         n=n,
         acoustic=ac,
@@ -104,11 +109,11 @@ def load_config(path) -> ExperimentConfig:
         l=l,
         g_value=g_value,
         phantom_file=doc.get("phantom_file", ""),
-        theta=None if theta is None else float(theta),
-        tau=None if tau is None else float(tau),
-        max_iter=int(recon.get("max_iter", 200)),
-        stop_tol=float(recon.get("stop_tol", 1e-3)),
-        partition_step=float(recon.get("partition_step", 0.125)),
+        theta=optional("theta"),
+        tau=optional("tau"),
+        max_iter=need("reconstruction", "max_iter", int, 200),
+        stop_tol=need("reconstruction", "stop_tol", float, 1e-3),
+        partition_step=need("reconstruction", "partition_step", float, 0.125),
     )
 
 
@@ -363,11 +368,19 @@ def cmd_evaluate(cfg, args):
 
     residual_final = float("nan")
     monotone_fraction = float("nan")
-    if args.log and os.path.exists(args.log):
-        rows = np.genfromtxt(args.log, delimiter=",", names=True)
-        res = np.atleast_1d(rows["residual_Hstar"])
-        residual_final = float(res[-1])
-        dist = np.atleast_1d(rows["dist_to_truth_H"])
+    if args.log:
+        _require_file(args.log, "log file")
+        try:
+            with warnings.catch_warnings():
+                # an empty file is only a warning to genfromtxt
+                warnings.simplefilter("error", UserWarning)
+                rows = np.genfromtxt(args.log, delimiter=",", names=True)
+            res = np.atleast_1d(rows["residual_Hstar"])
+            dist = np.atleast_1d(rows["dist_to_truth_H"])
+            residual_final = float(res[-1])
+        except (ValueError, IndexError, UserWarning) as exc:
+            raise FileFormatError(
+                f"{args.log}: not a reconstruction log ({exc})")
         dist = dist[np.isfinite(dist)]
         series = dist if dist.size > 1 else res
         if series.size > 1:

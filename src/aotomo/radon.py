@@ -256,8 +256,7 @@ def _circle_integral(eval_fn, jump_fn, rho, ntheta):
     return total
 
 
-def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int,
-                    rho_step=None) -> Sinogram:
+def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int) -> Sinogram:
     """Circular transform of the decaying-gauge potential, semi-analytic.
 
     Averaging the logarithmic kernel over circles collapses the potential
@@ -298,8 +297,7 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int,
             hi = max(hi, d + rb)
         lo = max(lo - 2 * h, 1e-6)
         hi = hi + 2 * h
-        step = rho_step if rho_step is not None else h / 2
-        nrho = max(64, int(math.ceil((hi - lo) / step)) + 1)
+        nrho = max(64, int(math.ceil((hi - lo) / (h / 2))) + 1)
         rho_f = np.linspace(lo, hi, nrho)
         ntheta = max(64, int(np.ceil(2 * np.pi * hi / (0.5 * h))))
         theta = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)

@@ -246,7 +246,7 @@ class TestRayCull:
                 dc = np.hypot(*(np.asarray(inc.center) - y))
                 rb = inc.bounding_radius()
                 for r in (dc - rb, dc - 0.3 * rb, dc, dc + 0.9 * rb):
-                    quad = acousto._ShellQuadrature(ctx, cfg, y, r, 96, None)
+                    quad = acousto._ShellQuadrature(ctx, cfg, y, r)
                     theta = quad.adaptive_theta_nodes()
                     ct, st = np.cos(theta), np.sin(theta)
                     kept = quad.rays_meeting_support(ct, st)

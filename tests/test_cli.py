@@ -89,6 +89,11 @@ def _bad_inputs(d):
     doc = json.loads(cfg.read_text())
     doc["optics"]["l"] = 0.0
     (d / "dirichlet.json").write_text(json.dumps(doc))
+    bad_recon = ("max_iter", "stop_tol", "partition_step", "theta", "tau")
+    for key in bad_recon:
+        doc = json.loads(cfg.read_text())
+        doc["reconstruction"][key] = "abc"
+        (d / f"recon_{key}.json").write_text(json.dumps(doc))
 
     (d / "magic.aorf").write_bytes(b"NOPE" + bytes(16))
     (d / "header.aorf").write_bytes(b"AORF" + bytes(3))
@@ -132,15 +137,33 @@ def _bad_inputs(d):
     phantom.save_phantom(d / "truth_ok.json", phantom.from_dict(
         dict(cli.PRESETS["disk"], D_margin=0.1)))
     (d / "truth_bad.json").write_text(json.dumps({"a0": 1.0}))
+    (d / "log_no_residual.csv").write_text("iter,foo\n0,1.0\n")
+    (d / "log_no_dist.csv").write_text("iter,residual_Hstar\n0,1.0\n")
+    (d / "log_no_rows.csv").write_text(
+        "iter,residual_Hstar,dist_to_truth_H,tau\n")
+    (d / "log_empty.csv").write_text("")
 
     def reconstruct(*extra, masks="masks_ok.json", flux="flux_ok.aorf"):
         return ["reconstruct", "--config", cfg, "--psi", d / "psi_ok.aorf",
                 "--masks", d / masks, "--flux", d / flux,
                 "--outdir", d / "bad_rec", *extra]
 
+    def evaluate(log):
+        return ["evaluate", "--config", cfg, "--phantom", d / "truth_ok.json",
+                "--recon", d / "psi_ok.aorf", "--log", d / log,
+                "--out", d / "bad_metrics.json"]
+
     segment = ["segment", "--config", cfg, "--outdir", d / "bad_seg",
                "--psi"]
     return [
+        *((f"non-numeric reconstruction.{key}",
+           ["phantom", "gen", "--config", d / f"recon_{key}.json",
+            "--out", d / "bad_phantom.json"]) for key in bad_recon),
+        ("missing log", evaluate("none.csv")),
+        ("log without residual_Hstar", evaluate("log_no_residual.csv")),
+        ("log without dist_to_truth_H", evaluate("log_no_dist.csv")),
+        ("log without rows", evaluate("log_no_rows.csv")),
+        ("empty log", evaluate("log_empty.csv")),
         ("missing psi", segment + [d / "none.aorf"]),
         ("missing flux", reconstruct(flux="none.aorf")),
         ("missing recon", ["evaluate", "--config", cfg, "--phantom",

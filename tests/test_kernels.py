@@ -1,93 +1,32 @@
-"""Backend equivalence: the compiled kernels must match the NumPy fallback."""
+"""Kernel properties that the pipeline tests do not check directly."""
 
 import numpy as np
-import pytest
 
 from aotomo import kernels
-from aotomo.kernels import _numpy as ref
-
-compiled = pytest.importorskip(
-    "aotomo.kernels._compiled", reason="compiled kernels not built"
-)
 
 N = 33
 H = 1.0 / (N - 1)
 
 
-@pytest.fixture(scope="module")
-def data():
-    rng = np.random.default_rng(42)
-    return {
-        "x": rng.standard_normal((N, N)),
-        "a": rng.random((N, N)) + 0.1,
-        "cx": rng.random((N - 1, N)),
-        "cy": rng.random((N, N - 1)),
-        "px": rng.random(4000) * 1.3 - 0.15,
-        "py": rng.random(4000) * 1.3 - 0.15,
-        "vals": rng.standard_normal(4000),
-    }
-
-
-def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "numpy")
-
-
-def test_bump_matches(data):
-    s = np.linspace(-1.5, 1.5, 1001)
-    np.testing.assert_allclose(compiled.bump(s), ref.bump(s), atol=1e-15)
-    np.testing.assert_allclose(compiled.bump_prime(s), ref.bump_prime(s),
-                               atol=1e-13)
-
-
-def test_robin_apply_matches(data):
-    a = compiled.robin_apply(data["x"], data["a"], 0.1, H)
-    b = ref.robin_apply(data["x"], data["a"], 0.1, H)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-10)
-
-
-def test_dirichlet_apply_matches(data):
-    a = compiled.dirichlet_apply(data["x"], data["a"], H)
-    b = ref.dirichlet_apply(data["x"], data["a"], H)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-10)
-
-
-def test_edge_form_matches(data):
-    a = compiled.edge_form_apply(data["x"], data["cx"], data["cy"])
-    b = ref.edge_form_apply(data["x"], data["cx"], data["cy"])
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-12)
-
-
-def test_gather_matches(data):
-    a = compiled.bilinear_gather(data["x"], data["px"], data["py"], H)
-    b = ref.bilinear_gather(data["x"], data["px"], data["py"], H)
-    np.testing.assert_allclose(a, b, atol=1e-13)
-
-
-def test_scatter_matches(data):
-    out_a = np.zeros((N, N))
-    out_b = np.zeros((N, N))
-    compiled.bilinear_scatter(data["vals"], data["px"], data["py"], H, out_a)
-    ref.bilinear_scatter(data["vals"], data["px"], data["py"], H, out_b)
-    np.testing.assert_allclose(out_a, out_b, atol=1e-12)
-
-
-def test_scatter_is_gather_transpose(data):
+def test_scatter_is_gather_transpose():
     rng = np.random.default_rng(7)
     f = rng.standard_normal((N, N))
-    gathered = ref.bilinear_gather(f, data["px"], data["py"], H)
+    # points partly outside the unit square, where gather reads zero
+    px = rng.random(4000) * 1.3 - 0.15
+    py = rng.random(4000) * 1.3 - 0.15
+    vals = rng.standard_normal(4000)
+    gathered = kernels.bilinear_gather(f, px, py, H)
     out = np.zeros((N, N))
-    ref.bilinear_scatter(data["vals"], data["px"], data["py"], H, out)
-    lhs = float(np.sum(gathered * data["vals"]))
+    kernels.bilinear_scatter(vals, px, py, H, out)
+    lhs = float(np.sum(gathered * vals))
     rhs = float(np.sum(f * out))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-def test_radial_invert_matches_and_solves(data):
+def test_radial_invert_solves():
     rng = np.random.default_rng(8)
     d = rng.uniform(0.8, 1.1, size=500)
     r, amp, eta = 0.95, 0.005, 0.02
-    rho_a = compiled.radial_invert(d, r, amp, eta)
-    rho_b = ref.radial_invert(d, r, amp, eta)
-    np.testing.assert_allclose(rho_a, rho_b, atol=1e-11)
-    residual = rho_a + amp * ref.bump((r - rho_a) / eta) - d
+    rho = kernels.radial_invert(d, r, amp, eta)
+    residual = rho + amp * kernels.bump((r - rho) / eta) - d
     assert np.max(np.abs(residual)) <= 1e-12
