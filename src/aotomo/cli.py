@@ -57,28 +57,38 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config is not a JSON object")
 
-    def need(section, key, typ, default=None):
-        src = doc.get(section, {})
+    def section(name):
+        src = doc.get(name, {})
+        if not isinstance(src, dict):
+            raise ConfigError(f"config section {name} is not a JSON object")
+        return src
+
+    def need(section_name, key, typ, default=None):
+        src = section(section_name)
         if key not in src:
             if default is not None:
                 return default
-            raise ConfigError(f"missing config field: {section}.{key}")
+            raise ConfigError(f"missing config field: {section_name}.{key}")
         try:
             return typ(src[key])
         except (TypeError, ValueError):
-            raise ConfigError(f"config field {section}.{key} must be {typ.__name__}")
+            raise ConfigError(
+                f"config field {section_name}.{key} must be {typ.__name__}")
 
     n = need("grid", "n", int)
     if n < 17:
         raise ConfigError("config field grid.n must be at least 17")
+    geometry = dict(
+        mu=need("acoustic", "mu", float, 1.0),
+        r0=need("acoustic", "r0", float, 0.25),
+        R=need("acoustic", "R", float, 1.75),
+        eta=need("acoustic", "eta", float, 0.02),
+    )
     try:
-        ac = acousto.AcousticConfig(
-            mu=need("acoustic", "mu", float, 1.0),
-            r0=need("acoustic", "r0", float, 0.25),
-            R=need("acoustic", "R", float, 1.75),
-            eta=need("acoustic", "eta", float, 0.02),
-        )
+        ac = acousto.AcousticConfig(**geometry)
     except ValueError as exc:
         raise ConfigError(f"config field acoustic: {exc}")
     ny = need("acoustic", "ny", int, 64)
@@ -94,7 +104,10 @@ def load_config(path) -> ExperimentConfig:
     g_value = need("optics", "g", float, 1.0)
     if g_value < 0:
         raise ConfigError("config field optics.g must be nonnegative")
-    recon = doc.get("reconstruction", {})
+    recon = section("reconstruction")
+    phantom_file = doc.get("phantom_file", "")
+    if not isinstance(phantom_file, str):
+        raise ConfigError("config field phantom_file must be a string")
 
     def optional(key):
         if recon.get(key) is None:
@@ -108,13 +121,21 @@ def load_config(path) -> ExperimentConfig:
         nr=nr,
         l=l,
         g_value=g_value,
-        phantom_file=doc.get("phantom_file", ""),
+        phantom_file=phantom_file,
         theta=optional("theta"),
         tau=optional("tau"),
         max_iter=need("reconstruction", "max_iter", int, 200),
         stop_tol=need("reconstruction", "stop_tol", float, 1e-3),
         partition_step=need("reconstruction", "partition_step", float, 0.125),
     )
+
+
+def _output_path(path):
+    """Create the directory an output file goes in, as --outdir does."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return path
 
 
 def _require_file(path, what):
@@ -170,7 +191,7 @@ def cmd_phantom_gen(cfg, args):
     doc = dict(preset)
     doc["D_margin"] = 0.1
     p = phantom_mod.from_dict(doc)
-    phantom_mod.save_phantom(args.out, p)
+    phantom_mod.save_phantom(_output_path(args.out), p)
     print(f"wrote {args.out}")
     return 0
 
@@ -214,7 +235,7 @@ def cmd_recover_psi(cfg, args):
     rec, info = radon.invert_radon(rpsi, cfg.grid, tikhonov=args.tikhonov,
                                    max_iter=args.max_iter)
     psi = helmholtz.psi_from_field(rec)
-    fields.save_field(args.out, psi.psi)
+    fields.save_field(_output_path(args.out), psi.psi)
     print(f"wrote {args.out} (inversion iterations {info['iterations']}, "
           f"residual {info['residual']:.2e})")
     return 0
@@ -392,7 +413,7 @@ def cmd_evaluate(cfg, args):
         "residual_final": residual_final,
         "monotone_fraction": monotone_fraction,
     }
-    with open(args.out, "w") as fh:
+    with open(_output_path(args.out), "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(metrics, sort_keys=True))
@@ -403,7 +424,7 @@ def cmd_export(cfg, args):
     obj = _load_field(args.field)
     if not isinstance(obj, fields.ScalarField):
         raise ConfigError("export --pgm needs a scalar field file")
-    segmentation.save_field_pgm(args.out, obj)
+    segmentation.save_field_pgm(_output_path(args.out), obj)
     print(f"wrote {args.out}")
     return 0
 
@@ -488,6 +509,11 @@ def build_parser():
     return parser
 
 
+def _one_line(exc):
+    """The message of ``exc`` with line breaks (genfromtxt's, say) folded."""
+    return " ".join(str(exc).split())
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -495,11 +521,12 @@ def main(argv=None):
         # export is the one command without --config
         cfg = load_config(args.config) if "config" in args else None
         return args.func(cfg, args)
-    except (ConfigError, FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, FileFormatError, OSError) as exc:
+        # an unwritable output path is an OSError; every message is one line
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2
     except (SolverError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
         return 3
 
 

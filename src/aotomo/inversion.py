@@ -497,6 +497,10 @@ def estimate_step_size(problem: ReconstructionProblem, alphas,
     return 0.9 / lam
 
 
+# relative change of the Landweber residual below which the run stops
+STAGNATION_TOL = 1e-9
+
+
 def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
                   max_iter=200, stop_tol=1e-3, tau=None,
                   truth: HElement | None = None,
@@ -505,7 +509,9 @@ def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
 
     Each step evaluates the internal data misfit at the projected iterate and
     moves along the adjoint direction. If the residual increases five times
-    in a row the step is halved (three halvings stop the run).
+    in a row the step is halved (three halvings stop the run). A residual
+    that moves by at most ``STAGNATION_TOL`` relative to the previous one
+    stops the run as ``stagnated``.
     """
     kcfg = problem.projection_config()
     target = delta_psi_functional(problem, psi)
@@ -535,6 +541,11 @@ def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
         if res <= stop_tol * initial_residual:
             state.correction = projected
             state.stopped_reason = "converged"
+            break
+        if (len(state.residuals) > 1 and abs(res - state.residuals[-2])
+                <= STAGNATION_TOL * state.residuals[-2]):
+            state.correction = projected
+            state.stopped_reason = "stagnated"
             break
         if len(state.residuals) > 1 and res > state.residuals[-2]:
             rising += 1

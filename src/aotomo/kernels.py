@@ -1,6 +1,11 @@
 """The hot kernels: the bump profile, the stencil operators, bilinear
 gather/scatter and the radial inverse of the wavefront's position map.
 
+:func:`bilinear_corners` holds the corner-index and weight arithmetic of
+bilinear interpolation once; :func:`bilinear_scatter` and the sparse circle
+matrix of ``radon`` are built on it. :func:`bilinear_gather` keeps its own
+inline copy, because the shell quadrature calls it on every sweep cell.
+
 All arrays are float64 and C-contiguous; fields are (n, n) with index [i, j]
 mapping to the point (i*h, j*h).
 """
@@ -137,26 +142,38 @@ def bilinear_gather(values, px, py, h):
     return np.where(inside, v, 0.0)
 
 
-def bilinear_scatter(vals, px, py, h, out):
-    """Exact transpose of :func:`bilinear_gather`: accumulate into a grid."""
-    n = out.shape[0]
+def bilinear_corners(px, py, h, n):
+    """The four grid nodes and weights that bilinear interpolation uses.
+
+    Points outside the unit square, where :func:`bilinear_gather` reads zero,
+    are dropped. Returns ``(keep, index, weight)``: ``keep`` is the boolean
+    mask of the kept points, and ``index`` and ``weight`` have shape
+    (4, kept), holding the flat C-order index into an (n, n) field and the
+    weight of the corners (i, j), (i+1, j), (i, j+1) and (i+1, j+1).
+    """
     px = np.asarray(px, dtype=np.float64).ravel()
     py = np.asarray(py, dtype=np.float64).ravel()
-    v = np.asarray(vals, dtype=np.float64).ravel()
-    inside = (px >= 0.0) & (px <= 1.0) & (py >= 0.0) & (py <= 1.0)
-    if not inside.all():
-        px, py, v = px[inside], py[inside], v[inside]
-    gx = np.clip(px / h, 0.0, n - 1 - 1e-12)
-    gy = np.clip(py / h, 0.0, n - 1 - 1e-12)
+    keep = (px >= 0.0) & (px <= 1.0) & (py >= 0.0) & (py <= 1.0)
+    gx = np.clip(px[keep] / h, 0.0, n - 1 - 1e-12)
+    gy = np.clip(py[keep] / h, 0.0, n - 1 - 1e-12)
     ix = gx.astype(np.intp)
     iy = gy.astype(np.intp)
     tx = gx - ix
     ty = gy - iy
     base = ix * n + iy
-    acc = np.bincount(base, weights=v * (1.0 - tx) * (1.0 - ty), minlength=n * n)
-    acc += np.bincount(base + n, weights=v * tx * (1.0 - ty), minlength=n * n)
-    acc += np.bincount(base + 1, weights=v * (1.0 - tx) * ty, minlength=n * n)
-    acc += np.bincount(base + n + 1, weights=v * tx * ty, minlength=n * n)
+    index = np.stack([base, base + n, base + 1, base + n + 1])
+    weight = np.stack([(1.0 - tx) * (1.0 - ty), tx * (1.0 - ty),
+                       (1.0 - tx) * ty, tx * ty])
+    return keep, index, weight
+
+
+def bilinear_scatter(vals, px, py, h, out):
+    """Exact transpose of :func:`bilinear_gather`: accumulate into a grid."""
+    n = out.shape[0]
+    keep, index, weight = bilinear_corners(px, py, h, n)
+    v = np.asarray(vals, dtype=np.float64).ravel()[keep]
+    acc = np.bincount(index.ravel(), weights=(weight * v).ravel(),
+                      minlength=n * n)
     out += acc.reshape(n, n)
     return out
 

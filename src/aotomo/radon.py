@@ -20,6 +20,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from . import kernels
@@ -103,54 +104,52 @@ def _angle_counts(config: AcousticConfig, nr: int, h: float):
 
 
 class _SampleLayout:
-    """Flattened circle-sample structure shared by forward and transpose."""
+    """The circle quadrature of the forward transform, as one sparse matrix.
 
-    def __init__(self, config, ny, nr, grid):
-        self.config = config
+    The sampled square is [origin, origin + extent]^2 with n nodes per axis
+    and spacing h: the unit square of a :class:`Grid`, or the padded square
+    of a potential. Radius r_q carries c_q = max(64, ceil(2 pi r_q / h))
+    equally spaced angles of weight 2 pi / c_q (``wtheta``, with ``offsets``
+    marking where each radius starts). Row m*nr + q of ``matrix`` holds, for
+    source m and radius r_q, each sample's four bilinear corner weights times
+    its angular weight; a sample outside the square reads zero and has no
+    entries. The geometry is fixed, so the matrix is assembled once: the
+    forward transform is one product with it, and the transpose one product
+    with its transpose, which makes the transpose exact by construction.
+    """
+
+    def __init__(self, config, ny, nr, n, h, origin=0.0, extent=1.0):
         self.ny = ny
         self.nr = nr
-        self.grid = grid
-        counts = _angle_counts(config, nr, grid.h)
-        radii = config.radii(nr)
-        ct_parts, st_parts, w_parts = [], [], []
-        rep = []
-        offsets = np.zeros(nr + 1, dtype=np.int64)
-        for q, (r, c) in enumerate(zip(radii, counts)):
-            t = 2 * np.pi * np.arange(c) / c
-            ct_parts.append(np.cos(t))
-            st_parts.append(np.sin(t))
-            w_parts.append(np.full(c, 2 * np.pi / c))
-            rep.append(np.full(c, q))
-            offsets[q + 1] = offsets[q] + c
-        self.ct = np.concatenate(ct_parts)
-        self.st = np.concatenate(st_parts)
-        self.wtheta = np.concatenate(w_parts)
-        self.rep = np.concatenate(rep)
-        self.offsets = offsets[:-1]
-        self.flat_r = radii[self.rep]
+        self.n = n
+        counts = _angle_counts(config, nr, h)
+        t = np.concatenate([2 * np.pi * np.arange(c) / c for c in counts])
+        rep = np.repeat(np.arange(nr), counts)
+        self.wtheta = np.repeat(2 * np.pi / counts, counts)
+        self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self.sources = config.sources(ny)
+        flat_r = config.radii(nr)[rep]
+        ct, st = np.cos(t), np.sin(t)
+        # one source at a time, so the transient arrays stay one block big
+        blocks = []
+        for y in self.sources:
+            px = (y[0] + flat_r * ct - origin) / extent
+            py = (y[1] + flat_r * st - origin) / extent
+            keep, index, weight = kernels.bilinear_corners(px, py, h / extent,
+                                                           n)
+            rows = np.broadcast_to(rep[keep], index.shape)
+            blocks.append(sp.csr_matrix(
+                ((weight * self.wtheta[keep]).ravel(),
+                 (rows.ravel(), index.ravel().astype(np.int32))),
+                shape=(nr, n * n)))
+        self.matrix = sp.vstack(blocks, format="csr")
 
     def forward(self, values):
-        out = np.empty((self.ny, self.nr))
-        h = self.grid.h
-        for m in range(self.ny):
-            y = self.sources[m]
-            px = y[0] + self.flat_r * self.ct
-            py = y[1] + self.flat_r * self.st
-            samples = kernels.bilinear_gather(values, px, py, h) * self.wtheta
-            out[m] = np.add.reduceat(samples, self.offsets)
-        return out
+        return (self.matrix @ values.ravel()).reshape(self.ny, self.nr)
 
-    def transpose(self, sino_values, out):
+    def transpose(self, sino_values):
         """Exact transpose of :meth:`forward` (plain-dot pairing)."""
-        h = self.grid.h
-        for m in range(self.ny):
-            y = self.sources[m]
-            px = y[0] + self.flat_r * self.ct
-            py = y[1] + self.flat_r * self.st
-            vals = sino_values[m][self.rep] * self.wtheta
-            kernels.bilinear_scatter(vals, px, py, h, out)
-        return out
+        return (self.matrix.T @ sino_values.ravel()).reshape(self.n, self.n)
 
 
 _layout_cache = {}
@@ -160,7 +159,7 @@ def _layout(config, ny, nr, grid):
     key = (config, ny, nr, grid)
     if key not in _layout_cache:
         _layout_cache.clear()
-        _layout_cache[key] = _SampleLayout(config, ny, nr, grid)
+        _layout_cache[key] = _SampleLayout(config, ny, nr, grid.n, grid.h)
     return _layout_cache[key]
 
 
@@ -176,24 +175,12 @@ def radon_forward_extended(ext, config: AcousticConfig, ny: int,
     """Circular transform of a padded-field potential (no domain clipping).
 
     ``ext`` carries (values, origin, h) of a square grid large enough that
-    every measurement circle stays inside it.
+    every measurement circle stays inside it. The circle matrix is built for
+    this one call and not cached, so the plain transform's layout stays.
     """
-    values = ext.values
-    h = ext.h
-    length = ext.extent
-    sources = config.sources(ny)
-    radii = config.radii(nr)
-    out = np.empty((ny, nr))
-    for m in range(ny):
-        y = sources[m]
-        for q, r in enumerate(radii):
-            nt = max(64, int(np.ceil(2 * np.pi * r / h)))
-            t = 2 * np.pi * np.arange(nt) / nt
-            px = (y[0] + r * np.cos(t) - ext.origin) / length
-            py = (y[1] + r * np.sin(t) - ext.origin) / length
-            samples = kernels.bilinear_gather(values, px, py, h / length)
-            out[m, q] = (2 * np.pi / nt) * float(np.sum(samples))
-    return Sinogram(config, ny, nr, out)
+    layout = _SampleLayout(config, ny, nr, ext.values.shape[0], ext.h,
+                           ext.origin, ext.extent)
+    return Sinogram(config, ny, nr, layout.forward(ext.values))
 
 
 def identity_prediction(psi, config: AcousticConfig, ny: int,
@@ -461,24 +448,20 @@ def invert_radon(s: Sinogram, grid: Grid, tikhonov=1e-6, tol=1e-8,
                  max_iter=500):
     """Least-squares inversion by conjugate gradient on the normal equations.
 
-    Minimizes the plain-cylinder misfit plus Tikhonov term; the internal
-    transpose is the exact discrete transpose of the forward quadrature, so
-    CG sees a genuinely symmetric operator. Non-convergence warns rather
-    than fails. Returns (field, info dict).
+    Minimizes the plain-cylinder misfit plus Tikhonov term. The forward
+    quadrature is the layout's cached circle matrix A and the internal
+    transpose is A^T, so CG sees a genuinely symmetric operator, and each
+    iteration costs two sparse products. Non-convergence warns rather than
+    fails. Returns (field, info dict).
     """
     layout = _layout(s.config, s.ny, s.nr, grid)
     wc = source_weight(s.config, s.ny) * radial_step(s.config, s.nr)
     v = grid.trapezoid_weights()
 
     def normal_op(x):
-        sino = layout.forward(x)
-        back = np.zeros(grid.shape)
-        layout.transpose(wc * sino, back)
-        return back / v + tikhonov * x
+        return layout.transpose(wc * layout.forward(x)) / v + tikhonov * x
 
-    back0 = np.zeros(grid.shape)
-    layout.transpose(wc * s.values, back0)
-    b = back0 / v
+    b = layout.transpose(wc * s.values) / v
 
     def dot(u1, u2):
         return float(np.sum(v * u1 * u2))

@@ -94,6 +94,13 @@ def _bad_inputs(d):
         doc = json.loads(cfg.read_text())
         doc["reconstruction"][key] = "abc"
         (d / f"recon_{key}.json").write_text(json.dumps(doc))
+    (d / "config_list.json").write_text("[1]")
+    not_objects = {"grid": 5, "acoustic": [1], "reconstruction": 5,
+                   "phantom_file": 5}
+    for key, value in not_objects.items():
+        doc = json.loads(cfg.read_text())
+        doc[key] = value
+        (d / f"config_{key}.json").write_text(json.dumps(doc))
 
     (d / "magic.aorf").write_bytes(b"NOPE" + bytes(16))
     (d / "header.aorf").write_bytes(b"AORF" + bytes(3))
@@ -142,6 +149,9 @@ def _bad_inputs(d):
     (d / "log_no_rows.csv").write_text(
         "iter,residual_Hstar,dist_to_truth_H,tau\n")
     (d / "log_empty.csv").write_text("")
+    # genfromtxt's message for a short row spans two lines
+    (d / "log_ragged.csv").write_text(
+        "iter,residual_Hstar,dist_to_truth_H\n0,1.0,2.0\n1,1.0\n")
 
     def reconstruct(*extra, masks="masks_ok.json", flux="flux_ok.aorf"):
         return ["reconstruct", "--config", cfg, "--psi", d / "psi_ok.aorf",
@@ -156,6 +166,15 @@ def _bad_inputs(d):
     segment = ["segment", "--config", cfg, "--outdir", d / "bad_seg",
                "--psi"]
     return [
+        ("config not an object",
+         ["phantom", "gen", "--config", d / "config_list.json",
+          "--out", d / "bad_phantom.json"]),
+        *((f"{key} not an object or string",
+           ["phantom", "gen", "--config", d / f"config_{key}.json",
+            "--out", d / "bad_phantom.json"]) for key in not_objects),
+        ("--out under a file",
+         ["phantom", "gen", "--config", cfg,
+          "--out", d / "log_empty.csv" / "phantom.json"]),
         *((f"non-numeric reconstruction.{key}",
            ["phantom", "gen", "--config", d / f"recon_{key}.json",
             "--out", d / "bad_phantom.json"]) for key in bad_recon),
@@ -164,6 +183,7 @@ def _bad_inputs(d):
         ("log without dist_to_truth_H", evaluate("log_no_dist.csv")),
         ("log without rows", evaluate("log_no_rows.csv")),
         ("empty log", evaluate("log_empty.csv")),
+        ("ragged log", evaluate("log_ragged.csv")),
         ("missing psi", segment + [d / "none.aorf"]),
         ("missing flux", reconstruct(flux="none.aorf")),
         ("missing recon", ["evaluate", "--config", cfg, "--phantom",
@@ -199,6 +219,26 @@ def test_bad_inputs_are_exit_code_2(workdir, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2, name
         assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+
+
+def test_out_makes_missing_parent_dirs(workdir, capsys):
+    cfg = workdir / "config.json"
+    d = workdir / "made" / "by" / "out"
+    acoustic = cli.load_config(cfg).acoustic
+    acousto.Sinogram(acoustic, 8, 16, np.zeros((8, 16))).save_csv(
+        workdir / "zero_sino.csv")
+    steps = [
+        ["phantom", "gen", "--config", cfg, "--out", d / "ph" / "p.json"],
+        ["recover-psi", "--config", cfg, "--sinogram",
+         workdir / "zero_sino.csv", "--out", d / "psi" / "psi.aorf"],
+        ["evaluate", "--config", cfg, "--phantom", d / "ph" / "p.json",
+         "--recon", d / "psi" / "psi.aorf", "--out", d / "ev" / "m.json"],
+        ["export", "--pgm", d / "psi" / "psi.aorf", d / "pgm" / "psi.pgm"],
+    ]
+    for argv in steps:
+        code, _ = run(argv, capsys)
+        assert code == 0, argv[:2]
+        assert os.path.getsize(argv[-1]) > 0, argv[:2]
 
 
 def test_version_is_the_package_version(capsys):

@@ -418,6 +418,16 @@ class TestLandweber:
                       / fields.inner(a_true, a_true))
         assert rel <= 0.10
 
+    def test_stops_when_the_residual_stagnates(self, setup):
+        _, problem, _, psi = setup
+        # a zero step never moves the iterate, so the second residual
+        # repeats the first
+        state = landweber_run(problem, psi, [1.5], max_iter=10, stop_tol=0.0,
+                              tau=0.0)
+        assert state.stopped_reason == "stagnated"
+        assert len(state.residuals) == 2
+        assert state.residuals[1] == state.residuals[0]
+
     def test_log_csv(self, tmp_path, setup, disk_phantom):
         _, problem, _, psi = setup
         state = landweber_run(problem, psi, [1.5], max_iter=3, stop_tol=0.0)

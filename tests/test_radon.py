@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aotomo import acousto, diffusion, fields, radon
+from aotomo import acousto, diffusion, fields, kernels, radon
 from aotomo.acousto import AcousticConfig, Sinogram
 from aotomo.fields import BoundaryTrace, Grid, ScalarField
 from aotomo.helmholtz import WeakVectorFunctional
@@ -270,6 +270,63 @@ class TestLayoutCache:
                                       moved_config.sources(8))
         np.testing.assert_allclose(moved.sources - base_sources,
                                    np.tile([-0.1, 0.1], (8, 1)), atol=1e-14)
+
+
+def _gather_reference(values, config, ny, nr, h, origin=0.0, extent=1.0):
+    """The circle quadrature one (source, radius) pair at a time, through
+    ``bilinear_gather``, on the square [origin, origin + extent]^2."""
+    out = np.zeros((ny, nr))
+    for m, y in enumerate(config.sources(ny)):
+        for q, r in enumerate(config.radii(nr)):
+            c = max(64, int(np.ceil(2 * np.pi * r / h)))
+            t = 2 * np.pi * np.arange(c) / c
+            px = (y[0] + r * np.cos(t) - origin) / extent
+            py = (y[1] + r * np.sin(t) - origin) / extent
+            out[m, q] = (2 * np.pi / c) * np.sum(
+                kernels.bilinear_gather(values, px, py, h / extent))
+    return out
+
+
+class TestCircleMatrix:
+    def test_forward_matches_gather(self, config):
+        rng = np.random.default_rng(30)
+        grid = Grid(33)
+        values = rng.standard_normal(grid.shape)
+        # the sources sit outside the unit square, so most samples do too
+        ref = _gather_reference(values, config, 8, 16, grid.h)
+        got = radon_forward(ScalarField(grid, values), config, 8, 16).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_extended_forward_matches_gather(self, config):
+        from aotomo.helmholtz import ExtendedField
+
+        rng = np.random.default_rng(31)
+        n, h, origin = 97, 6.0 / 96, -2.25
+        values = rng.standard_normal((n, n))
+        ref = _gather_reference(values, config, 8, 16, h, origin, 6.0)
+        got = radon.radon_forward_extended(
+            ExtendedField(values, origin=origin, h=h), config, 8, 16).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_transpose_is_exact(self, config):
+        rng = np.random.default_rng(32)
+        layout = radon._layout(config, 8, 16, Grid(33))
+        x = rng.standard_normal((33, 33))
+        s = rng.standard_normal((8, 16))
+        lhs = float(np.sum(layout.forward(x) * s))
+        rhs = float(np.sum(x * layout.transpose(s)))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_built_once_per_key(self, config, monkeypatch):
+        grid = Grid(33)
+        matrix = radon._layout(AcousticConfig(), 8, 16, grid).matrix
+        builds = []
+        monkeypatch.setattr(radon.kernels, "bilinear_corners",
+                            lambda *a: builds.append(a))
+        assert radon._layout(AcousticConfig(), 8, 16, grid).matrix is matrix
+        f = ScalarField.constant(grid, 1.0)
+        invert_radon(radon_forward(f, config, 8, 16), grid, tol=1e-2)
+        assert not builds
 
 
 class TestInversion:
