@@ -41,12 +41,6 @@ def _w_l1():
     return (2.0 / 400) * float(np.sum(np.exp(1.0 - 1.0 / (1.0 - s * s))))
 
 
-def _w_prime_sup():
-    """sup |w'| in closed form: w'' = 0 at s = 3^(-1/4)."""
-    t = 1.0 - 3.0**-0.5
-    return 2.0 * 3.0**-0.25 / (t * t) * math.exp(1.0 - 1.0 / t)
-
-
 @dataclass(frozen=True)
 class AcousticConfig:
     """Geometry of the acoustic sweep.
@@ -76,15 +70,17 @@ class AcousticConfig:
         if not (0 < self.eta < self.r0 / 2):
             raise ValueError("need 0 < eta < r0/2")
         object.__setattr__(self, "w_l1", _w_l1())
-        object.__setattr__(self, "w_prime_sup", _w_prime_sup())
+        object.__setattr__(self, "w_prime_sup", kernels.BUMP_PRIME_SUP)
 
     @property
     def monotone_radius(self):
         """Radius above which the radial position map is globally monotone.
 
-        Below it the map can fold inside the wavefront; the bracketed root
-        solve still returns a branch, but forward-model probes should stay
-        above this radius.
+        Above it amp/eta * sup|w'| = r0/r * sup|w'| < 1, and
+        ``kernels.radial_invert`` finds the unique root by table-seeded
+        Newton steps. Below it the map can fold inside the wavefront;
+        the radial inverse then bisects, which still returns a branch, but
+        forward-model probes should stay above this radius.
         """
         return self.r0 * self.w_prime_sup
 
@@ -198,7 +194,7 @@ def displacement_v(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
 
 def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     """Displacement u with x + u(x) = P^{-1}(x) for the position map
-    P(z) = z + v(z); solved per node by a bracketed radial root solve."""
+    P(z) = z + v(z); solved per node by ``kernels.radial_invert``."""
     x, ygrid = grid.meshgrid()
     dx = x - y[0]
     dy = ygrid - y[1]

@@ -1,6 +1,10 @@
 """The hot kernels: the bump profile, the stencil operators, bilinear
 gather/scatter and the radial inverse of the wavefront's position map.
 
+:data:`BUMP_PRIME_SUP` is sup |w'| of the bump profile. It decides where the
+position map is monotone: ``acousto.AcousticConfig.monotone_radius`` and the
+branch choice in :func:`radial_invert` both read it.
+
 :func:`bilinear_corners` holds the corner-index and weight arithmetic of
 bilinear interpolation once; :func:`bilinear_scatter` and the sparse circle
 matrix of ``radon`` are built on it. :func:`bilinear_gather` keeps its own
@@ -9,6 +13,8 @@ inline copy, because the shell quadrature calls it on every sweep cell.
 All arrays are float64 and C-contiguous; fields are (n, n) with index [i, j]
 mapping to the point (i*h, j*h).
 """
+
+import math
 
 import numpy as np
 
@@ -35,6 +41,15 @@ def bump_prime(s):
     t = 1.0 - sm * sm
     out[m] = -2.0 * sm / (t * t) * np.exp(1.0 - 1.0 / t)
     return out
+
+
+def _bump_prime_sup():
+    """sup |w'| in closed form: w'' = 0 at s = 3^(-1/4)."""
+    t = 1.0 - 3.0**-0.5
+    return 2.0 * 3.0**-0.25 / (t * t) * math.exp(1.0 - 1.0 / t)
+
+
+BUMP_PRIME_SUP = _bump_prime_sup()
 
 
 def robin_apply(x, a, l, h, out=None):
@@ -178,14 +193,59 @@ def bilinear_scatter(vals, px, py, h, out):
     return out
 
 
+# nodes of the table that seeds the radial inverse's Newton iteration, and
+# the bump on them
+_SEED_NODES = np.linspace(-1.0, 1.0, 257)
+_SEED_BUMP = bump(_SEED_NODES)
+_NEWTON_TOL = 1e-14
+_NEWTON_MAX_STEPS = 8
+
+
 def radial_invert(dist, r, amp, eta):
     """Solve rho + amp*w((r - rho)/eta) = d for each entry of ``dist``.
 
-    Vectorized bisection on the guaranteed bracket [d - amp, d + amp], at
-    most 60 halvings, stopping once every bracket is narrower than 1e-13;
-    the profile w is :func:`bump`. Returns the root array rho.
+    ``r``, ``amp`` and ``eta`` are scalars and w is :func:`bump`. In the shell
+    variable s = (r - rho)/eta the equation reads F(s) = s - alpha*w(s) = t,
+    with alpha = amp/eta and t = (r - d)/eta.
+
+    - If alpha*sup|w'| < 1, F is strictly increasing and the root is unique.
+      Where |t| >= 1 the root is rho = d exactly, since w vanishes there.
+      Elsewhere s is seeded by linear interpolation in a table of F on
+      [-1, 1] and polished by Newton steps until every step is below 1e-14.
+      Points still moving after 8 steps, which happens only next to the fold
+      at alpha*sup|w'| = 1, are solved by bisection.
+    - Otherwise the map folds, and bisection on the bracket
+      [d - amp, d + amp] picks the branch; see :func:`_bisect`.
+
+    Returns the root array rho, shaped like ``dist``.
     """
     d = np.asarray(dist, dtype=np.float64)
+    alpha = amp / eta
+    if alpha * BUMP_PRIME_SUP >= 1.0:
+        return _bisect(d, r, amp, eta)
+    rho = d.copy()
+    t = (r - d) / eta
+    shell = np.abs(t) < 1.0
+    ts = t[shell]
+    s = np.interp(ts, _SEED_NODES - alpha * _SEED_BUMP, _SEED_NODES)
+    for _ in range(_NEWTON_MAX_STEPS):
+        step = (s - alpha * bump(s) - ts) / (1.0 - alpha * bump_prime(s))
+        s -= step
+        slow = np.abs(step) > _NEWTON_TOL
+        if not slow.any():
+            break
+    rho_shell = r - eta * s
+    if slow.any():
+        rho_shell[slow] = _bisect(d[shell][slow], r, amp, eta)
+    rho[shell] = rho_shell
+    return rho
+
+
+def _bisect(d, r, amp, eta):
+    """Vectorized bisection for :func:`radial_invert` on the bracket
+    [d - amp, d + amp], at most 60 halvings, stopping once every bracket is
+    narrower than 1e-13. Where the map folds it returns the root that this
+    sequence of halvings selects."""
     lo = d - amp
     hi = d + amp
     # g(rho) = rho + amp*w((r-rho)/eta) - d is <= 0 at lo and >= 0 at hi
@@ -195,6 +255,6 @@ def radial_invert(dist, r, amp, eta):
         neg = g < 0.0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
-        if np.max(hi - lo) < 1e-13:
+        if np.max(hi - lo, initial=0.0) < 1e-13:
             break
     return 0.5 * (lo + hi)

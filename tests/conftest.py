@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aotomo import acousto, diffusion, fields, phantom
+from aotomo import acousto, diffusion, fields, kernels, phantom
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +72,24 @@ def disk_context65(disk_phantom, grid65):
 @pytest.fixture(scope="session")
 def default_acoustics():
     return acousto.AcousticConfig()
+
+
+@pytest.fixture(scope="session")
+def bisection_radial_invert():
+    """Reference radial inverse: plain vectorized bisection on the bracket
+    [d - amp, d + amp], the way kernels.radial_invert solved it everywhere
+    before its monotone branch switched to Newton."""
+    def invert(dist, r, amp, eta):
+        d = np.asarray(dist, dtype=np.float64)
+        lo = d - amp
+        hi = d + amp
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            g = mid + amp * kernels.bump((r - mid) / eta) - d
+            neg = g < 0.0
+            lo = np.where(neg, mid, lo)
+            hi = np.where(neg, hi, mid)
+            if np.max(hi - lo) < 1e-13:
+                break
+        return 0.5 * (lo + hi)
+    return invert

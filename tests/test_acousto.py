@@ -280,6 +280,20 @@ class TestRayCull:
 
 
 class TestSinogram:
+    @pytest.mark.filterwarnings("ignore:grid n=33 under-resolves")
+    @pytest.mark.parametrize("which", ["M_eta", "Mtilde"])
+    def test_newton_radial_inverse_matches_bisection(
+            self, disk_phantom, grid33, monkeypatch, bisection_radial_invert,
+            which):
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(disk_phantom, grid33)
+        sino = sample_sinogram(ctx, cfg, 8, 16, which=which)
+        assert sino.values.any()
+        monkeypatch.setattr(kernels, "radial_invert", bisection_radial_invert)
+        ref = sample_sinogram(ctx, cfg, 8, 16, which=which)
+        scale = np.max(np.abs(ref.values))
+        assert np.max(np.abs(sino.values - ref.values)) <= 1e-12 * scale
+
     def test_empty_phantom_sweep_is_zero(self, empty_phantom, grid65):
         cfg = AcousticConfig(eta=0.08)
         ctx = make_context(empty_phantom, grid65)
