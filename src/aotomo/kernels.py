@@ -43,13 +43,9 @@ def bump_prime(s):
     return out
 
 
-def _bump_prime_sup():
-    """sup |w'| in closed form: w'' = 0 at s = 3^(-1/4)."""
-    t = 1.0 - 3.0**-0.5
-    return 2.0 * 3.0**-0.25 / (t * t) * math.exp(1.0 - 1.0 / t)
-
-
-BUMP_PRIME_SUP = _bump_prime_sup()
+# sup |w'| in closed form: w'' = 0 at s = 3^(-1/4), where 1 - s^2 = 1 - 3^(-1/2)
+BUMP_PRIME_SUP = (2.0 * 3.0**-0.25 / (1.0 - 3.0**-0.5)**2
+                  * math.exp(1.0 - 1.0 / (1.0 - 3.0**-0.5)))
 
 
 def robin_apply(x, a, l, h, out=None):
@@ -212,8 +208,9 @@ def radial_invert(dist, r, amp, eta):
       Where |t| >= 1 the root is rho = d exactly, since w vanishes there.
       Elsewhere s is seeded by linear interpolation in a table of F on
       [-1, 1] and polished by Newton steps until every step is below 1e-14.
-      Points still moving after 8 steps, which happens only next to the fold
-      at alpha*sup|w'| = 1, are solved by bisection.
+      Points still moving after 8 steps, which happens only where F' nearly
+      vanishes next to the fold at alpha*sup|w'| = 1, are solved by
+      bisection.
     - Otherwise the map folds, and bisection on the bracket
       [d - amp, d + amp] picks the branch; see :func:`_bisect`.
 

@@ -77,8 +77,8 @@ def default_acoustics():
 @pytest.fixture(scope="session")
 def bisection_radial_invert():
     """Reference radial inverse: plain vectorized bisection on the bracket
-    [d - amp, d + amp], the way kernels.radial_invert solved it everywhere
-    before its monotone branch switched to Newton."""
+    [d - amp, d + amp], the method kernels.radial_invert keeps for the fold
+    branch."""
     def invert(dist, r, amp, eta):
         d = np.asarray(dist, dtype=np.float64)
         lo = d - amp
