@@ -178,8 +178,14 @@ class Sinogram:
 # displacement fields
 
 
+def _check_radius(r):
+    if not r > 0:
+        raise ValueError(f"wave radius must be positive, got r={r}")
+
+
 def displacement_v(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     """Leading-order radial displacement of the diverging wavefront."""
+    _check_radius(r)
     x, ygrid = grid.meshgrid()
     dx = x - y[0]
     dy = ygrid - y[1]
@@ -192,31 +198,50 @@ def displacement_v(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     return VectorField(grid, prof * ex, prof * ey)
 
 
+def _shell_displacement(config: AcousticConfig, y, r, grid: Grid):
+    """The nodes of the shell |d - r| <= eta + amp around y, outside which u
+    vanishes, and u on them.
+
+    Returns ``(i, j, ux, uy)``: the index arrays of the shell nodes, in C
+    order, and the two components of u on them, solved per node by
+    ``kernels.radial_invert``.
+    """
+    _check_radius(r)
+    c = grid.coords()
+    cx = c - y[0]
+    cy = c - y[1]
+    amp = config.eta * (config.r0 / r)
+    width = config.eta + amp
+    # squared distances pick the candidates, with a margin far above their
+    # rounding; the test on d itself decides
+    dsq = cx[:, None] ** 2 + cy[None, :] ** 2
+    lo = max(r - width, 0.0) * (1.0 - 1e-9)
+    hi = (r + width) * (1.0 + 1e-9)
+    i, j = np.nonzero((dsq >= lo * lo) & (dsq <= hi * hi))
+    d = np.hypot(cx[i], cy[j])
+    shell = np.abs(d - r) <= width
+    i, j, d = i[shell], j[shell], d[shell]
+    rho = kernels.radial_invert(d, r, amp, config.eta)
+    residual = np.abs(rho + amp * kernels.bump((r - rho) / config.eta) - d)
+    bad = residual > 1e-10
+    if np.any(bad):
+        k = int(np.argmax(residual))
+        raise RuntimeError(
+            f"radial inverse failed at source {tuple(y)}, radius {r}, "
+            f"node distance {d[k]:.6f} (residual {residual[k]:.2e})"
+        )
+    scale = (rho - d) / d
+    return i, j, scale * cx[i], scale * cy[j]
+
+
 def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     """Displacement u with x + u(x) = P^{-1}(x) for the position map
-    P(z) = z + v(z); solved per node by ``kernels.radial_invert``."""
-    x, ygrid = grid.meshgrid()
-    dx = x - y[0]
-    dy = ygrid - y[1]
-    d = np.hypot(dx, dy)
-    amp = config.eta * (config.r0 / r)
+    P(z) = z + v(z); zero off the wavefront shell."""
+    i, j, ux_shell, uy_shell = _shell_displacement(config, y, r, grid)
     ux = np.zeros(grid.shape)
     uy = np.zeros(grid.shape)
-    shell = np.abs(d - r) <= config.eta + amp
-    if np.any(shell):
-        dvals = d[shell]
-        rho = kernels.radial_invert(dvals, r, amp, config.eta)
-        residual = np.abs(rho + amp * kernels.bump((r - rho) / config.eta) - dvals)
-        bad = residual > 1e-10
-        if np.any(bad):
-            k = int(np.argmax(residual))
-            raise RuntimeError(
-                f"radial inverse failed at source {tuple(y)}, radius {r}, "
-                f"node distance {dvals[k]:.6f} (residual {residual[k]:.2e})"
-            )
-        scale = (rho - dvals) / dvals
-        ux[shell] = scale * dx[shell]
-        uy[shell] = scale * dy[shell]
+    ux[i, j] = ux_shell
+    uy[i, j] = uy_shell
     return VectorField(grid, ux, uy)
 
 
@@ -253,10 +278,26 @@ def make_context(phantom: Phantom, grid: Grid, g=1.0, l=0.1) -> ForwardContext:
     return ForwardContext(phantom, grid, trace, l)
 
 
+def displaced_coefficient(ctx: ForwardContext, config: AcousticConfig,
+                          y, r) -> ScalarField:
+    """The displaced coefficient a_u = a(x + u(x)) on the field grid.
+
+    Phantom.eval runs only on the shell nodes where u can be nonzero; every
+    other node keeps its value in ``ctx.a``. The result is bit-identical to
+    ``phantom.sample_displaced(grid, displacement_u(...))`` when ``ctx.a`` is
+    the sampled phantom, as ``make_context`` builds it.
+    """
+    i, j, ux, uy = _shell_displacement(config, y, r, ctx.grid)
+    c = ctx.grid.coords()
+    values = ctx.a.values.copy()
+    values[i, j] = ctx.phantom.eval(np.clip(c[i] + ux, 0.0, 1.0),
+                                    np.clip(c[j] + uy, 0.0, 1.0))
+    return ScalarField(ctx.grid, values)
+
+
 def perturbed_solution(ctx: ForwardContext, config: AcousticConfig, y, r):
     """Coefficient and optical solution in the displaced medium."""
-    u = displacement_u(config, y, r, ctx.grid)
-    a_u = ctx.phantom.sample_displaced(ctx.grid, u)
+    a_u = displaced_coefficient(ctx, config, y, r)
     if np.array_equal(a_u.values, ctx.a.values):
         return a_u, ctx.solution
     sol = solve_T(
@@ -331,13 +372,14 @@ class _ShellQuadrature:
     on those bands.
 
     Both integrands vanish on a ray whose segment [r - eta, r + eta] meets
-    no inclusion, so the lattice is evaluated only on the rays that
-    ``rays_meeting_support`` keeps and is exactly zero on the others. The
-    cull is exact: the radial inverse fixes both ends of the shell, so the
-    displaced radius rho* stays in [r - eta, r + eta]; Phantom.eval returns
-    exactly a0 off every inclusion, so a - a0 and a_u - a are zero on the
-    dropped rays; and a rim-crossing root inside the shell lies on a rim, so
-    every ray that carries a jump correction is kept.
+    no inclusion, so the lattice is evaluated and stored only for the rays
+    that ``rays_meeting_support`` keeps, one row per kept ray, and the
+    per-ray integral is exactly zero on the others. The cull is exact: the
+    radial inverse fixes both ends of the shell, so the displaced radius
+    rho* stays in [r - eta, r + eta]; Phantom.eval returns exactly a0 off
+    every inclusion, so a - a0 and a_u - a are zero on the dropped rays; and
+    a rim-crossing root inside the shell lies on a rim, so every ray that
+    carries a jump correction is kept.
     """
 
     def __init__(self, ctx, config, y, r):
@@ -384,51 +426,69 @@ class _ShellQuadrature:
             roots.extend(_ray_rim_crossings(inc, self.y, ct, st))
         return roots
 
+    def shell_crossings(self, ct, st):
+        """The rim crossings strictly inside the shell, over every root
+        branch: the ray index and the radius of each."""
+        rays = [np.zeros(0, dtype=np.intp)]
+        radii = [np.zeros(0)]
+        for root in self.crossing_roots(ct, st):
+            inside = (root > self.rho[0]) & (root < self.rho[-1])
+            rays.append(np.nonzero(inside)[0])
+            radii.append(root[inside])
+        return np.concatenate(rays), np.concatenate(radii)
+
+    def one_sided(self, radii, ct, st):
+        """Phantom values just below and just above each radius on its ray,
+        as a (2, m) array."""
+        side = radii + np.array([[-_NUDGE], [_NUDGE]])
+        return self.ctx.phantom.eval(self.y[0] + side * ct,
+                                     self.y[1] + side * st)
+
     def radial_integrals(self, lattice_vals, jumps):
         """Per-ray composite trapezoid in rho with exact jump corrections.
 
-        ``jumps`` lists (rays, radii, below, above) array tuples: below and
-        above are the one-sided limits of the full integrand (radial
-        Jacobian included) at each jump radius on each ray.
+        ``lattice_vals`` has one row per ray and one column per radius.
+        ``jumps`` lists (rays, radii, below, above) array tuples: rays index
+        the rows, and below and above are the one-sided limits of the full
+        integrand (radial Jacobian included) at each jump radius on each ray.
+        The jumps of one ray in one radial cell form a group; the cell's
+        trapezoid is replaced by the trapezoids of the pieces between its
+        nodes and the group's jumps.
         """
         w = np.full(self.rho.size, self.drho)
         w[0] *= 0.5
         w[-1] *= 0.5
-        per_ray = lattice_vals.T @ w
-        if jumps:
-            jump_rays, jump_radii, jump_below, jump_above = (
-                np.concatenate(part) for part in zip(*jumps))
-            cells = np.clip(
-                ((jump_radii - self.rho[0]) / self.drho).astype(int),
-                0,
-                self.rho.size - 2,
-            )
-            order = np.lexsort((jump_radii, cells, jump_rays))
-            jr = jump_rays[order]
-            jc = cells[order]
-            jx = jump_radii[order]
-            jb = jump_below[order]
-            ja = jump_above[order]
-            key = jr.astype(np.int64) * self.rho.size + jc
-            uniq, start = np.unique(key, return_index=True)
-            bounds = list(start) + [len(key)]
-            for u in range(len(uniq)):
-                s0, s1 = bounds[u], bounds[u + 1]
-                ray = jr[s0]
-                cell = jc[s0]
-                r_lo, r_hi = self.rho[cell], self.rho[cell + 1]
-                g_lo = lattice_vals[cell, ray]
-                g_hi = lattice_vals[cell + 1, ray]
-                plain = 0.5 * self.drho * (g_lo + g_hi)
-                xs = [r_lo] + list(jx[s0:s1]) + [r_hi]
-                start_vals = [g_lo] + list(ja[s0:s1])
-                end_vals = list(jb[s0:s1]) + [g_hi]
-                exact = 0.0
-                for piece in range(len(xs) - 1):
-                    exact += 0.5 * (xs[piece + 1] - xs[piece]) * (
-                        start_vals[piece] + end_vals[piece]
-                    )
-                per_ray[ray] += exact - plain
+        # a sum along each contiguous row does not depend on how many rows
+        # there are, so culling rays changes no value
+        per_ray = np.sum(lattice_vals * w, axis=1)
+        if not jumps:
+            return per_ray
+        rays, radii, below, above = (np.concatenate(part)
+                                     for part in zip(*jumps))
+        cells = np.clip(((radii - self.rho[0]) / self.drho).astype(int),
+                        0, self.rho.size - 2)
+        order = np.lexsort((radii, cells, rays))
+        rays, cells, radii, below, above = (
+            v[order] for v in (rays, cells, radii, below, above))
+        first = np.ones(rays.size, dtype=bool)
+        first[1:] = (rays[1:] != rays[:-1]) | (cells[1:] != cells[:-1])
+        # a group ends where the next one starts
+        last = np.roll(first, -1)
+        group = np.cumsum(first) - 1
+        g_lo = lattice_vals[rays, cells]
+        g_hi = lattice_vals[rays, cells + 1]
+        # the piece that ends at a jump starts at the group's previous jump,
+        # or at the cell's lower node; the last jump also starts a piece
+        # that ends at the upper node
+        left = np.where(first, self.rho[cells], np.roll(radii, 1))
+        left_val = np.where(first, g_lo, np.roll(above, 1))
+        pieces = 0.5 * (radii - left) * (left_val + below)
+        tails = 0.5 * (self.rho[cells + 1] - radii) * (above + g_hi)
+        exact = np.bincount(np.concatenate([group, group[last]]),
+                            weights=np.concatenate([pieces, tails[last]]))
+        plain = 0.5 * self.drho * (g_lo + g_hi)
+        per_ray += np.bincount(rays[first], weights=exact - plain[first],
+                               minlength=per_ray.size)
         return per_ray
 
     def adaptive_theta_nodes(self):
@@ -447,21 +507,17 @@ class _ShellQuadrature:
         subdiv = np.ones(self.ntheta, dtype=int)
         margin = 1.5 * self.eta
         for root in roots:
-            in_band = np.isfinite(root) & (np.abs(root - self.r) < margin)
-            nxt = np.roll(root, -1)
-            both = np.isfinite(root) & np.isfinite(nxt)
-            sweep = np.where(both, np.abs(nxt - root), np.inf)
-            active = in_band | np.roll(in_band, -1)
-            if not np.any(active):
+            # a missing root is NaN, which is never in the band
+            in_band = np.abs(root - self.r) < margin
+            active = np.nonzero(in_band | np.roll(in_band, -1))[0]
+            if not active.size:
                 continue
-            want = np.ones(self.ntheta, dtype=int)
-            fine = np.clip(
-                np.ceil(sweep / (self.eta / 8.0)), 1, 64
-            ).astype(int)
+            sweep = np.abs(root[(active + 1) % self.ntheta] - root[active])
             # intervals where a root appears or disappears get full depth
-            fine = np.where(np.isfinite(sweep), fine, 64)
-            want = np.where(active, fine, 1)
-            subdiv = np.maximum(subdiv, want)
+            fine = np.where(np.isfinite(sweep),
+                            np.clip(np.ceil(sweep / (self.eta / 8.0)), 1, 64),
+                            64).astype(int)
+            subdiv[active] = np.maximum(subdiv[active], fine)
         if np.all(subdiv == 1):
             return theta
         nodes = [theta]
@@ -477,9 +533,16 @@ class _ShellQuadrature:
 
     def normalized_total(self, per_ray_integrals):
         """(1/eta^2) times the shell integral, given the per-ray radial
-        integrals as a function of the ray direction cosines and sines."""
+        integrals as a function of the ray direction cosines and sines.
+
+        ``per_ray_integrals`` is called on the rays that
+        ``rays_meeting_support`` keeps; the integral is zero on the others.
+        """
         angles = self.adaptive_theta_nodes()
-        per_ray = per_ray_integrals(np.cos(angles), np.sin(angles))
+        ct, st = np.cos(angles), np.sin(angles)
+        keep = self.rays_meeting_support(ct, st)
+        per_ray = np.zeros(angles.size)
+        per_ray[keep] = per_ray_integrals(ct[keep], st[keep])
         return self.theta_total(angles, per_ray) / self.eta**2
 
 
@@ -496,11 +559,12 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     the jump slivers); the two act as independent cross-checks.
 
     The polar lattice is computed only on the rays whose shell segment comes
-    near an inclusion, and is zero on the rest. This drops no nonzero term:
-    rho* = radial_invert(rho) stays in [r - eta, r + eta] because the
-    position map fixes both ends of the shell; Phantom.eval returns exactly
-    a0 off every inclusion, so a_u - a is zero on a dropped ray; and a
-    rim-crossing root inside the shell lies on the rim, so its ray is kept.
+    near an inclusion, and the per-ray integral is zero on the rest. This
+    drops no nonzero term: rho* = radial_invert(rho) stays in
+    [r - eta, r + eta] because the position map fixes both ends of the
+    shell; Phantom.eval returns exactly a0 off every inclusion, so a_u - a
+    is zero on a dropped ray; and a rim-crossing root inside the shell lies
+    on the rim, so its ray is kept.
     """
     if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
         return 0.0
@@ -524,77 +588,56 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     quad = _ShellQuadrature(ctx, config, y, r)
     rho = quad.rho
     rho_star = kernels.radial_invert(rho, r, amp, eta)
-    phi_b = ctx.solution.phi.values
-    phi_u = sol_u.phi.values
+    # phi and phi_u are read at the same points
+    phis = np.stack([ctx.solution.phi.values, sol_u.phi.values])
 
     def smooth_at(radii, ct, st):
         px = quad.y[0] + radii * ct
         py = quad.y[1] + radii * st
-        return (kernels.bilinear_gather(phi_b, px, py, quad.h)
-                * kernels.bilinear_gather(phi_u, px, py, quad.h)) * radii
+        phi_b, phi_u = kernels.bilinear_gather(phis, px, py, quad.h)
+        return phi_b * phi_u * radii
 
     def per_ray_integrals(ct, st):
-        keep = quad.rays_meeting_support(ct, st)
-        ck, sk = ct[keep], st[keep]
-        px = quad.y[0] + np.outer(rho, ck)
-        py = quad.y[1] + np.outer(rho, sk)
-        qx = quad.y[0] + np.outer(rho_star, ck)
-        qy = quad.y[1] + np.outer(rho_star, sk)
+        px = quad.y[0] + np.outer(ct, rho)
+        py = quad.y[1] + np.outer(st, rho)
+        qx = quad.y[0] + np.outer(ct, rho_star)
+        qy = quad.y[1] + np.outer(st, rho_star)
+        # off the unit square the gather reads zero, so the lattice is zero
         dcoef = phantom.eval(qx, qy) - phantom.eval(px, py)
-        inside = (px >= 0) & (px <= 1) & (py >= 0) & (py <= 1)
-        dcoef = np.where(inside, dcoef, 0.0)
-        lattice = np.zeros((rho.size, ct.size))
-        lattice[:, keep] = (
-            dcoef
-            * kernels.bilinear_gather(phi_b, px, py, quad.h)
-            * kernels.bilinear_gather(phi_u, px, py, quad.h)
-            * rho[:, None]
-        )
+        phi_b, phi_u = kernels.bilinear_gather(phis, px, py, quad.h)
+        lattice = dcoef * phi_b * phi_u * rho
 
-        jumps = []
-        for root in quad.crossing_roots(ct, st):
-            keep = np.isfinite(root) & (root > rho[0]) & (root < rho[-1])
-            if not np.any(keep):
-                continue
-            rays = np.nonzero(keep)[0]
-            rc = root[keep]
-            # where the local displacement is below resolution the direct and
-            # displaced jumps annihilate; correcting only one of them would
-            # fabricate a spurious half jump
-            f_rc = amp * kernels.bump((r - rc) / eta)
-            live = f_rc > 1e-12
-            if not np.any(live):
-                continue
-            rays = rays[live]
-            rc = rc[live]
-            f_rc = f_rc[live]
-            ctv, stv = ct[rays], st[rays]
-            a_in = phantom.eval(quad.y[0] + (rc - _NUDGE) * ctv,
-                                quad.y[1] + (rc - _NUDGE) * stv)
-            a_out = phantom.eval(quad.y[0] + (rc + _NUDGE) * ctv,
-                                 quad.y[1] + (rc + _NUDGE) * stv)
-            # direct jump: the undisplaced coefficient jumps at rc; the
-            # displaced point sits strictly below rc, so keep its coefficient
-            # evaluation on that side
-            rstar = kernels.radial_invert(rc, r, amp, eta)
-            rstar = np.minimum(rstar, rc - _NUDGE)
-            adisp = phantom.eval(quad.y[0] + rstar * ctv,
-                                 quad.y[1] + rstar * stv)
-            sm = smooth_at(rc, ctv, stv)
-            jumps.append((rays, rc, (adisp - a_in) * sm, (adisp - a_out) * sm))
-            # displaced jump: the displaced radius crosses rc at the image
-            # of rc under the position map
-            img = rc + f_rc
-            move = (img > rho[0]) & (img < rho[-1])
-            if np.any(move):
-                rays_m = rays[move]
-                rr = img[move]
-                ctm, stm = ct[rays_m], st[rays_m]
-                base = phantom.eval(quad.y[0] + (rr + _NUDGE) * ctm,
-                                    quad.y[1] + (rr + _NUDGE) * stm)
-                smm = smooth_at(rr, ctm, stm)
-                jumps.append((rays_m, rr, (a_in[move] - base) * smm,
-                              (a_out[move] - base) * smm))
+        rays, rc = quad.shell_crossings(ct, st)
+        # where the local displacement is below resolution the direct and
+        # displaced jumps annihilate; correcting only one of them would
+        # fabricate a spurious half jump
+        f_rc = amp * kernels.bump((r - rc) / eta)
+        live = f_rc > 1e-12
+        rays, rc, f_rc = rays[live], rc[live], f_rc[live]
+        ctv, stv = ct[rays], st[rays]
+        a_in, a_out = quad.one_sided(rc, ctv, stv)
+        # direct jump: the undisplaced coefficient jumps at rc; the
+        # displaced point sits strictly below rc, so keep its coefficient
+        # evaluation on that side
+        rstar = kernels.radial_invert(rc, r, amp, eta)
+        rstar = np.minimum(rstar, rc - _NUDGE)
+        adisp = phantom.eval(quad.y[0] + rstar * ctv,
+                             quad.y[1] + rstar * stv)
+        # displaced jump: the displaced radius crosses rc at the image of rc
+        # under the position map
+        img = rc + f_rc
+        move = (img > rho[0]) & (img < rho[-1])
+        rr = img[move]
+        ctm, stm = ctv[move], stv[move]
+        base = phantom.eval(quad.y[0] + (rr + _NUDGE) * ctm,
+                            quad.y[1] + (rr + _NUDGE) * stm)
+        # the smooth factor at both kinds of jump, in one gather
+        sm = smooth_at(np.concatenate([rc, rr]), np.concatenate([ctv, ctm]),
+                       np.concatenate([stv, stm]))
+        sm, smm = sm[:rc.size], sm[rc.size:]
+        jumps = [(rays, rc, (adisp - a_in) * sm, (adisp - a_out) * sm),
+                 (rays[move], rr, (a_in[move] - base) * smm,
+                  (a_out[move] - base) * smm)]
         return quad.radial_integrals(lattice, jumps)
 
     return quad.normalized_total(per_ray_integrals)
@@ -616,17 +659,17 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
     quad = _ShellQuadrature(ctx, config, y, r)
     rho = quad.rho
     phantom = ctx.phantom
-    phi = ctx.solution.phi.values
     grad_phi = gradient(ctx.solution.phi)
-    gx, gy = grad_phi.vx, grad_phi.vy
+    # phi and its gradient are read at the same points
+    phi_fields = np.stack([ctx.solution.phi.values, grad_phi.vx,
+                           grad_phi.vy])
 
     def smooth_factor(radii_grid, ct, st):
         """[d/drho(phi^2) f + phi^2 (f\' + f/rho)] * rho at polar points."""
         px = quad.y[0] + radii_grid * ct
         py = quad.y[1] + radii_grid * st
-        phi_at = kernels.bilinear_gather(phi, px, py, quad.h)
-        dphix = kernels.bilinear_gather(gx, px, py, quad.h)
-        dphiy = kernels.bilinear_gather(gy, px, py, quad.h)
+        phi_at, dphix, dphiy = kernels.bilinear_gather(phi_fields, px, py,
+                                                       quad.h)
         dphi2 = 2.0 * phi_at * (dphix * ct + dphiy * st)
         s = (r - radii_grid) / eta
         fval = eta * (r0 / r) * kernels.bump(s)
@@ -636,30 +679,16 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
         ) * radii_grid
 
     def per_ray_integrals(ct, st):
-        keep = quad.rays_meeting_support(ct, st)
-        ck, sk = ct[keep], st[keep]
-        px = quad.y[0] + np.outer(rho, ck)
-        py = quad.y[1] + np.outer(rho, sk)
+        px = quad.y[0] + np.outer(ct, rho)
+        py = quad.y[1] + np.outer(st, rho)
         qvals = phantom.eval(px, py) - phantom.a0
-        lattice = np.zeros((rho.size, ct.size))
-        lattice[:, keep] = qvals * smooth_factor(
-            rho[:, None], ck[None, :], sk[None, :]
-        )
-        jumps = []
-        for root in quad.crossing_roots(ct, st):
-            keep = np.isfinite(root) & (root > rho[0]) & (root < rho[-1])
-            if not np.any(keep):
-                continue
-            rays = np.nonzero(keep)[0]
-            rc = root[keep]
-            ctv, stv = ct[rays], st[rays]
-            q_in = phantom.eval(quad.y[0] + (rc - _NUDGE) * ctv,
-                                quad.y[1] + (rc - _NUDGE) * stv) - phantom.a0
-            q_out = phantom.eval(quad.y[0] + (rc + _NUDGE) * ctv,
-                                 quad.y[1] + (rc + _NUDGE) * stv) - phantom.a0
-            sm = smooth_factor(rc, ctv, stv)
-            jumps.append((rays, rc, q_in * sm, q_out * sm))
-        return quad.radial_integrals(lattice, jumps)
+        lattice = qvals * smooth_factor(rho, ct[:, None], st[:, None])
+        rays, rc = quad.shell_crossings(ct, st)
+        ctv, stv = ct[rays], st[rays]
+        q_in, q_out = quad.one_sided(rc, ctv, stv) - phantom.a0
+        sm = smooth_factor(rc, ctv, stv)
+        return quad.radial_integrals(lattice, [(rays, rc, q_in * sm,
+                                                q_out * sm)])
 
     return quad.normalized_total(per_ray_integrals)
 
@@ -669,14 +698,16 @@ def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,
     """Boundary cross-correlation (1/eta^2) int_bdry (f flux_u^g - g flux^f).
 
     With f = g this reproduces the internal form of measure_M_eta up to the
-    discrete Green-identity mismatch.
+    discrete Green-identity mismatch. Like the other measurements it is zero
+    for r <= r0, the dead zone of the sweep.
     """
     if np.min(f.values) < 0 or np.min(g.values) < 0:
         raise ValueError("boundary illuminations must be nonnegative")
+    if r <= config.r0:
+        return 0.0
     grid = ctx.grid
     sol_f = solve_T(RobinProblem(ctx.a, f, ctx.l), precond_with=ctx.operator)
-    u = displacement_u(config, y, r, grid)
-    a_u = ctx.phantom.sample_displaced(grid, u)
+    a_u = displaced_coefficient(ctx, config, y, r)
     sol_g_u = solve_T(RobinProblem(a_u, g, ctx.l), precond_with=ctx.operator)
     boundary = f.values * sol_g_u.flux.values - g.values * sol_f.flux.values
     return grid.h * float(np.sum(boundary)) / config.eta**2

@@ -6,9 +6,8 @@ position map is monotone: ``acousto.AcousticConfig.monotone_radius`` and the
 branch choice in :func:`radial_invert` both read it.
 
 :func:`bilinear_corners` holds the corner-index and weight arithmetic of
-bilinear interpolation once; :func:`bilinear_scatter` and the sparse circle
-matrix of ``radon`` are built on it. :func:`bilinear_gather` keeps its own
-inline copy, because the shell quadrature calls it on every sweep cell.
+bilinear interpolation once; :func:`bilinear_gather`, :func:`bilinear_scatter`
+and the sparse circle matrix of ``radon`` are built on it.
 
 All arrays are float64 and C-contiguous; fields are (n, n) with index [i, j]
 mapping to the point (i*h, j*h).
@@ -133,24 +132,27 @@ def edge_form_apply(x, cx, cy, out=None):
 
 
 def bilinear_gather(values, px, py, h):
-    """Sample a grid field at arbitrary points; zero outside the unit square."""
-    n = values.shape[0]
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    inside = (px >= 0.0) & (px <= 1.0) & (py >= 0.0) & (py <= 1.0)
-    gx = np.clip(px / h, 0.0, n - 1 - 1e-12)
-    gy = np.clip(py / h, 0.0, n - 1 - 1e-12)
-    ix = gx.astype(np.intp)
-    iy = gy.astype(np.intp)
-    tx = gx - ix
-    ty = gy - iy
-    v = (
-        values[ix, iy] * (1.0 - tx) * (1.0 - ty)
-        + values[ix + 1, iy] * tx * (1.0 - ty)
-        + values[ix, iy + 1] * (1.0 - tx) * ty
-        + values[ix + 1, iy + 1] * tx * ty
-    )
-    return np.where(inside, v, 0.0)
+    """Sample a grid field at arbitrary points; zero outside the unit square.
+
+    ``values`` is one (n, n) field or a stack (k, n, n) of fields read at the
+    same points; the corners and weights are computed once for the stack.
+    The result has the shape of ``px``, after a leading axis of length k for
+    a stack.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[-1]
+    shape = values.shape[:-2] + np.shape(px)
+    keep, index, weight = bilinear_corners(px, py, h, n)
+    corner = np.take(values.reshape(-1, n * n), index, axis=1)
+    v = corner[:, 0] * weight[0]
+    v += corner[:, 1] * weight[1]
+    v += corner[:, 2] * weight[2]
+    v += corner[:, 3] * weight[3]
+    if keep.all():
+        return v.reshape(shape)
+    out = np.zeros((v.shape[0], keep.size))
+    out[:, keep] = v
+    return out.reshape(shape)
 
 
 def bilinear_corners(px, py, h, n):
@@ -165,16 +167,29 @@ def bilinear_corners(px, py, h, n):
     px = np.asarray(px, dtype=np.float64).ravel()
     py = np.asarray(py, dtype=np.float64).ravel()
     keep = (px >= 0.0) & (px <= 1.0) & (py >= 0.0) & (py <= 1.0)
-    gx = np.clip(px[keep] / h, 0.0, n - 1 - 1e-12)
-    gy = np.clip(py[keep] / h, 0.0, n - 1 - 1e-12)
+    if not keep.all():
+        px = px[keep]
+        py = py[keep]
+    gx = np.clip(px / h, 0.0, n - 1 - 1e-12)
+    gy = np.clip(py / h, 0.0, n - 1 - 1e-12)
     ix = gx.astype(np.intp)
     iy = gy.astype(np.intp)
     tx = gx - ix
     ty = gy - iy
-    base = ix * n + iy
-    index = np.stack([base, base + n, base + 1, base + n + 1])
-    weight = np.stack([(1.0 - tx) * (1.0 - ty), tx * (1.0 - ty),
-                       (1.0 - tx) * ty, tx * ty])
+    sx = 1.0 - tx
+    sy = 1.0 - ty
+    # filled in place: this runs on every shell-quadrature cell
+    index = np.empty((4, px.size), dtype=np.intp)
+    np.multiply(ix, n, out=index[0])
+    index[0] += iy
+    np.add(index[0], n, out=index[1])
+    np.add(index[0], 1, out=index[2])
+    np.add(index[0], n + 1, out=index[3])
+    weight = np.empty((4, px.size))
+    np.multiply(sx, sy, out=weight[0])
+    np.multiply(tx, sy, out=weight[1])
+    np.multiply(sx, ty, out=weight[2])
+    np.multiply(tx, ty, out=weight[3])
     return keep, index, weight
 
 

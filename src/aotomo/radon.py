@@ -266,7 +266,8 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int) -> Sinogram:
     h = grid.h
     phi = U.phi.values
     grad_phi = gradient(U.phi)
-    gx, gy = grad_phi.vx, grad_phi.vy
+    # phi and its gradient are read at the same points
+    phi_fields = np.stack([phi, grad_phi.vx, grad_phi.vy])
     sources = config.sources(ny)
     radii = config.radii(nr)
     out = np.zeros((ny, nr))
@@ -298,9 +299,7 @@ def ideal_radon_psi(U, config: AcousticConfig, ny: int, nr: int) -> Sinogram:
         ck, sk = ct[keep], st[keep]
         px = y[0] + np.outer(rho_f, ck)
         py = y[1] + np.outer(rho_f, sk)
-        phi_at = kernels.bilinear_gather(phi, px, py, h)
-        dpx = kernels.bilinear_gather(gx, px, py, h)
-        dpy = kernels.bilinear_gather(gy, px, py, h)
+        phi_at, dpx, dpy = kernels.bilinear_gather(phi_fields, px, py, h)
         dphi2 = 2.0 * phi_at * (dpx * ck[None, :] + dpy * sk[None, :])
         area = np.zeros((nrho, ntheta))
         area[:, keep] = contrast_at(px, py) * dphi2

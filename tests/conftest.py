@@ -89,7 +89,54 @@ def bisection_radial_invert():
             neg = g < 0.0
             lo = np.where(neg, mid, lo)
             hi = np.where(neg, hi, mid)
-            if np.max(hi - lo) < 1e-13:
+            if np.max(hi - lo, initial=0.0) < 1e-13:
                 break
         return 0.5 * (lo + hi)
     return invert
+
+
+@pytest.fixture(scope="session")
+def loop_radial_integrals():
+    """Reference shell radial integral: the composite trapezoid on a
+    (radius, ray) lattice with one Python pass per group of jumps sharing a
+    ray and a radial cell, the method that
+    acousto._ShellQuadrature.radial_integrals vectorises."""
+    def integrate(rho, lattice_vals, jumps):
+        drho = rho[1] - rho[0]
+        w = np.full(rho.size, drho)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        per_ray = lattice_vals.T @ w
+        if not jumps:
+            return per_ray
+        jump_rays, jump_radii, jump_below, jump_above = (
+            np.concatenate(part) for part in zip(*jumps))
+        cells = np.clip(((jump_radii - rho[0]) / drho).astype(int), 0,
+                        rho.size - 2)
+        order = np.lexsort((jump_radii, cells, jump_rays))
+        jr = jump_rays[order]
+        jc = cells[order]
+        jx = jump_radii[order]
+        jb = jump_below[order]
+        ja = jump_above[order]
+        key = jr.astype(np.int64) * rho.size + jc
+        uniq, start = np.unique(key, return_index=True)
+        bounds = list(start) + [len(key)]
+        for u in range(len(uniq)):
+            s0, s1 = bounds[u], bounds[u + 1]
+            ray = jr[s0]
+            cell = jc[s0]
+            r_lo, r_hi = rho[cell], rho[cell + 1]
+            g_lo = lattice_vals[cell, ray]
+            g_hi = lattice_vals[cell + 1, ray]
+            plain = 0.5 * drho * (g_lo + g_hi)
+            xs = [r_lo] + list(jx[s0:s1]) + [r_hi]
+            start_vals = [g_lo] + list(ja[s0:s1])
+            end_vals = list(jb[s0:s1]) + [g_hi]
+            exact = 0.0
+            for piece in range(len(xs) - 1):
+                exact += 0.5 * (xs[piece + 1] - xs[piece]) * (
+                    start_vals[piece] + end_vals[piece])
+            per_ray[ray] += exact - plain
+        return per_ray
+    return integrate

@@ -143,6 +143,23 @@ class TestDisplacements:
         assert min(orders) >= 1.8
 
 
+class TestSmallRadius:
+    @pytest.mark.parametrize("displacement", [displacement_u, displacement_v])
+    @pytest.mark.parametrize("r", [0.0, -0.1])
+    def test_displacements_reject_nonpositive_radius(self, config, grid33,
+                                                     displacement, r):
+        with pytest.raises(ValueError, match="wave radius must be positive"):
+            displacement(config, source_at(0.0), r, grid33)
+
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.25])
+    def test_cross_correlation_dead_zone(self, disk_context65, r):
+        cfg = AcousticConfig(eta=0.08)
+        assert r <= cfg.r0
+        g = BoundaryTrace.constant(disk_context65.grid, 1.0)
+        assert measure_cross_correlation(disk_context65, cfg, source_at(0.0),
+                                         r, g, g) == 0.0
+
+
 class TestMeasurements:
     def test_empty_phantom_zero(self, empty_phantom, grid65, config):
         ctx = make_context(empty_phantom, grid65)
@@ -277,6 +294,86 @@ class TestRayCull:
                             lambda self, ct, st: np.arange(ct.size))
         full = sample_sinogram(ctx, cfg, 8, 16, which=which)
         assert np.array_equal(culled.values, full.values)
+
+
+class TestShellQuadrature:
+    @staticmethod
+    def random_jumps(rng, rho, nrays):
+        """Jump tuples with several jumps in one cell, jumps in the first
+        and the last cell, and several groups on one ray."""
+        drho = rho[1] - rho[0]
+
+        def in_cell(cell, k):
+            return np.sort(rho[cell] + drho * rng.uniform(0.01, 0.99, k))
+
+        def part(rays, radii):
+            rays = np.asarray(rays)
+            return (rays, np.asarray(radii), rng.standard_normal(rays.size),
+                    rng.standard_normal(rays.size))
+
+        # listed out of order on purpose: radial_integrals sorts them
+        cells = rng.integers(0, rho.size - 1, 40)
+        return [
+            part([3, 3, 3], in_cell(10, 3)[::-1]),
+            part([5, 8], [in_cell(0, 1)[0], in_cell(rho.size - 2, 1)[0]]),
+            part([7, 7, 7, 7], np.concatenate(
+                [in_cell(0, 2), in_cell(50, 1), in_cell(rho.size - 2, 1)])),
+            part(rng.integers(0, nrays, 40),
+                 rho[cells] + drho * rng.uniform(0.01, 0.99, 40)),
+        ]
+
+    def test_vectorised_jumps_match_loop(self, disk_context65,
+                                         loop_radial_integrals):
+        quad = acousto._ShellQuadrature(disk_context65, AcousticConfig(),
+                                        source_at(0.0), 0.9)
+        rho = quad.rho
+        rng = np.random.default_rng(11)
+        nrays = 30
+        for trial in range(5):
+            lattice = rng.standard_normal((nrays, rho.size))
+            jumps = self.random_jumps(rng, rho, nrays)
+            got = quad.radial_integrals(lattice, jumps)
+            ref = loop_radial_integrals(rho, lattice.T.copy(), jumps)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+            # jump-free rays keep the plain trapezoid
+            assert np.allclose(quad.radial_integrals(lattice, []),
+                               loop_radial_integrals(rho, lattice.T.copy(),
+                                                     []),
+                               rtol=1e-14, atol=1e-14 * scale)
+
+    def test_shell_coefficient_is_full_grid_sampling(self,
+                                                     disk_ellipse_phantom):
+        ph = disk_ellipse_phantom
+        cfg = AcousticConfig(eta=0.0625)
+        g = Grid(65)
+        ctx = make_context(ph, g)
+        below = cfg.monotone_radius
+        # sources next to the disk and the ellipse, and one on S_mu
+        probes = [((0.05, 0.1), (0.36, 0.45, 0.56)),
+                  ((0.95, 0.1), (0.5, 0.65)),
+                  (tuple(source_at(0.9)), (0.8, 0.95))]
+        x, yy = g.meshgrid()
+        sides = set()
+        for y, radii in probes:
+            y = np.asarray(y)
+            for r in radii:
+                sides.add(r < below)
+                u = displacement_u(cfg, y, r, g)
+                # u from every node's distance, with no candidate selection
+                dx, dy = x - y[0], yy - y[1]
+                d = np.hypot(dx, dy)
+                amp = cfg.eta * cfg.r0 / r
+                on = np.abs(d - r) <= cfg.eta + amp
+                rho = kernels.radial_invert(d[on], r, amp, cfg.eta)
+                ux = np.zeros(g.shape)
+                ux[on] = (rho - d[on]) / d[on] * dx[on]
+                assert np.array_equal(u.vx, ux), (y, r)
+                full = ph.sample_displaced(g, u)
+                shell = acousto.displaced_coefficient(ctx, cfg, y, r)
+                assert not np.array_equal(full.values, ctx.a.values), (y, r)
+                assert np.array_equal(shell.values, full.values), (y, r)
+        assert sides == {True, False}
 
 
 class TestSinogram:

@@ -25,6 +25,33 @@ def test_scatter_is_gather_transpose():
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
+def test_stacked_gather_matches_single_fields():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((3, N, N))
+    # points partly outside the unit square, where gather reads zero
+    px = rng.random((40, 50)) * 1.3 - 0.15
+    py = rng.random((40, 50)) * 1.3 - 0.15
+    got = kernels.bilinear_gather(stack, px, py, H)
+    assert got.shape == (3, 40, 50)
+    inside = (px >= 0) & (px <= 1) & (py >= 0) & (py <= 1)
+    assert inside.any() and not inside.all()
+    gx = np.clip(px / H, 0.0, N - 1 - 1e-12)
+    gy = np.clip(py / H, 0.0, N - 1 - 1e-12)
+    ix = gx.astype(int)
+    iy = gy.astype(int)
+    tx = gx - ix
+    ty = gy - iy
+    for k, f in enumerate(stack):
+        single = kernels.bilinear_gather(f, px, py, H)
+        assert single.shape == px.shape
+        ref = np.where(inside, (f[ix, iy] * (1 - tx) * (1 - ty)
+                                + f[ix + 1, iy] * tx * (1 - ty)
+                                + f[ix, iy + 1] * (1 - tx) * ty
+                                + f[ix + 1, iy + 1] * tx * ty), 0.0)
+        assert np.max(np.abs(got[k] - single)) <= 1e-15
+        assert np.max(np.abs(single - ref)) <= 1e-15 * np.max(np.abs(f))
+
+
 def test_radial_invert_solves():
     rng = np.random.default_rng(8)
     d = rng.uniform(0.8, 1.1, size=500)
