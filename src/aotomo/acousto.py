@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -253,7 +254,8 @@ def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
 class ForwardContext:
     """Cached unperturbed forward solve shared across a measurement sweep,
     with the factorization of its operator (l > 0) that preconditions both
-    that solve and the sweep's perturbed solves."""
+    that solve and the sweep's perturbed solves, and what the linearized
+    measurement reads of them, computed on first use."""
 
     phantom: Phantom
     grid: Grid
@@ -271,6 +273,20 @@ class ForwardContext:
         if self.solution is None:
             self.solution = solve_T(RobinProblem(self.a, self.g, self.l),
                                     precond_with=self.operator)
+
+
+    @cached_property
+    def phi_and_gradient(self):
+        """phi and the two components of its gradient as one (3, n, n)
+        stack, gathered together by ``measure_Mtilde``."""
+        grad_phi = gradient(self.solution.phi)
+        return np.stack([self.solution.phi.values, grad_phi.vx, grad_phi.vy])
+
+    @cached_property
+    def has_contrast(self):
+        """Whether the sampled coefficient differs from the background a0
+        anywhere; the linearized measurement is zero if not."""
+        return bool((self.a.values - self.phantom.a0).any())
 
 
 def make_context(phantom: Phantom, grid: Grid, g=1.0, l=0.1) -> ForwardContext:
@@ -494,20 +510,33 @@ class _ShellQuadrature:
     def adaptive_theta_nodes(self):
         """Base angular nodes plus refined nodes over the rim-sweep bands.
 
-        Returns a sorted angle array covering one period. Refinement of a
-        base interval is driven by how far the crossing radii move across it
-        relative to eta.
+        Returns ``(angles, ct, st, near)``: the sorted angles covering one
+        period, their cosines and sines, and the ascending indices of the
+        rays that can come near an inclusion, namely the base rays that
+        reach an inclusion's bounding circle within r +- 1.5 eta and every
+        refined ray. Refinement of a base interval is driven by how far the
+        crossing radii move across it relative to eta.
+
+        The rim quadratic is solved only on those base rays and one
+        neighbour on each side. That changes no angle: a root in the band
+        lies on a rim, inside the bounding circle, so its ray is near, and
+        the sweep of an interval reads the roots at its two ends only.
         """
         theta = self.base_angles()
         step = 2 * np.pi / self.ntheta
         ct, st = np.cos(theta), np.sin(theta)
-        roots = self.crossing_roots(ct, st)
-        if not roots:
-            return theta
-        subdiv = np.ones(self.ntheta, dtype=int)
         margin = 1.5 * self.eta
-        for root in roots:
+        near = rays_meeting_support(self.ctx.phantom, self.y, self.r - margin,
+                                    self.r + margin, ct, st)
+        if not near.size:
+            return theta, ct, st, near
+        solved = np.unique(np.concatenate([near - 1, near, near + 1])
+                           % self.ntheta)
+        subdiv = np.ones(self.ntheta, dtype=int)
+        for part in self.crossing_roots(ct[solved], st[solved]):
             # a missing root is NaN, which is never in the band
+            root = np.full(self.ntheta, np.nan)
+            root[solved] = part
             in_band = np.abs(root - self.r) < margin
             active = np.nonzero(in_band | np.roll(in_band, -1))[0]
             if not active.size:
@@ -519,12 +548,21 @@ class _ShellQuadrature:
                             64).astype(int)
             subdiv[active] = np.maximum(subdiv[active], fine)
         if np.all(subdiv == 1):
-            return theta
+            return theta, ct, st, near
         nodes = [theta]
         for k in np.nonzero(subdiv > 1)[0]:
             s = subdiv[k]
             nodes.append(theta[k] + step * np.arange(1, s) / s)
-        return np.sort(np.concatenate(nodes))
+        angles = np.concatenate(nodes)
+        refined = angles[self.ntheta:]
+        order = np.argsort(angles, kind="stable")
+        # before sorting, the refined rays follow the base rays
+        is_near = np.arange(angles.size) >= self.ntheta
+        is_near[near] = True
+        return (angles[order],
+                np.concatenate([ct, np.cos(refined)])[order],
+                np.concatenate([st, np.sin(refined)])[order],
+                np.nonzero(is_near[order])[0])
 
     def theta_total(self, angles, per_ray):
         """Periodic trapezoid over a sorted, possibly non-uniform angle set."""
@@ -538,9 +576,9 @@ class _ShellQuadrature:
         ``per_ray_integrals`` is called on the rays that
         ``rays_meeting_support`` keeps; the integral is zero on the others.
         """
-        angles = self.adaptive_theta_nodes()
-        ct, st = np.cos(angles), np.sin(angles)
-        keep = self.rays_meeting_support(ct, st)
+        angles, ct, st, near = self.adaptive_theta_nodes()
+        # a ray that is not near misses the narrower shell segment too
+        keep = near[self.rays_meeting_support(ct[near], st[near])]
         per_ray = np.zeros(angles.size)
         per_ray[keep] = per_ray_integrals(ct[keep], st[keep])
         return self.theta_total(angles, per_ray) / self.eta**2
@@ -653,16 +691,14 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
     """
     if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
         return 0.0
-    if not (ctx.a.values - ctx.phantom.a0).any():
+    if not ctx.has_contrast:
         return 0.0
     eta, r0 = config.eta, config.r0
     quad = _ShellQuadrature(ctx, config, y, r)
     rho = quad.rho
     phantom = ctx.phantom
-    grad_phi = gradient(ctx.solution.phi)
     # phi and its gradient are read at the same points
-    phi_fields = np.stack([ctx.solution.phi.values, grad_phi.vx,
-                           grad_phi.vy])
+    phi_fields = ctx.phi_and_gradient
 
     def smooth_factor(radii_grid, ct, st):
         """[d/drho(phi^2) f + phi^2 (f\' + f/rho)] * rho at polar points."""

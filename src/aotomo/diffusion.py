@@ -6,8 +6,17 @@ trapezoid pattern so the assembled system is symmetric positive definite;
 solves are conjugate gradient, optionally preconditioned by the cached sparse
 factorization of a nearby operator. A measurement sweep preconditions its
 perturbed solves with the unperturbed operator; the reconstruction
-preconditions every forward, tangent and adjoint solve with the operator at
-the constant background coefficient.
+preconditions its forward, tangent and adjoint solves with the operator at
+the constant background coefficient, except the step-size estimate, whose
+tangent and adjoint solves all sit at one iterate and are preconditioned by
+that iterate's own factorization.
+
+A :class:`RobinOperator` built on a (k, n, n) stack of coefficients solves k
+independent systems at once: one stacked CG (see ``fields.cg``) whose
+preconditioner solves the k residuals in one multi-right-hand-side call on
+the nearby operator's LU. The exhaustion guess of ``inversion`` solves each
+stack of candidate coefficients this way, on the background factorization;
+every other solve is a single system.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .fields import (
     cg,
     edge_form_matrix,
     neumann_edge_coefficients,
+    stack_dot,
     trace_from_grid,
 )
 
@@ -52,7 +62,12 @@ class OpticalSolution:
 
 
 class RobinOperator:
-    """Symmetrized discrete Robin diffusion operator for a fixed coefficient."""
+    """Symmetrized discrete Robin diffusion operator for a fixed coefficient.
+
+    ``a_values`` is one (n, n) coefficient or a (k, n, n) stack of them; a
+    stack maps, and solves, k fields at once, one per coefficient. Only a
+    single operator can be assembled and factorized.
+    """
 
     def __init__(self, grid: Grid, a_values, l: float):
         if l <= 0:
@@ -69,12 +84,18 @@ class RobinOperator:
         return kernels.robin_apply(x, self.a, self.l, self.grid.h)
 
     def boundary_rhs(self, g: BoundaryTrace):
-        """Right-hand side vector for boundary data g (already row-scaled)."""
-        n = self.grid.n
-        b = np.zeros((n, n))
+        """Right-hand side for boundary data g (already row-scaled), shaped
+        like the coefficient: one per operator of a stack."""
+        b = np.zeros(self.a.shape)
         ii, jj = self.grid.boundary_indices()
-        b[ii, jj] = g.values / (self.l * self.grid.h)
+        b[..., ii, jj] = g.values / (self.l * self.grid.h)
         return b
+
+    def boundary_flux(self, g: BoundaryTrace, x):
+        """Outgoing flux (g - x)/l on the boundary nodes of the solution x
+        for data g; one row per field of a stack."""
+        ii, jj = self.grid.boundary_indices()
+        return (g.values - x[..., ii, jj]) / self.l
 
     def source_rhs(self, s):
         """Right-hand side for an interior source term (-lap+a)phi = s."""
@@ -99,16 +120,25 @@ class RobinOperator:
 
     def solve(self, b, x0=None, precond_with=None):
         """CG solve of S x = b; optionally preconditioned by the factorization
-        of a nearby operator (PCG)."""
+        of a nearby operator (PCG).
+
+        On a stack of coefficients, ``b`` and ``x0`` are matching stacks and
+        the k systems are solved by one stacked CG; the preconditioner solves
+        the k residuals as one multi-right-hand-side LU solve.
+        """
         n = self.grid.n
         precond = None
         if precond_with is not None:
             lu = precond_with.factorized()
 
             def precond(r):
-                return lu.solve(r.ravel()).reshape(n, n)
+                # one column per field; SuperLU returns Fortran order, so
+                # the transposes copy nothing
+                return lu.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
 
-        return cg(self.apply, b, max_iter=50 * n, x0=x0, precond=precond)
+        dot = stack_dot if self.a.ndim == 3 else None
+        return cg(self.apply, b, max_iter=50 * n, x0=x0, precond=precond,
+                  dot=dot)
 
 
 def _dirichlet_solve(grid, a_values, g: BoundaryTrace):
@@ -170,8 +200,7 @@ def solve_T(problem: RobinProblem, x0: ScalarField | None = None,
     x0v = None if x0 is None else x0.values
     x, res, it = op.solve(b, x0=x0v, precond_with=precond_with)
     phi = ScalarField(grid, x)
-    ii, jj = grid.boundary_indices()
-    flux = BoundaryTrace(grid, (problem.g.values - x[ii, jj]) / problem.l)
+    flux = BoundaryTrace(grid, op.boundary_flux(problem.g, x))
     return OpticalSolution(phi, flux, res, it)
 
 

@@ -340,52 +340,88 @@ def norms(f) -> dict:
 # conjugate gradient
 
 
+def stack_dot(u, v):
+    """Dot products of the matching systems of two stacks: one value per
+    index of the leading axis. Passed to :func:`cg` as ``dot``, it makes
+    the solve a stack of independent systems."""
+    k = u.shape[0]
+    return np.einsum("ij,ij->i", u.reshape(k, -1), v.reshape(k, -1))
+
+
 def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
     """Conjugate gradient for an SPD operator given as a callable.
 
     Stops at relative residual ||b - Ax|| / ||b|| <= tol. Raises SolverError
     on non-convergence. Returns (x, relative_residual, iterations).
+
+    Stacks: when ``dot`` returns an array, one value per index of the
+    leading axis (see :func:`stack_dot`), ``b`` is a stack of independent
+    systems that ``apply_op`` and ``precond`` map as a whole. Each system
+    has its own step lengths and stopping test, and stops updating once it
+    converges; ``max_iter`` bounds the iterations of each. A system with a
+    zero right-hand side gets the zero solution. The call returns the
+    stacked solution, the worst system's relative residual as a float and
+    the summed iteration count of the systems as an int; SolverError carries
+    the same three.
     """
     if dot is None:
         dot = lambda u, v: float(np.sum(u * v))
     if max_iter is None:
         max_iter = 50 * int(np.sqrt(b.size) + 1)
     bnorm = np.sqrt(dot(b, b))
-    if bnorm == 0.0:
+    if not np.any(bnorm):
         return np.zeros_like(b), 0.0, 0
+    live = bnorm > 0.0
+    # a per-system scalar (0-d, or (k,) for a stack) scales its system as
+    # shape (k, 1, ..., 1)
+    per_system = live.shape + (1,) * (b.ndim - live.ndim)
+
+    def step(num, den, active):
+        # zero on the systems that have stopped, so they do not move
+        out = np.divide(num, den, out=np.zeros(live.shape), where=active)
+        return out.reshape(per_system)
+
     if x0 is None:
         # a cold start needs no operator application: A(0) = 0
         x, r = np.zeros_like(b), b.astype(np.float64)
     else:
         x = x0.astype(np.float64, copy=True)
+        if not live.all():
+            x[~live] = 0.0
         r = b - apply_op(x)
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = dot(r, z)
-    res = np.sqrt(dot(r, r)) / bnorm
-    it = 0
-    while res > tol and it < max_iter:
+    res = np.divide(np.sqrt(dot(r, r)), bnorm, out=np.zeros(live.shape),
+                    where=live)
+    active = res > tol
+    its = np.zeros(live.shape, dtype=np.int64)
+    for _ in range(max_iter):
+        if not active.any():
+            break
         ap = apply_op(p)
-        alpha = rz / dot(p, ap)
+        alpha = step(rz, dot(p, ap), active)
         x = x + alpha * p
         r = r - alpha * ap
-        res = np.sqrt(dot(r, r)) / bnorm
-        if res <= tol:
-            it += 1
+        its += active
+        res = np.divide(np.sqrt(dot(r, r)), bnorm, out=res, where=active)
+        active = res > tol
+        if not active.any():
             break
         z = precond(r) if precond is not None else r
         rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
+        p = z + step(rz_new, rz, active) * p
         rz = rz_new
-        it += 1
-    if res > tol:
+    worst, it = float(np.max(res)), int(np.sum(its))
+    if worst > tol:
         raise SolverError(
-            f"CG stalled at relative residual {res:.3e} after {it} iterations",
-            residual=res,
+            f"CG stalled at relative residual {worst:.3e} after {it} "
+            "iterations",
+            residual=worst,
             iterations=it,
             iterate=x,
         )
-    return x, res, it
+    return x, worst, it
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,13 @@ budget per inclusion) is enforced by clamping and scale-back.
 Every coefficient either stage solves at equals the background a0 off the
 masks and lies in [lower, upper] on them, so it differs from the constant
 background operator only by a diagonal term on the inclusions. The problem
-factors that background operator once, and its LU preconditions every Robin
-solve here: the exhaustion's and Landweber's forward solves and the tangent
-and adjoint solves of DF and DF*.
+factors that background operator once, and its LU preconditions the Robin
+solves here: the exhaustion's candidate solves, solved one stack of
+candidates at a time, Landweber's forward solves and the tangent and
+adjoint solves of DF and DF*. The step-size estimate is the exception: its
+power iteration repeats the tangent and adjoint solves at one iterate, so
+it factors that iterate's operator, and each of those solves then takes one
+preconditioned CG iteration.
 """
 
 from __future__ import annotations
@@ -204,6 +208,21 @@ class ReconstructionProblem:
         return solve_T(RobinProblem(a, self.g, self.l),
                        precond_with=self.reference)
 
+    def boundary_fluxes(self, candidates, x0=None):
+        """Boundary fluxes of piecewise constant coefficients, one candidate
+        (a sequence of per-inclusion constants) per row, solved as one stack
+        on the background factorization.
+
+        ``x0`` is an optional matching stack of starting fields. Returns
+        ``(fluxes, fields)``: the (m, 4(n-1)) outgoing fluxes and the
+        (m, n, n) solved fields of the m candidates.
+        """
+        a = np.stack([self.coefficient_field(c).values for c in candidates])
+        op = RobinOperator(self.grid, a, self.l)
+        x, _, _ = op.solve(op.boundary_rhs(self.g), x0=x0,
+                           precond_with=self.reference)
+        return op.boundary_flux(self.g, x), x
+
     # -- H space operations --------------------------------------------------
 
     def h_inner(self, u: HElement, v: HElement) -> float:
@@ -289,10 +308,12 @@ class ReconstructionProblem:
 # boundary misfit and the exhaustion initial guess
 
 
-def boundary_misfit(problem: ReconstructionProblem, flux: BoundaryTrace,
-                    measured: BoundaryTrace) -> float:
-    diff = flux.values - measured.values
-    return 0.5 * problem.grid.h * float(np.sum(diff * diff))
+def boundary_misfit(problem: ReconstructionProblem, fluxes,
+                    measured: BoundaryTrace):
+    """Half the squared boundary L2 distance of each flux row to the
+    measured flux."""
+    diff = fluxes - measured.values
+    return 0.5 * problem.grid.h * np.sum(diff * diff, axis=-1)
 
 
 def initial_guess_exhaustion(problem: ReconstructionProblem,
@@ -302,6 +323,13 @@ def initial_guess_exhaustion(problem: ReconstructionProblem,
     """Grid search of per-inclusion constants minimizing the boundary flux
     misfit. Exhaustive product search for up to three inclusions; cyclic
     coordinate sweeps (three passes) beyond that or on request.
+
+    Candidates are solved a stack at a time (``boundary_fluxes``) and
+    scanned in order, the first strict improvement winning as in a scan of
+    single solves. The exhaustive stack is one lattice row, the last
+    constant running over the lattice in product order, warm-started from
+    the previous row's fields; the coordinate stack is one 1-D sweep, whose
+    candidates do not depend on what the sweep accepts.
     """
     k = problem.k
     if k == 0:
@@ -313,29 +341,30 @@ def initial_guess_exhaustion(problem: ReconstructionProblem,
             "use mode='coordinate' for cyclic 1-D sweeps"
         )
 
-    def misfit_of(alphas):
-        sol = problem.solve_forward(list(alphas))
-        return boundary_misfit(problem, sol.flux, measured_flux)
+    def misfits(candidates, x0=None):
+        fluxes, x = problem.boundary_fluxes(candidates, x0)
+        return boundary_misfit(problem, fluxes, measured_flux), x
 
     if mode == "exhaustive":
-        best, best_j = None, math.inf
-        for combo in itertools.product(lattice, repeat=k):
-            jval = misfit_of(combo)
-            if jval < best_j:
-                best, best_j = combo, jval
+        best, best_j, x = None, math.inf, None
+        for head in itertools.product(lattice, repeat=k - 1):
+            row = [head + (val,) for val in lattice]
+            jvals, x = misfits(row, x)
+            for combo, jval in zip(row, jvals):
+                if jval < best_j:
+                    best, best_j = combo, float(jval)
         return PiecewiseConstantGuess(list(best), best_j)
     if mode != "coordinate":
         raise ValueError(f"unknown exhaustion mode {mode!r}")
     alphas = [lattice[len(lattice) // 2]] * k
-    best_j = misfit_of(alphas)
+    best_j = float(misfits([alphas])[0][0])
     for _ in range(3):
         for j in range(k):
-            for val in lattice:
-                trial = list(alphas)
-                trial[j] = val
-                jval = misfit_of(trial)
+            sweep = [alphas[:j] + [val] + alphas[j + 1:] for val in lattice]
+            jvals, _ = misfits(sweep)
+            for trial, jval in zip(sweep, jvals):
                 if jval < best_j - 1e-15:
-                    alphas, best_j = trial, jval
+                    alphas, best_j = trial, float(jval)
     return PiecewiseConstantGuess(list(alphas), best_j)
 
 
@@ -369,18 +398,26 @@ def delta_psi_functional(problem: ReconstructionProblem,
 
 def DF_apply(problem: ReconstructionProblem, alphas, correction: HElement,
              h: HElement, solution: OpticalSolution | None = None,
-             tangent: ScalarField | None = None) -> HFunctional:
-    """Directional derivative of F at the iterate in direction h."""
+             tangent: ScalarField | None = None,
+             precond_with: RobinOperator | None = None) -> HFunctional:
+    """Directional derivative of F at the iterate in direction h.
+
+    The tangent solve is preconditioned by ``precond_with``, by default the
+    problem's background operator.
+    """
     return problem.functional(
-        _DF_raw(problem, alphas, correction, h, solution, tangent))
+        _DF_raw(problem, alphas, correction, h, solution, tangent,
+                precond_with))
 
 
-def _DF_raw(problem, alphas, correction, h, solution, tangent):
+def _DF_raw(problem, alphas, correction, h, solution, tangent,
+            precond_with=None):
     """Assembled vectors of DF[a](h), one per inclusion."""
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
     if tangent is None:
-        tangent = _tangent_solve(problem, alphas, correction, h, solution)
+        tangent = _tangent_solve(problem, alphas, correction, h, solution,
+                                 precond_with)
     phi = solution.phi.values
     phi2x, phi2y = edge_average(phi**2)
     crossx, crossy = edge_average(2.0 * phi * tangent.values)
@@ -395,11 +432,12 @@ def _DF_raw(problem, alphas, correction, h, solution, tangent):
 
 
 def _tangent_solve(problem, alphas, correction, h: HElement,
-                   solution: OpticalSolution) -> ScalarField:
+                   solution: OpticalSolution,
+                   precond_with=None) -> ScalarField:
     a = problem.coefficient_field(alphas, correction)
     source = -h.combined() * solution.phi.values
     return solve_adjoint(a, ScalarField(problem.grid, source), problem.l,
-                         precond_with=problem.reference)
+                         precond_with=precond_with or problem.reference)
 
 
 def DF_quadratic_form(problem, alphas, correction, h: HElement,
@@ -411,11 +449,14 @@ def DF_quadratic_form(problem, alphas, correction, h: HElement,
 
 def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
                rho: HFunctional,
-               solution: OpticalSolution | None = None) -> HElement:
+               solution: OpticalSolution | None = None,
+               precond_with: RobinOperator | None = None) -> HElement:
     """The element g with <g, h>_H = DF[a](h)(rep rho) for all h.
 
     The solution chain runs through one adjoint diffusion solve for the
-    tangent term and one masked Riesz solve per inclusion for both terms.
+    tangent term, preconditioned by ``precond_with`` (by default the
+    problem's background operator), and one masked Riesz solve per
+    inclusion for both terms.
     """
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
@@ -437,7 +478,7 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
 
     a = problem.coefficient_field(alphas, correction)
     op = RobinOperator(grid, a.values, problem.l)
-    z, _, _ = op.solve(sigma, precond_with=problem.reference)
+    z, _, _ = op.solve(sigma, precond_with=precond_with or problem.reference)
     b1 = -phi * z * op.row_weights
     for j, space in enumerate(problem.spaces):
         raw[j] = raw[j] + np.where(space.interior, b1, 0.0)
@@ -474,9 +515,17 @@ def estimate_step_size(problem: ReconstructionProblem, alphas,
                        correction: HElement, iterations=20,
                        seed=0) -> float:
     """tau = 0.9 / L^2 with L the operator norm of DF at the iterate,
-    estimated by power iterations on DF* DF."""
+    estimated by power iterations on DF* DF.
+
+    Every tangent and adjoint solve of the power iteration sits at this one
+    iterate, so they are preconditioned by the factorization of its own
+    operator.
+    """
     rng = np.random.default_rng(seed)
     solution = problem.solve_forward(alphas, correction)
+    at_iterate = RobinOperator(
+        problem.grid, problem.coefficient_field(alphas, correction).values,
+        problem.l)
     v = HElement([
         np.where(space.interior, rng.standard_normal(problem.grid.shape), 0.0)
         for space in problem.spaces
@@ -486,8 +535,8 @@ def estimate_step_size(problem: ReconstructionProblem, alphas,
     for _ in range(iterations):
         w = DF_adjoint(problem, alphas, correction,
                        DF_apply(problem, alphas, correction, v,
-                                solution=solution),
-                       solution=solution)
+                                solution=solution, precond_with=at_iterate),
+                       solution=solution, precond_with=at_iterate)
         lam = problem.h_inner(v, w)
         nrm = problem.h_norm(w)
         if nrm == 0:

@@ -54,33 +54,37 @@ def robin_apply(x, a, l, h, out=None):
     a second-order ghost elimination of l*dnu(x) + x = 0 and are scaled by the
     trapezoid pattern (1/2 on edges, 1/4 on corners) so the operator is
     symmetric positive definite in the plain dot product.
+
+    ``x`` is one (n, n) field or a stack (k, n, n) of fields, and ``a`` is
+    one coefficient or a matching stack of k; each field is mapped by its own
+    operator.
     """
-    n = x.shape[0]
+    n = x.shape[-1]
     h2 = h * h
     if out is None:
         out = np.empty_like(x)
-    xp = np.empty((n + 2, n + 2), dtype=np.float64)
-    xp[1:-1, 1:-1] = x
-    xp[0, 1:-1] = x[1, :]
-    xp[-1, 1:-1] = x[-2, :]
-    xp[1:-1, 0] = x[:, 1]
-    xp[1:-1, -1] = x[:, -2]
+    xp = np.empty(x.shape[:-2] + (n + 2, n + 2), dtype=np.float64)
+    xp[..., 1:-1, 1:-1] = x
+    xp[..., 0, 1:-1] = x[..., 1, :]
+    xp[..., -1, 1:-1] = x[..., -2, :]
+    xp[..., 1:-1, 0] = x[..., :, 1]
+    xp[..., 1:-1, -1] = x[..., :, -2]
     np.multiply(x, 4.0, out=out)
-    out -= xp[:-2, 1:-1]
-    out -= xp[2:, 1:-1]
-    out -= xp[1:-1, :-2]
-    out -= xp[1:-1, 2:]
+    out -= xp[..., :-2, 1:-1]
+    out -= xp[..., 2:, 1:-1]
+    out -= xp[..., 1:-1, :-2]
+    out -= xp[..., 1:-1, 2:]
     out /= h2
     out += a * x
     robin = 2.0 / (l * h)
-    out[0, :] += robin * x[0, :]
-    out[-1, :] += robin * x[-1, :]
-    out[:, 0] += robin * x[:, 0]
-    out[:, -1] += robin * x[:, -1]
-    out[0, :] *= 0.5
-    out[-1, :] *= 0.5
-    out[:, 0] *= 0.5
-    out[:, -1] *= 0.5
+    out[..., 0, :] += robin * x[..., 0, :]
+    out[..., -1, :] += robin * x[..., -1, :]
+    out[..., :, 0] += robin * x[..., :, 0]
+    out[..., :, -1] += robin * x[..., :, -1]
+    out[..., 0, :] *= 0.5
+    out[..., -1, :] *= 0.5
+    out[..., :, 0] *= 0.5
+    out[..., :, -1] *= 0.5
     return out
 
 

@@ -264,8 +264,7 @@ class TestRayCull:
                 rb = inc.bounding_radius()
                 for r in (dc - rb, dc - 0.3 * rb, dc, dc + 0.9 * rb):
                     quad = acousto._ShellQuadrature(ctx, cfg, y, r)
-                    theta = quad.adaptive_theta_nodes()
-                    ct, st = np.cos(theta), np.sin(theta)
+                    theta, ct, st, _ = quad.adaptive_theta_nodes()
                     kept = quad.rays_meeting_support(ct, st)
                     dropped = np.setdiff1d(np.arange(theta.size), kept)
                     rho_star = kernels.radial_invert(
@@ -294,6 +293,91 @@ class TestRayCull:
                             lambda self, ct, st: np.arange(ct.size))
         full = sample_sinogram(ctx, cfg, 8, 16, which=which)
         assert np.array_equal(culled.values, full.values)
+
+
+    @staticmethod
+    def full_angle_nodes(quad):
+        """Reference: the rim quadratic solved on every base angle, the
+        refined angles sorted in."""
+        theta = quad.base_angles()
+        step = 2 * np.pi / quad.ntheta
+        roots = quad.crossing_roots(np.cos(theta), np.sin(theta))
+        subdiv = np.ones(quad.ntheta, dtype=int)
+        for root in roots:
+            in_band = np.abs(root - quad.r) < 1.5 * quad.eta
+            active = np.nonzero(in_band | np.roll(in_band, -1))[0]
+            if not active.size:
+                continue
+            sweep = np.abs(root[(active + 1) % quad.ntheta] - root[active])
+            fine = np.where(np.isfinite(sweep),
+                            np.clip(np.ceil(sweep / (quad.eta / 8.0)), 1, 64),
+                            64).astype(int)
+            subdiv[active] = np.maximum(subdiv[active], fine)
+        nodes = [theta] + [theta[k] + step * np.arange(1, s) / s
+                           for k, s in enumerate(subdiv) if s > 1]
+        return np.sort(np.concatenate(nodes))
+
+    def test_windowed_rim_solve_keeps_the_angles(self, disk_ellipse_phantom):
+        ph = disk_ellipse_phantom
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(ph, Grid(33))
+        refined = 0
+        for angle in (0.0, 0.8, 2.0, 4.0):
+            y = source_at(angle)
+            for inc in ph.inclusions:
+                dc = np.hypot(*(np.asarray(inc.center) - y))
+                rb = inc.bounding_radius()
+                for r in (dc - rb - 0.1, dc - rb, dc - 0.3 * rb, dc,
+                          dc + 0.9 * rb):
+                    quad = acousto._ShellQuadrature(ctx, cfg, y, r)
+                    angles, ct, st, near = quad.adaptive_theta_nodes()
+                    assert np.array_equal(angles, self.full_angle_nodes(quad))
+                    assert np.array_equal(ct, np.cos(angles))
+                    assert np.array_equal(st, np.sin(angles))
+                    # the exact cull on every angle keeps only near rays
+                    kept = quad.rays_meeting_support(ct, st)
+                    assert np.all(np.isin(kept, near))
+                    refined += angles.size > quad.ntheta
+        assert refined > 0
+
+    @pytest.mark.parametrize("which", ["M_eta", "Mtilde"])
+    def test_windowed_rim_solve_changes_no_value(self, disk_ellipse_phantom,
+                                                 monkeypatch, which):
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(disk_ellipse_phantom, Grid(65))
+        windowed = sample_sinogram(ctx, cfg, 8, 16, which=which)
+        assert windowed.values.any()
+
+        def full(quad):
+            angles = self.full_angle_nodes(quad)
+            return (angles, np.cos(angles), np.sin(angles),
+                    np.arange(angles.size))
+
+        monkeypatch.setattr(acousto._ShellQuadrature, "adaptive_theta_nodes",
+                            full)
+        reference = sample_sinogram(ctx, cfg, 8, 16, which=which)
+        assert np.array_equal(windowed.values, reference.values)
+
+
+class TestContextCache:
+    def test_Mtilde_sweep_reads_the_cache(self, disk_ellipse_phantom):
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(disk_ellipse_phantom, Grid(65))
+        sino = sample_sinogram(ctx, cfg, 8, 16, which="Mtilde")
+        assert sino.values.any()
+        stack = ctx.phi_and_gradient
+        sources, radii = cfg.sources(8), cfg.radii(16)
+        cells = np.zeros_like(sino.values)
+        for m in range(8):
+            for q in range(16):
+                # a fresh context over the same solve computes the gradient
+                # stack again, as each cell did before it was cached
+                fresh = acousto.ForwardContext(
+                    ctx.phantom, ctx.grid, ctx.g, ctx.l, a=ctx.a,
+                    solution=ctx.solution, operator=ctx.operator)
+                cells[m, q] = measure_Mtilde(fresh, cfg, sources[m], radii[q])
+        assert np.array_equal(sino.values, cells)
+        assert ctx.phi_and_gradient is stack
 
 
 class TestShellQuadrature:

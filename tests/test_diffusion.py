@@ -173,3 +173,101 @@ class TestAdjoint:
         rhs = inner(hdir, ScalarField(ctx.grid,
                                       -ctx.solution.phi.values * z.values))
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
+
+
+class TestStackedSolve:
+    """A stack of Robin systems solved by one CG matches separate solves."""
+
+    @staticmethod
+    def systems():
+        g = Grid(17)
+        x, y = g.meshgrid()
+        coefs = np.stack([
+            np.ones(g.shape),
+            1.0 + 0.5 * np.exp(-40 * ((x - 0.4)**2 + (y - 0.5)**2)),
+            1.0 + 3.0 * np.exp(-20 * ((x - 0.6)**2 + (y - 0.4)**2)),
+            2.0 + x,
+        ])
+        b = np.random.default_rng(3).standard_normal((4,) + g.shape)
+        b[3] = 0.0
+        lu = RobinOperator(g, np.ones(g.shape), 0.1).factorized()
+
+        def precond(r):
+            return lu.solve(r.reshape(-1, g.n**2).T).T.reshape(r.shape)
+
+        return g, coefs, b, precond
+
+    def separate(self, g, coefs, b, precond, x0=None, max_iter=None):
+        """(x, residual, iterations, stalled) of each system on its own."""
+        out = []
+        for k, (a, bk) in enumerate(zip(coefs, b)):
+            apply_op = RobinOperator(g, a, 0.1).apply
+            start = None if x0 is None else x0[k]
+            try:
+                out.append(fields.cg(apply_op, bk, precond=precond,
+                                     x0=start, max_iter=max_iter) + (False,))
+            except fields.SolverError as exc:
+                out.append((exc.iterate, exc.residual, exc.iterations, True))
+        return out
+
+    @staticmethod
+    def assert_matches(stacked, alone):
+        x, res, it = stacked
+        assert isinstance(res, float) and isinstance(it, int)
+        # the worst system's residual, up to the order of the dot sums
+        assert res == pytest.approx(max(s[1] for s in alone), rel=1e-12)
+        for xk, (xs, _, _, _) in zip(x, alone):
+            assert np.linalg.norm(xk - xs) <= 1e-12 * max(
+                np.linalg.norm(xs), 1e-300)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_separate_solves(self, warm):
+        g, coefs, b, precond = self.systems()
+        x0 = 0.5 * np.ones(b.shape) if warm else None
+        alone = self.separate(g, coefs, b, precond, x0=x0)
+        counts = [s[2] for s in alone]
+        # one system converges at once, one an iteration before another,
+        # and the zero right-hand side takes none
+        assert counts[3] == 0 and counts[0] < counts[1] < counts[2]
+        op = RobinOperator(g, coefs, 0.1)
+        stacked = fields.cg(op.apply, b, x0=x0, precond=precond,
+                            dot=fields.stack_dot)
+        self.assert_matches(stacked, alone)
+        assert stacked[2] == sum(counts)
+        assert not np.any(stacked[0][3])
+
+    def test_per_system_iteration_counts(self):
+        g, coefs, b, precond = self.systems()
+        op = RobinOperator(g, coefs, 0.1)
+        counts = [s[2] for s in self.separate(g, coefs, b, precond)]
+        # capping every system at m iterations counts min(count, m) for each
+        # one, which pins each system's own count
+        for m in range(1, max(counts) + 1):
+            alone = self.separate(g, coefs, b, precond, max_iter=m)
+            try:
+                stacked = fields.cg(op.apply, b, precond=precond, max_iter=m,
+                                    dot=fields.stack_dot)
+                assert not any(s[3] for s in alone)
+            except fields.SolverError as exc:
+                # the error carries the whole stack
+                assert any(s[3] for s in alone)
+                stacked = exc.iterate, exc.residual, exc.iterations
+                assert exc.iterate.shape == b.shape
+            self.assert_matches(stacked, alone)
+            assert stacked[2] == sum(min(c, m) for c in counts)
+
+    def test_operator_solve_on_a_stack(self):
+        g, coefs, b, _ = self.systems()
+        ref = RobinOperator(g, np.ones(g.shape), 0.1)
+        x, res, it = RobinOperator(g, coefs, 0.1).solve(b, precond_with=ref)
+        for a, bk, xk in zip(coefs, b, x):
+            xs, _, _ = RobinOperator(g, a, 0.1).solve(bk, precond_with=ref)
+            assert np.linalg.norm(xk - xs) <= 1e-12 * max(
+                np.linalg.norm(xs), 1e-300)
+        gtrace = BoundaryTrace.constant(g, 1.0)
+        op = RobinOperator(g, coefs, 0.1)
+        assert op.boundary_rhs(gtrace).shape == coefs.shape
+        flux = op.boundary_flux(gtrace, x)
+        for k in range(len(coefs)):
+            single = RobinOperator(g, coefs[k], 0.1)
+            assert np.array_equal(flux[k], single.boundary_flux(gtrace, x[k]))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -131,6 +133,60 @@ class TestExhaustion:
                                          partition_step=0.25,
                                          mode="coordinate")
         assert guess.alphas == [1.25, 1.25, 1.25, 1.25]
+
+    @staticmethod
+    def loop_exhaustion(problem, measured, partition_step, mode):
+        """Reference: one forward solve and one misfit per candidate, scanned
+        in product order (exhaustive) or as cyclic coordinate sweeps."""
+        lattice = np.arange(problem.lower, problem.upper + 1e-12,
+                            partition_step)
+
+        def misfit_of(alphas):
+            flux = problem.solve_forward(list(alphas)).flux.values
+            return 0.5 * problem.grid.h * float(
+                np.sum((flux - measured.values) ** 2))
+
+        if mode == "exhaustive":
+            best, best_j = None, np.inf
+            for combo in itertools.product(lattice, repeat=problem.k):
+                jval = misfit_of(combo)
+                if jval < best_j:
+                    best, best_j = combo, jval
+            return list(best), best_j
+        alphas = [lattice[len(lattice) // 2]] * problem.k
+        best_j = misfit_of(alphas)
+        for _ in range(3):
+            for j in range(problem.k):
+                for val in lattice:
+                    trial = list(alphas)
+                    trial[j] = val
+                    jval = misfit_of(trial)
+                    if jval < best_j - 1e-15:
+                        alphas, best_j = trial, jval
+        return alphas, best_j
+
+    @pytest.mark.parametrize("k, mode", [
+        (1, "exhaustive"), (1, "coordinate"), (2, "exhaustive"),
+        (2, "coordinate"), (4, "coordinate")])
+    def test_stacked_scan_matches_candidate_loop(self, grid33, k, mode):
+        from aotomo import phantom
+        centers = [(0.3, 0.35), (0.68, 0.62), (0.3, 0.7), (0.7, 0.3)]
+        bases = [1.5, 0.55, 1.2, 0.8]
+        p = phantom.Phantom(a0=1.0, lower=0.5, upper=2.0, inclusions=[
+            phantom.Inclusion("disk", centers[j], radius=0.1, base=bases[j],
+                              amplitude=0.2)
+            for j in range(k)])
+        masks = seg.masks_from_phantom(p, grid33)
+        problem = ReconstructionProblem(grid33, masks, a0=1.0, lower=0.5,
+                                        upper=2.0)
+        measured = diffusion.solve_T(diffusion.RobinProblem(
+            p.sample(grid33), BoundaryTrace.constant(grid33, 1.0), 0.1)).flux
+        guess = initial_guess_exhaustion(problem, measured,
+                                         partition_step=0.25, mode=mode)
+        alphas, misfit = self.loop_exhaustion(problem, measured, 0.25, mode)
+        assert guess.alphas == alphas
+        assert isinstance(guess.misfit, float)
+        assert guess.misfit == pytest.approx(misfit, rel=1e-6)
 
     def test_lipschitz_stability_recorded(self, setup):
         g, problem, _, _ = setup
@@ -386,6 +442,41 @@ class TestProjection:
         twice = project_K(problem, [1.5], once, kcfg)
         for a, b in zip(once.parts, twice.parts):
             assert np.max(np.abs(a - b)) <= 1e-10
+
+
+class TestStepSize:
+    def test_iterate_preconditioner_keeps_tau(self, setup, monkeypatch):
+        _, problem, _, _ = setup
+        rng = np.random.default_rng(5)
+        corr = random_element(problem, rng, scale=0.02)
+        # reference: the same power iteration on background-preconditioned
+        # solves
+        ref_rng = np.random.default_rng(0)
+        solution = problem.solve_forward([1.5], corr)
+        v = HElement([np.where(space.interior,
+                               ref_rng.standard_normal(problem.grid.shape),
+                               0.0) for space in problem.spaces])
+        v = v.scaled(1.0 / problem.h_norm(v))
+        for _ in range(20):
+            w = DF_adjoint(problem, [1.5], corr,
+                           DF_apply(problem, [1.5], corr, v,
+                                    solution=solution),
+                           solution=solution)
+            lam = problem.h_inner(v, w)
+            v = w.scaled(1.0 / problem.h_norm(w))
+        solves = []
+
+        def counted(*args, **kwargs):
+            out = fields.cg(*args, **kwargs)
+            solves.append(out[2])
+            return out
+
+        monkeypatch.setattr(diffusion, "cg", counted)
+        tau = inv.estimate_step_size(problem, [1.5], corr)
+        assert tau == pytest.approx(0.9 / lam, rel=1e-9)
+        # after the forward solve, each tangent and adjoint solve of the
+        # power iteration takes one preconditioned CG iteration
+        assert len(solves) == 41 and max(solves[1:]) == 1
 
 
 class TestLandweber:

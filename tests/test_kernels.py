@@ -52,6 +52,15 @@ def test_stacked_gather_matches_single_fields():
         assert np.max(np.abs(single - ref)) <= 1e-15 * np.max(np.abs(f))
 
 
+def test_stacked_robin_apply_matches_single_fields():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, N, N))
+    a = rng.random((3, N, N))
+    got = kernels.robin_apply(x, a, 0.1, H)
+    for k in range(3):
+        assert np.array_equal(got[k], kernels.robin_apply(x[k], a[k], 0.1, H))
+
+
 def test_radial_invert_solves():
     rng = np.random.default_rng(8)
     d = rng.uniform(0.8, 1.1, size=500)
