@@ -274,7 +274,6 @@ class ForwardContext:
             self.solution = solve_T(RobinProblem(self.a, self.g, self.l),
                                     precond_with=self.operator)
 
-
     @cached_property
     def phi_and_gradient(self):
         """phi and the two components of its gradient as one (3, n, n)

@@ -84,11 +84,12 @@ class RobinOperator:
         return kernels.robin_apply(x, self.a, self.l, self.grid.h)
 
     def boundary_rhs(self, g: BoundaryTrace):
-        """Right-hand side for boundary data g (already row-scaled), shaped
-        like the coefficient: one per operator of a stack."""
-        b = np.zeros(self.a.shape)
+        """Right-hand side vector for boundary data g (already row-scaled);
+        it does not depend on the coefficient."""
+        n = self.grid.n
+        b = np.zeros((n, n))
         ii, jj = self.grid.boundary_indices()
-        b[..., ii, jj] = g.values / (self.l * self.grid.h)
+        b[ii, jj] = g.values / (self.l * self.grid.h)
         return b
 
     def boundary_flux(self, g: BoundaryTrace, x):

@@ -370,7 +370,7 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
         max_iter = 50 * int(np.sqrt(b.size) + 1)
     bnorm = np.sqrt(dot(b, b))
     if not np.any(bnorm):
-        return np.zeros_like(b), 0.0, 0
+        return np.zeros(b.shape), 0.0, 0
     live = bnorm > 0.0
     # a per-system scalar (0-d, or (k,) for a stack) scales its system as
     # shape (k, 1, ..., 1)
@@ -382,8 +382,9 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
         return out.reshape(per_system)
 
     if x0 is None:
-        # a cold start needs no operator application: A(0) = 0
-        x, r = np.zeros_like(b), b.astype(np.float64)
+        # a cold start needs no operator application: A(0) = 0; b may be a
+        # broadcast view, the iterates are C-ordered arrays of their own
+        x, r = np.zeros(b.shape), np.array(b, dtype=np.float64, order="C")
     else:
         x = x0.astype(np.float64, copy=True)
         if not live.all():
@@ -401,8 +402,9 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
             break
         ap = apply_op(p)
         alpha = step(rz, dot(p, ap), active)
-        x = x + alpha * p
-        r = r - alpha * ap
+        # in place: on a stack every array is k fields large
+        x += alpha * p
+        r -= alpha * ap
         its += active
         res = np.divide(np.sqrt(dot(r, r)), bnorm, out=res, where=active)
         active = res > tol
@@ -410,7 +412,8 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
             break
         z = precond(r) if precond is not None else r
         rz_new = dot(r, z)
-        p = z + step(rz_new, rz, active) * p
+        p *= step(rz_new, rz, active)
+        p += z
         rz = rz_new
     worst, it = float(np.max(res)), int(np.sum(its))
     if worst > tol:

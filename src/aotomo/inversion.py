@@ -219,8 +219,9 @@ class ReconstructionProblem:
         """
         a = np.stack([self.coefficient_field(c).values for c in candidates])
         op = RobinOperator(self.grid, a, self.l)
-        x, _, _ = op.solve(op.boundary_rhs(self.g), x0=x0,
-                           precond_with=self.reference)
+        # every candidate has the same right-hand side: a read-only view
+        b = np.broadcast_to(op.boundary_rhs(self.g), a.shape)
+        x, _, _ = op.solve(b, x0=x0, precond_with=self.reference)
         return op.boundary_flux(self.g, x), x
 
     # -- H space operations --------------------------------------------------

@@ -75,7 +75,10 @@ def robin_apply(x, a, l, h, out=None):
     out -= xp[..., 1:-1, :-2]
     out -= xp[..., 1:-1, 2:]
     out /= h2
-    out += a * x
+    # the padded copy is spent; its interior takes a * x
+    ax = xp[..., 1:-1, 1:-1]
+    np.multiply(a, x, out=ax)
+    out += ax
     robin = 2.0 / (l * h)
     out[..., 0, :] += robin * x[..., 0, :]
     out[..., -1, :] += robin * x[..., -1, :]

@@ -265,9 +265,7 @@ class TestStackedSolve:
             assert np.linalg.norm(xk - xs) <= 1e-12 * max(
                 np.linalg.norm(xs), 1e-300)
         gtrace = BoundaryTrace.constant(g, 1.0)
-        op = RobinOperator(g, coefs, 0.1)
-        assert op.boundary_rhs(gtrace).shape == coefs.shape
-        flux = op.boundary_flux(gtrace, x)
+        flux = RobinOperator(g, coefs, 0.1).boundary_flux(gtrace, x)
         for k in range(len(coefs)):
             single = RobinOperator(g, coefs[k], 0.1)
             assert np.array_equal(flux[k], single.boundary_flux(gtrace, x[k]))
