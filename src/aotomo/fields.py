@@ -341,11 +341,13 @@ def norms(f) -> dict:
 
 
 def stack_dot(u, v):
-    """Dot products of the matching systems of two stacks: one value per
-    index of the leading axis. Passed to :func:`cg` as ``dot``, it makes
-    the solve a stack of independent systems."""
+    """Dot products of the matching systems of two stacks, one per index of
+    the leading axis, shaped (k, 1, ..., 1) to scale the stack. Passed to
+    :func:`cg` as ``dot``, it makes the solve a stack of independent
+    systems."""
     k = u.shape[0]
-    return np.einsum("ij,ij->i", u.reshape(k, -1), v.reshape(k, -1))
+    d = np.einsum("ij,ij->i", u.reshape(k, -1), v.reshape(k, -1))
+    return d.reshape((k,) + (1,) * (u.ndim - 1))
 
 
 def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
@@ -354,15 +356,15 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
     Stops at relative residual ||b - Ax|| / ||b|| <= tol. Raises SolverError
     on non-convergence. Returns (x, relative_residual, iterations).
 
-    Stacks: when ``dot`` returns an array, one value per index of the
-    leading axis (see :func:`stack_dot`), ``b`` is a stack of independent
-    systems that ``apply_op`` and ``precond`` map as a whole. Each system
-    has its own step lengths and stopping test, and stops updating once it
-    converges; ``max_iter`` bounds the iterations of each. A system with a
-    zero right-hand side gets the zero solution. The call returns the
-    stacked solution, the worst system's relative residual as a float and
-    the summed iteration count of the systems as an int; SolverError carries
-    the same three.
+    Stacks: when ``dot`` returns one value per index of the leading axis,
+    shaped to broadcast against ``b`` (see :func:`stack_dot`), ``b`` is a
+    stack of independent systems that ``apply_op`` and ``precond`` map as a
+    whole. Each system has its own step lengths and stopping test, and
+    stops updating once it converges; ``max_iter`` bounds the iterations of
+    each. A system with a zero right-hand side gets the zero solution. The
+    call returns the stacked solution, the worst system's relative residual
+    as a float and the summed iteration count of the systems as an int;
+    SolverError carries the same three.
     """
     if dot is None:
         dot = lambda u, v: float(np.sum(u * v))
@@ -371,48 +373,42 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
     bnorm = np.sqrt(dot(b, b))
     if not np.any(bnorm):
         return np.zeros(b.shape), 0.0, 0
-    live = bnorm > 0.0
-    # a per-system scalar (0-d, or (k,) for a stack) scales its system as
-    # shape (k, 1, ..., 1)
-    per_system = live.shape + (1,) * (b.ndim - live.ndim)
-
-    def step(num, den, active):
-        # zero on the systems that have stopped, so they do not move
-        out = np.divide(num, den, out=np.zeros(live.shape), where=active)
-        return out.reshape(per_system)
-
+    # NumPy booleans, one per system: a system with a zero right-hand side
+    # is dead, divides by one below and never moves
+    dead = bnorm == 0.0
+    bnorm = bnorm + dead
     if x0 is None:
         # a cold start needs no operator application: A(0) = 0; b may be a
         # broadcast view, the iterates are C-ordered arrays of their own
         x, r = np.zeros(b.shape), np.array(b, dtype=np.float64, order="C")
     else:
         x = x0.astype(np.float64, copy=True)
-        if not live.all():
-            x[~live] = 0.0
+        if dead.any():
+            x *= ~dead
         r = b - apply_op(x)
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = dot(r, z)
-    res = np.divide(np.sqrt(dot(r, r)), bnorm, out=np.zeros(live.shape),
-                    where=live)
+    res = np.sqrt(dot(r, r)) / bnorm
     active = res > tol
-    its = np.zeros(live.shape, dtype=np.int64)
+    its = 0
     for _ in range(max_iter):
         if not active.any():
             break
         ap = apply_op(p)
-        alpha = step(rz, dot(p, ap), active)
-        # in place: on a stack every array is k fields large
+        # a system that has stopped takes zero steps; in place, since on a
+        # stack every array is k fields large
+        alpha = active * rz / (dot(p, ap) + dead)
         x += alpha * p
         r -= alpha * ap
         its += active
-        res = np.divide(np.sqrt(dot(r, r)), bnorm, out=res, where=active)
+        res = np.sqrt(dot(r, r)) / bnorm
         active = res > tol
         if not active.any():
             break
         z = precond(r) if precond is not None else r
         rz_new = dot(r, z)
-        p *= step(rz_new, rz, active)
+        p *= active * rz_new / (rz + dead)
         p += z
         rz = rz_new
     worst, it = float(np.max(res)), int(np.sum(its))
