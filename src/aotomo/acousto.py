@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,13 +24,19 @@ from .fields import (
     FileFormatError,
     Grid,
     ScalarField,
+    SolverError,
     VectorField,
     gradient,
     integrate,
+    stack_dot,
 )
 from .phantom import Phantom
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
+
+# distance a point must keep from a bounding circle or a rim for
+# Phantom.eval to place it on a known side despite rounding
+_NUDGE = 1e-9
 
 
 def _w_l1():
@@ -199,18 +206,20 @@ def displacement_v(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     return VectorField(grid, prof * ex, prof * ey)
 
 
-def _shell_displacement(config: AcousticConfig, y, r, grid: Grid):
+def _shell_displacement(config: AcousticConfig, y, r, grid: Grid, box=None):
     """The nodes of the shell |d - r| <= eta + amp around y, outside which u
     vanishes, and u on them.
 
     Returns ``(i, j, ux, uy)``: the index arrays of the shell nodes, in C
     order, and the two components of u on them, solved per node by
-    ``kernels.radial_invert``.
+    ``kernels.radial_invert``. ``box``, node index ranges ``(i0, i1, j0,
+    j1)``, keeps only the shell nodes in ``[i0, i1) x [j0, j1)``.
     """
     _check_radius(r)
     c = grid.coords()
-    cx = c - y[0]
-    cy = c - y[1]
+    i0, i1, j0, j1 = (0, grid.n, 0, grid.n) if box is None else box
+    cx = c[i0:i1] - y[0]
+    cy = c[j0:j1] - y[1]
     amp = config.eta * (config.r0 / r)
     width = config.eta + amp
     # squared distances pick the candidates, with a margin far above their
@@ -232,7 +241,7 @@ def _shell_displacement(config: AcousticConfig, y, r, grid: Grid):
             f"node distance {d[k]:.6f} (residual {residual[k]:.2e})"
         )
     scale = (rho - d) / d
-    return i, j, scale * cx[i], scale * cy[j]
+    return i + i0, j + j0, scale * cx[i], scale * cy[j]
 
 
 def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
@@ -255,7 +264,12 @@ class ForwardContext:
     """Cached unperturbed forward solve shared across a measurement sweep,
     with the factorization of its operator (l > 0) that preconditions both
     that solve and the sweep's perturbed solves, and what the linearized
-    measurement reads of them, computed on first use."""
+    measurement reads of them, computed on first use.
+
+    An M_eta sweep solves the perturbed systems of one source as stacks of
+    at most four on that factorization, each system warm-started from this
+    solution; with l = 0 there is no factorization, and each perturbed
+    system is its own solve."""
 
     phantom: Phantom
     grid: Grid
@@ -293,34 +307,111 @@ def make_context(phantom: Phantom, grid: Grid, g=1.0, l=0.1) -> ForwardContext:
     return ForwardContext(phantom, grid, trace, l)
 
 
+def _support_box(phantom: Phantom, grid: Grid, grow):
+    """Node index ranges ``(i0, i1, j0, j1)`` of the box that holds every
+    inclusion's bounding circle grown by ``grow``; empty without
+    inclusions."""
+    if not phantom.inclusions:
+        return 0, 0, 0, 0
+    lo = [min(inc.center[k] - inc.bounding_radius()
+              for inc in phantom.inclusions) - grow for k in (0, 1)]
+    hi = [max(inc.center[k] + inc.bounding_radius()
+              for inc in phantom.inclusions) + grow for k in (0, 1)]
+    c = grid.coords()
+    (i0, j0), (i1, j1) = (np.searchsorted(c, lo, side="left"),
+                          np.searchsorted(c, hi, side="right"))
+    return int(i0), int(i1), int(j0), int(j1)
+
+
+def _displaced_shell(ctx: ForwardContext, config: AcousticConfig, y, r):
+    """The nodes where a_u = a(x + u(x)) can differ from ``ctx.a``, and a_u
+    on them, as ``(i, j, values)``.
+
+    They are the shell nodes inside the box of the inclusions' bounding
+    circles grown by amp (plus 1e-9 for rounding). The cull is exact: |u| <=
+    amp, so off that box x and x + u (clipped to the unit square) both lie
+    outside every bounding circle, where Phantom.eval returns exactly a0.
+    """
+    _check_radius(r)
+    amp = config.eta * (config.r0 / r)
+    box = _support_box(ctx.phantom, ctx.grid, amp + _NUDGE)
+    i, j, ux, uy = _shell_displacement(config, y, r, ctx.grid, box)
+    c = ctx.grid.coords()
+    return i, j, ctx.phantom.eval(np.clip(c[i] + ux, 0.0, 1.0),
+                                  np.clip(c[j] + uy, 0.0, 1.0))
+
+
+def _moves(ctx: ForwardContext, shell):
+    """Whether the displaced shell ``(i, j, values)`` changes ``ctx.a``."""
+    i, j, values = shell
+    return not np.array_equal(values, ctx.a.values[i, j])
+
+
+def _coefficient_stack(ctx: ForwardContext, shells):
+    """The displaced coefficients of the shells ``(i, j, values)`` as one
+    (k, n, n) stack; every other node keeps its value in ``ctx.a``."""
+    a = np.repeat(ctx.a.values[None], len(shells), axis=0)
+    for s, (i, j, values) in enumerate(shells):
+        a[s, i, j] = values
+    return a
+
+
 def displaced_coefficient(ctx: ForwardContext, config: AcousticConfig,
                           y, r) -> ScalarField:
     """The displaced coefficient a_u = a(x + u(x)) on the field grid.
 
-    Phantom.eval runs only on the shell nodes where u can be nonzero; every
-    other node keeps its value in ``ctx.a``. The result is bit-identical to
-    ``phantom.sample_displaced(grid, displacement_u(...))`` when ``ctx.a`` is
-    the sampled phantom, as ``make_context`` builds it.
+    Phantom.eval runs only on the shell nodes near the inclusions (see
+    ``_displaced_shell``); every other node keeps its value in ``ctx.a``.
+    The result is bit-identical to ``phantom.sample_displaced(grid,
+    displacement_u(...))`` when ``ctx.a`` is the sampled phantom, as
+    ``make_context`` builds it.
     """
-    i, j, ux, uy = _shell_displacement(config, y, r, ctx.grid)
-    c = ctx.grid.coords()
-    values = ctx.a.values.copy()
-    values[i, j] = ctx.phantom.eval(np.clip(c[i] + ux, 0.0, 1.0),
-                                    np.clip(c[j] + uy, 0.0, 1.0))
-    return ScalarField(ctx.grid, values)
+    shell = _displaced_shell(ctx, config, y, r)
+    return ScalarField(ctx.grid, _coefficient_stack(ctx, [shell])[0])
+
+
+# systems per stacked perturbed solve: at n=129 a multi-column LU solve
+# costs about 1.44, 1.15 and 1.07 ms per column at 1, 2 and 4 columns on one
+# core and gains little beyond; every system adds the CG work arrays to the
+# peak memory
+_MAX_STACK = 4
+
+
+def _displaced_phis(ctx: ForwardContext, a):
+    """phi_u in each displaced medium of a (k, n, n) coefficient stack.
+
+    The k systems are one stacked CG preconditioned by the context's
+    factorization, each warm-started from phi. With l = 0 there is no
+    factorization to stack on, and each medium is its own ``solve_T``. A
+    SolverError of a stacked solve names in ``system`` the index of the
+    system whose final residual is the largest.
+    """
+    if ctx.l == 0:
+        return np.stack([
+            solve_T(RobinProblem(ScalarField(ctx.grid, v), ctx.g, ctx.l))
+            .phi.values for v in a])
+    op = RobinOperator(ctx.grid, a, ctx.l)
+    # every system has the same right-hand side and start: read-only views
+    b = np.broadcast_to(op.boundary_rhs(ctx.g), a.shape)
+    x0 = np.broadcast_to(ctx.solution.phi.values, a.shape)
+    try:
+        x, _, _ = op.solve(b, x0=x0, precond_with=ctx.operator)
+    except SolverError as exc:
+        miss = b - op.apply(exc.iterate)
+        exc.system = int(np.argmax(stack_dot(miss, miss)))
+        raise
+    return x
 
 
 def perturbed_solution(ctx: ForwardContext, config: AcousticConfig, y, r):
-    """Coefficient and optical solution in the displaced medium."""
-    a_u = displaced_coefficient(ctx, config, y, r)
-    if np.array_equal(a_u.values, ctx.a.values):
-        return a_u, ctx.solution
-    sol = solve_T(
-        RobinProblem(a_u, ctx.g, ctx.l),
-        x0=ctx.solution.phi,
-        precond_with=ctx.operator,
-    )
-    return a_u, sol
+    """Coefficient a_u and energy density phi_u in the displaced medium, as
+    two ScalarFields; a medium that equals ``ctx.a`` reuses its solution."""
+    shell = _displaced_shell(ctx, config, y, r)
+    if not _moves(ctx, shell):
+        return ctx.a, ctx.solution.phi
+    a = _coefficient_stack(ctx, [shell])
+    return (ScalarField(ctx.grid, a[0]),
+            ScalarField(ctx.grid, _displaced_phis(ctx, a)[0]))
 
 
 def _ray_rim_crossings(inclusion, y, ct, st):
@@ -352,9 +443,6 @@ def _ray_rim_crossings(inclusion, y, ct, st):
     lo = np.where(ok, (-B - sq) / A, np.nan)
     hi = np.where(ok, (-B + sq) / A, np.nan)
     return lo, hi
-
-
-_NUDGE = 1e-9
 
 
 def rays_meeting_support(phantom, y, lo, hi, ct, st):
@@ -588,12 +676,34 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     """Normalized internal cross-term (1/eta^2) int (a_u - a) phi phi_u.
 
     The optical solves live on the field grid, but the integral is taken in
-    polar coordinates around the source by default: the coefficient change is
-    evaluated symbolically, the displaced radius comes from the radial root
-    solve, and rim-crossing jumps are integrated exactly, so the thin support
-    of a_u - a is resolved at any eta. ``quadrature="grid"`` selects plain
-    trapezoid on the field grid instead (needs h well below eta*r0/r to see
-    the jump slivers); the two act as independent cross-checks.
+    polar coordinates around the source by default (see ``_polar_M_eta``).
+    ``quadrature="grid"`` selects plain trapezoid on the field grid instead
+    (needs h well below eta*r0/r to see the jump slivers); the two act as
+    independent cross-checks.
+    """
+    if quadrature not in ("polar", "grid"):
+        raise ValueError(f"unknown quadrature {quadrature!r}")
+    if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
+        return 0.0
+    a_u, phi_u = perturbed_solution(ctx, config, y, r)
+    if quadrature == "polar":
+        return _polar_M_eta(ctx, config, y, r, phi_u.values)
+    diff = a_u.values - ctx.a.values
+    if not diff.any():
+        return 0.0
+    integrand = ScalarField(ctx.grid,
+                            diff * ctx.solution.phi.values * phi_u.values)
+    return integrate(integrand) / config.eta**2
+
+
+def _polar_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
+                 phi_u) -> float:
+    """M_eta at (y, r) by the polar shell quadrature, given the values of
+    phi_u, the energy density in the displaced medium.
+
+    The coefficient change is evaluated symbolically, the displaced radius
+    comes from the radial root solve, and rim-crossing jumps are integrated
+    exactly, so the thin support of a_u - a is resolved at any eta.
 
     The polar lattice is computed only on the rays whose shell segment comes
     near an inclusion, and the per-ray integral is zero on the rest. This
@@ -603,20 +713,6 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     is zero on a dropped ray; and a rim-crossing root inside the shell lies
     on the rim, so its ray is kept.
     """
-    if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
-        return 0.0
-    a_u, sol_u = perturbed_solution(ctx, config, y, r)
-    if quadrature == "grid":
-        diff = a_u.values - ctx.a.values
-        if not diff.any():
-            return 0.0
-        integrand = ScalarField(
-            ctx.grid, diff * ctx.solution.phi.values * sol_u.phi.values
-        )
-        return integrate(integrand) / config.eta**2
-    if quadrature != "polar":
-        raise ValueError(f"unknown quadrature {quadrature!r}")
-
     eta, r0 = config.eta, config.r0
     amp = eta * (r0 / r)
     phantom = ctx.phantom
@@ -626,7 +722,7 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     rho = quad.rho
     rho_star = kernels.radial_invert(rho, r, amp, eta)
     # phi and phi_u are read at the same points
-    phis = np.stack([ctx.solution.phi.values, sol_u.phi.values])
+    phis = np.stack([ctx.solution.phi.values, phi_u])
 
     def smooth_at(radii, ct, st):
         px = quad.y[0] + radii * ct
@@ -748,13 +844,63 @@ def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,
     return grid.h * float(np.sum(boundary)) / config.eta**2
 
 
+@contextmanager
+def _sinogram_cells(m, *cells):
+    """Re-raise a failure at source ``m`` as the failure of one of the radius
+    indices ``cells``: the system a stacked solve names, else the first."""
+    try:
+        yield
+    except Exception as exc:
+        q = cells[getattr(exc, "system", 0)]
+        raise RuntimeError(
+            f"sinogram cell (source {m}, radius index {q}) failed: {exc}"
+        ) from exc
+
+
+def _M_eta_row(ctx: ForwardContext, config: AcousticConfig, m, y, radii,
+               out):
+    """Measure M_eta at source ``m`` (at ``y``) over ``radii`` into ``out``.
+
+    The cells whose displaced medium differs from ``ctx.a`` are solved in
+    near-equal stacks of at most ``_MAX_STACK`` systems, or one at a time
+    when l = 0; the others reuse ``ctx.solution``. The values equal those of
+    ``measure_M_eta`` cell by cell up to the rounding of the stacked CG.
+    """
+    cells, shells = [], []
+    for q, r in enumerate(radii):
+        with _sinogram_cells(m, q):
+            if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
+                continue
+            shell = _displaced_shell(ctx, config, y, r)
+            if _moves(ctx, shell):
+                cells.append(q)
+                shells.append(shell)
+            else:
+                out[q] = _polar_M_eta(ctx, config, y, r,
+                                      ctx.solution.phi.values)
+    if not cells:
+        return
+    size = _MAX_STACK if ctx.l > 0 else 1
+    for part in np.array_split(np.arange(len(cells)),
+                               math.ceil(len(cells) / size)):
+        stack = [cells[s] for s in part]
+        with _sinogram_cells(m, *stack):
+            phis = _displaced_phis(
+                ctx, _coefficient_stack(ctx, [shells[s] for s in part]))
+        for q, phi_u in zip(stack, phis):
+            with _sinogram_cells(m, q):
+                out[q] = _polar_M_eta(ctx, config, y, radii[q], phi_u)
+
+
 def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
                     nr: int, which: str = "M_eta",
                     progress=None) -> Sinogram:
     """Dense cylinder sweep; rows are sources in angle order, columns radii.
 
     Cells are independent and evaluated in a fixed order, so outputs are
-    deterministic.
+    deterministic. An M_eta sweep solves each source's perturbed systems as
+    stacks on the context's factorization (see ``_M_eta_row``); an Mtilde
+    sweep solves nothing.
     """
     if ny < 8 or nr < 16:
         raise ValueError("need ny >= 8 and nr >= 16")
@@ -763,19 +909,17 @@ def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
     problems = config.resolution_problems(ctx.grid)
     if problems:
         warnings.warn("; ".join(problems), RuntimeWarning, stacklevel=2)
-    measure = measure_M_eta if which == "M_eta" else measure_Mtilde
     sources = config.sources(ny)
     radii = config.radii(nr)
     values = np.zeros((ny, nr))
     for m in range(ny):
         y = sources[m]
-        for q in range(nr):
-            try:
-                values[m, q] = measure(ctx, config, y, radii[q])
-            except Exception as exc:
-                raise RuntimeError(
-                    f"sinogram cell (source {m}, radius index {q}) failed: {exc}"
-                ) from exc
+        if which == "M_eta":
+            _M_eta_row(ctx, config, m, y, radii, values[m])
+        else:
+            for q in range(nr):
+                with _sinogram_cells(m, q):
+                    values[m, q] = measure_Mtilde(ctx, config, y, radii[q])
         if progress is not None:
             progress(m + 1, ny)
     return Sinogram(config, ny, nr, values)

@@ -14,9 +14,11 @@ that iterate's own factorization.
 A :class:`RobinOperator` built on a (k, n, n) stack of coefficients solves k
 independent systems at once: one stacked CG (see ``fields.cg``) whose
 preconditioner solves the k residuals in one multi-right-hand-side call on
-the nearby operator's LU. The exhaustion guess of ``inversion`` solves each
-stack of candidate coefficients this way, on the background factorization;
-every other solve is a single system.
+the nearby operator's LU. Two callers solve stacks this way: the exhaustion
+guess of ``inversion`` solves each stack of candidate coefficients on the
+background factorization, and the M_eta sweep of ``acousto`` solves each
+source's displaced media, at most four at a time, on the unperturbed
+factorization. Every other solve is a single system.
 """
 
 from __future__ import annotations

@@ -330,7 +330,8 @@ def initial_guess_exhaustion(problem: ReconstructionProblem,
     single solves. The exhaustive stack is one lattice row, the last
     constant running over the lattice in product order, warm-started from
     the previous row's fields; the coordinate stack is one 1-D sweep, whose
-    candidates do not depend on what the sweep accepts.
+    candidates do not depend on what the sweep accepts, less the candidates
+    already solved: their misfits are kept by candidate.
     """
     k = problem.k
     if k == 0:
@@ -357,13 +358,22 @@ def initial_guess_exhaustion(problem: ReconstructionProblem,
         return PiecewiseConstantGuess(list(best), best_j)
     if mode != "coordinate":
         raise ValueError(f"unknown exhaustion mode {mode!r}")
-    alphas = [lattice[len(lattice) // 2]] * k
-    best_j = float(misfits([alphas])[0][0])
+    # a sweep contains the current point, and a sweep whose other
+    # constants did not move repeats itself: each candidate is solved once
+    seen = {}
+
+    def memo_misfits(candidates):
+        unseen = [c for c in candidates if c not in seen]
+        if unseen:
+            seen.update(zip(unseen, misfits(unseen)[0]))
+        return [seen[c] for c in candidates]
+
+    alphas = (lattice[len(lattice) // 2],) * k
+    best_j = float(memo_misfits([alphas])[0])
     for _ in range(3):
         for j in range(k):
-            sweep = [alphas[:j] + [val] + alphas[j + 1:] for val in lattice]
-            jvals, _ = misfits(sweep)
-            for trial, jval in zip(sweep, jvals):
+            sweep = [alphas[:j] + (val,) + alphas[j + 1:] for val in lattice]
+            for trial, jval in zip(sweep, memo_misfits(sweep)):
                 if jval < best_j - 1e-15:
                     alphas, best_j = trial, float(jval)
     return PiecewiseConstantGuess(list(alphas), best_j)
@@ -457,7 +467,8 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
     The solution chain runs through one adjoint diffusion solve for the
     tangent term, preconditioned by ``precond_with`` (by default the
     problem's background operator), and one masked Riesz solve per
-    inclusion for both terms.
+    inclusion for both terms. At a zero correction the tangent term has no
+    source, and there is no diffusion solve.
     """
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
@@ -477,10 +488,16 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
         sigma += phi * acc
         raw.append(space.assemble(phi2x * drx, phi2y * dry))
 
-    a = problem.coefficient_field(alphas, correction)
-    op = RobinOperator(grid, a.values, problem.l)
-    z, _, _ = op.solve(sigma, precond_with=precond_with or problem.reference)
-    b1 = -phi * z * op.row_weights
+    if sigma.any():
+        a = problem.coefficient_field(alphas, correction)
+        op = RobinOperator(grid, a.values, problem.l)
+        z, _, _ = op.solve(sigma,
+                           precond_with=precond_with or problem.reference)
+        b1 = -phi * z * op.row_weights
+    else:
+        # a zero correction has no tangent source, so z = 0; the signed
+        # zeros of -phi * 0 keep the sums below bit-identical to a solve
+        b1 = phi * -0.0
     for j, space in enumerate(problem.spaces):
         raw[j] = raw[j] + np.where(space.interior, b1, 0.0)
     return problem.riesz(raw)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from aotomo import acousto, fields, kernels, phantom
+from aotomo import acousto, diffusion, fields, kernels, phantom
 from aotomo.acousto import (
     AcousticConfig,
     Sinogram,
@@ -458,6 +460,144 @@ class TestShellQuadrature:
                 assert not np.array_equal(full.values, ctx.a.values), (y, r)
                 assert np.array_equal(shell.values, full.values), (y, r)
         assert sides == {True, False}
+
+
+@pytest.fixture(scope="module")
+def ellipse_phantom():
+    return phantom.Phantom(
+        a0=1.0, lower=0.5, upper=2.0,
+        inclusions=[phantom.Inclusion("ellipse", (0.55, 0.45),
+                                      semi_axes=(0.16, 0.1), angle=0.5,
+                                      base=1.25, amplitude=0.25)],
+    )
+
+
+class TestStackedSweep:
+    @staticmethod
+    def cell_loop(ctx, cfg, ny, nr):
+        """Reference: one measure_M_eta call, and one solve, per cell."""
+        sources, radii = cfg.sources(ny), cfg.radii(nr)
+        return np.array([[measure_M_eta(ctx, cfg, sources[m], radii[q])
+                          for q in range(nr)] for m in range(ny)])
+
+    @pytest.mark.parametrize("n, eta", [(65, 0.0625), (129, 1.0 / 32)])
+    @pytest.mark.parametrize("which", ["two_disk_phantom", "ellipse_phantom"])
+    def test_matches_cell_loop(self, request, which, n, eta):
+        ctx = make_context(request.getfixturevalue(which), Grid(n))
+        cfg = AcousticConfig(eta=eta)
+        sino = sample_sinogram(ctx, cfg, 8, 16)
+        ref = self.cell_loop(ctx, cfg, 8, 16)
+        scale = np.max(np.abs(ref))
+        assert scale > 0
+        assert np.max(np.abs(sino.values - ref)) <= 1e-12 * scale
+
+    def test_stacks_hold_at_most_four_systems(self, two_disk_phantom,
+                                              monkeypatch):
+        ctx = make_context(two_disk_phantom, Grid(65))
+        cfg = AcousticConfig(eta=0.0625)
+        rows = [[]]
+        solve = diffusion.RobinOperator.solve
+
+        def recorded(op, b, *args, **kwargs):
+            rows[-1].append(b.shape[0])
+            assert b.shape[1:] == ctx.grid.shape
+            return solve(op, b, *args, **kwargs)
+
+        monkeypatch.setattr(diffusion.RobinOperator, "solve", recorded)
+        sample_sinogram(ctx, cfg, 8, 16,
+                        progress=lambda done, total: rows.append([]))
+        sizes = [k for row in rows for k in row]
+        assert max(sizes) == 4
+        # each source's stacks are near-equal
+        assert all(max(row) - min(row) <= 1 for row in rows if row)
+        # one system per cell whose displaced medium differs from a
+        sources, radii = cfg.sources(8), cfg.radii(16)
+        moving = sum(
+            not acousto._ShellQuadrature.misses_support(ctx.phantom, cfg, y, r)
+            and acousto._moves(ctx, acousto._displaced_shell(ctx, cfg, y, r))
+            for y in sources for r in radii)
+        assert sum(sizes) == moving
+
+    def test_failing_stack_names_its_cell(self, two_disk_phantom,
+                                          monkeypatch):
+        ctx = make_context(two_disk_phantom, Grid(65))
+        cfg = AcousticConfig(eta=0.0625)
+
+        def no_steps(*args, **kwargs):
+            return fields.cg(*args, **{**kwargs, "max_iter": 0})
+
+        monkeypatch.setattr(diffusion, "cg", no_steps)
+        with pytest.raises(RuntimeError, match=r"sinogram cell \(source "
+                           r"(\d+), radius index (\d+)\) failed") as info:
+            sample_sinogram(ctx, cfg, 8, 16)
+        m, q = map(int, re.search(r"source (\d+), radius index (\d+)",
+                                  str(info.value)).groups())
+        cause = info.value.__cause__
+        assert isinstance(cause, fields.SolverError)
+        # the named cell is one whose medium moved
+        y, r = cfg.sources(8)[m], cfg.radii(16)[q]
+        assert acousto._moves(ctx, acousto._displaced_shell(ctx, cfg, y, r))
+
+    @pytest.mark.filterwarnings("ignore:grid n=33 under-resolves")
+    def test_dirichlet_sweep_solves_cell_by_cell(self, two_disk_phantom,
+                                                 monkeypatch):
+        ctx = make_context(two_disk_phantom, Grid(33), l=0.0)
+        assert ctx.operator is None
+        cfg = AcousticConfig(eta=0.0625)
+        calls = []
+        solve_T = diffusion.solve_T
+
+        def counted(problem, *args, **kwargs):
+            calls.append(problem.l)
+            return solve_T(problem, *args, **kwargs)
+
+        monkeypatch.setattr(acousto, "solve_T", counted)
+        sino = sample_sinogram(ctx, cfg, 8, 16)
+        assert sino.values.any()
+        assert calls and set(calls) == {0.0}
+        assert np.array_equal(sino.values, self.cell_loop(ctx, cfg, 8, 16))
+
+    @staticmethod
+    def grazing_radii(cfg, dc, rb):
+        """Radii whose shell's outer edge touches the bounding circle at
+        distance dc - rb, or whose inner edge touches it at dc + rb."""
+        eta, r0 = cfg.eta, cfg.r0
+        near, far = dc - rb, dc + rb
+        # r + eta + eta r0 / r = near and r - eta - eta r0 / r = far
+        outer = 0.5 * ((near - eta) + np.sqrt((near - eta) ** 2
+                                              - 4 * eta * r0))
+        inner = 0.5 * ((far + eta) + np.sqrt((far + eta) ** 2
+                                             + 4 * eta * r0))
+        return outer, inner
+
+    def test_culled_coefficient_is_full_sampling(self, disk_ellipse_phantom):
+        ph = disk_ellipse_phantom
+        cfg = AcousticConfig(eta=0.0625)
+        g = Grid(65)
+        ctx = make_context(ph, g)
+        culled = moved = 0
+        for angle in (0.0, 0.8, 2.0, 4.0):
+            y = source_at(angle)
+            for inc in ph.inclusions:
+                dc = np.hypot(*(np.asarray(inc.center) - y))
+                for edge in self.grazing_radii(cfg, dc,
+                                               inc.bounding_radius()):
+                    for r in edge + np.array([-0.5, -1e-10, 0.0, 1e-10, 0.5,
+                                              2.0]) * g.h:
+                        full = ph.sample_displaced(
+                            g, displacement_u(cfg, y, r, g))
+                        shell = acousto._displaced_shell(ctx, cfg, y, r)
+                        got = acousto.displaced_coefficient(ctx, cfg, y, r)
+                        assert np.array_equal(got.values, full.values), (
+                            angle, r)
+                        moves = not np.array_equal(full.values, ctx.a.values)
+                        assert acousto._moves(ctx, shell) == moves
+                        moved += moves
+                        every = acousto._shell_displacement(cfg, y, r, g)
+                        culled += shell[0].size < every[0].size
+        # grazing cells both touch and miss the inclusions, and the box
+        # drops shell nodes
+        assert 0 < moved < 96 and culled > 0
 
 
 class TestSinogram:

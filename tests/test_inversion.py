@@ -165,10 +165,9 @@ class TestExhaustion:
                         alphas, best_j = trial, jval
         return alphas, best_j
 
-    @pytest.mark.parametrize("k, mode", [
-        (1, "exhaustive"), (1, "coordinate"), (2, "exhaustive"),
-        (2, "coordinate"), (4, "coordinate")])
-    def test_stacked_scan_matches_candidate_loop(self, grid33, k, mode):
+    @staticmethod
+    def disks_problem(grid, k):
+        """Problem and measured flux of k bumped disks."""
         from aotomo import phantom
         centers = [(0.3, 0.35), (0.68, 0.62), (0.3, 0.7), (0.7, 0.3)]
         bases = [1.5, 0.55, 1.2, 0.8]
@@ -176,17 +175,59 @@ class TestExhaustion:
             phantom.Inclusion("disk", centers[j], radius=0.1, base=bases[j],
                               amplitude=0.2)
             for j in range(k)])
-        masks = seg.masks_from_phantom(p, grid33)
-        problem = ReconstructionProblem(grid33, masks, a0=1.0, lower=0.5,
+        masks = seg.masks_from_phantom(p, grid)
+        problem = ReconstructionProblem(grid, masks, a0=1.0, lower=0.5,
                                         upper=2.0)
         measured = diffusion.solve_T(diffusion.RobinProblem(
-            p.sample(grid33), BoundaryTrace.constant(grid33, 1.0), 0.1)).flux
+            p.sample(grid), BoundaryTrace.constant(grid, 1.0), 0.1)).flux
+        return problem, measured
+
+    @pytest.mark.parametrize("k, mode", [
+        (1, "exhaustive"), (1, "coordinate"), (2, "exhaustive"),
+        (2, "coordinate"), (4, "coordinate")])
+    def test_stacked_scan_matches_candidate_loop(self, grid33, k, mode):
+        problem, measured = self.disks_problem(grid33, k)
         guess = initial_guess_exhaustion(problem, measured,
                                          partition_step=0.25, mode=mode)
         alphas, misfit = self.loop_exhaustion(problem, measured, 0.25, mode)
         assert guess.alphas == alphas
         assert isinstance(guess.misfit, float)
         assert guess.misfit == pytest.approx(misfit, rel=1e-6)
+
+    def test_coordinate_mode_solves_each_candidate_once(self, grid33,
+                                                         monkeypatch):
+        problem, measured = self.disks_problem(grid33, 4)
+        lattice = np.arange(problem.lower, problem.upper + 1e-12, 0.25)
+
+        def misfits(candidates):
+            fluxes, _ = problem.boundary_fluxes(candidates)
+            return inv.boundary_misfit(problem, fluxes, measured)
+
+        # reference: every 1-D sweep solved whole, the current point again
+        alphas = [lattice[len(lattice) // 2]] * 4
+        best_j = misfits([alphas])[0]
+        for _ in range(3):
+            for j in range(4):
+                sweep = [alphas[:j] + [val] + alphas[j + 1:]
+                         for val in lattice]
+                for trial, jval in zip(sweep, misfits(sweep)):
+                    if jval < best_j - 1e-15:
+                        alphas, best_j = trial, jval
+        solved = []
+        stacked = ReconstructionProblem.boundary_fluxes
+
+        def counted(self, candidates, x0=None):
+            solved.extend(tuple(c) for c in candidates)
+            return stacked(self, candidates, x0)
+
+        monkeypatch.setattr(ReconstructionProblem, "boundary_fluxes",
+                            counted)
+        guess = initial_guess_exhaustion(problem, measured,
+                                         partition_step=0.25,
+                                         mode="coordinate")
+        assert guess.alphas == alphas
+        assert guess.misfit == pytest.approx(best_j, rel=1e-12)
+        assert len(solved) == len(set(solved)) == 49
 
     def test_lipschitz_stability_recorded(self, setup):
         g, problem, _, _ = setup
@@ -266,6 +307,42 @@ class TestDerivative:
         z = problem.zero_element()
         out = DF_apply(problem, [1.5], z, z, solution=sol)
         assert problem.dual_norm(out) <= 1e-12
+
+    def test_zero_correction_adjoint_solves_nothing(self, setup,
+                                                    monkeypatch):
+        _, problem, _, _ = setup
+        rng = np.random.default_rng(4)
+        zero = problem.zero_element()
+        rho = problem.functional(
+            [np.where(space.interior, rng.standard_normal(problem.grid.shape),
+                      0.0) for space in problem.spaces])
+        solution = problem.solve_forward([1.5], zero)
+        phi = solution.phi.values
+        # reference: the tangent source is zero, and so is its solve
+        op = diffusion.RobinOperator(
+            problem.grid, problem.coefficient_field([1.5], zero).values,
+            problem.l)
+        z, _, _ = op.solve(np.zeros(problem.grid.shape),
+                           precond_with=problem.reference)
+        phi2x, phi2y = fields.edge_average(phi**2)
+        raw = []
+        for space, rep in zip(problem.spaces, rho.representer.parts):
+            drx, dry = space.diff(rep)
+            raw.append(space.assemble(phi2x * drx, phi2y * dry)
+                       + np.where(space.interior, -phi * z * op.row_weights,
+                                  0.0))
+        reference = problem.riesz(raw)
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return fields.cg(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "cg", counted)
+        got = DF_adjoint(problem, [1.5], zero, rho, solution=solution)
+        assert not solves
+        for g_part, r_part in zip(got.parts, reference.parts):
+            assert g_part.tobytes() == r_part.tobytes()
 
     def test_taylor_order(self, setup):
         _, problem, sol, _ = setup
