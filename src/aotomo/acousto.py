@@ -5,6 +5,11 @@ point radially by the profile v; the induced coefficient change produces the
 cross-correlation data M(y, r) collected over the measurement cylinder
 (source angle) x (wave radius). The wavefront profile w is the standard
 smooth bump with unit sup-norm.
+
+A sweep runs one radius at a time. The cells of one radius share everything
+that depends on r alone, and ``_ShellQuadrature`` measures several of them
+in one vectorised pass of the polar shell quadrature; a single measurement
+is a pass of one cell.
 """
 
 from __future__ import annotations
@@ -266,10 +271,11 @@ class ForwardContext:
     that solve and the sweep's perturbed solves, and what the linearized
     measurement reads of them, computed on first use.
 
-    An M_eta sweep solves the perturbed systems of one source as stacks of
+    An M_eta sweep solves the perturbed systems of one radius as stacks of
     at most four on that factorization, each system warm-started from this
-    solution; with l = 0 there is no factorization, and each perturbed
-    system is its own solve."""
+    solution, and measures each stack in one quadrature pass that reads phi
+    from this solution; with l = 0 there is no factorization, and each
+    perturbed system is its own solve."""
 
     phantom: Phantom
     grid: Grid
@@ -414,11 +420,14 @@ def perturbed_solution(ctx: ForwardContext, config: AcousticConfig, y, r):
             ScalarField(ctx.grid, _displaced_phis(ctx, a)[0]))
 
 
+
+
 def _ray_rim_crossings(inclusion, y, ct, st):
     """Radii where rays from y cross the inclusion rim (quadratic solve).
 
-    Returns two arrays of radii aligned with the ray direction arrays, NaN
-    where a ray misses the rim.
+    ``y`` is a source, or a pair of arrays of source coordinates that
+    broadcast against ``ct``, one source per ray. Returns two arrays of radii
+    aligned with the rays, NaN where a ray misses the rim.
     """
     cx, cy = inclusion.center
     dx0 = y[0] - cx
@@ -445,24 +454,85 @@ def _ray_rim_crossings(inclusion, y, ct, st):
     return lo, hi
 
 
-def rays_meeting_support(phantom, y, lo, hi, ct, st):
-    """Indices of the rays y + rho (ct, st), rho in [lo, hi], that come within
+def _meets_support(phantom, y, lo, hi, ct, st):
+    """Mask of the rays y + rho (ct, st), rho in [lo, hi], that come within
     an inclusion's bounding radius (plus 1e-9 for rounding) of its centre.
 
-    Phantom.eval returns exactly a0 at every point of the other rays.
+    ``y`` is a source, or a pair of arrays of source coordinates that
+    broadcast against ``ct``; the mask has the broadcast shape.
     """
-    hit = np.zeros(ct.shape, dtype=bool)
+    hit = np.zeros(np.broadcast_shapes(np.shape(y[0]), np.shape(ct)),
+                   dtype=bool)
     for inc in phantom.inclusions:
         vx = inc.center[0] - y[0]
         vy = inc.center[1] - y[1]
         t = np.clip(vx * ct + vy * st, lo, hi)
         reach = inc.bounding_radius() + _NUDGE
         hit |= np.hypot(vx - t * ct, vy - t * st) <= reach
-    return np.nonzero(hit)[0]
+    return hit
+
+
+def rays_meeting_support(phantom, y, lo, hi, ct, st):
+    """Indices of the rays y + rho (ct, st), rho in [lo, hi], that come within
+    an inclusion's bounding radius (plus 1e-9 for rounding) of its centre.
+
+    Phantom.eval returns exactly a0 at every point of the other rays.
+    """
+    return np.nonzero(_meets_support(phantom, y, lo, hi, ct, st))[0]
+
+
+# lattice points per piece of a quadrature pass: a pass evaluates its lattice
+# rows in pieces of at most this many points, with about 150 bytes of
+# temporaries per point. At 32768 the sweep's peak traced memory rose 2.4 MB
+# (n=65) and 1.9 MB (n=129) above the per-cell quadrature's; at 16384 it
+# matches it. A piece costs about 0.4 ms of fixed work, so the halving adds
+# about 15 ms to an n=65 sweep
+_PASS_POINTS = 16384
+
+
+@dataclass
+class _ShellNodes:
+    """The angular nodes of the cells of one pass, as flat arrays.
+
+    Cell c (source ``ys[c]``) owns the entries ``start[c]:start[c + 1]``,
+    sorted by angle over one period. ``near`` holds the flat indices of the
+    rays that can come near an inclusion, and ``keep`` those of the rays the
+    lattice is evaluated on.
+    """
+
+    ys: np.ndarray
+    angles: np.ndarray
+    ct: np.ndarray
+    st: np.ndarray
+    cell: np.ndarray
+    start: np.ndarray
+    near: np.ndarray
+    keep: np.ndarray
+
+    def theta_totals(self, per_ray):
+        """Periodic trapezoid over each cell's sorted, possibly non-uniform
+        angle set, given values on every ray."""
+        first, last = self.start[:-1], self.start[1:] - 1
+        ahead = np.arange(1, self.angles.size + 1)
+        ahead[last] = first
+        gaps = self.angles[ahead]
+        gaps[last] += 2 * np.pi
+        gaps -= self.angles
+        terms = 0.5 * gaps * (per_ray + per_ray[ahead])
+        return np.array([np.sum(terms[a:b])
+                         for a, b in zip(first, self.start[1:])])
+
+    def kept_rays(self):
+        """The cell index, the source coordinates and the direction cosines
+        and sines of each kept ray."""
+        cell = self.cell[self.keep]
+        return (cell, self.ys[cell, 0], self.ys[cell, 1], self.ct[self.keep],
+                self.st[self.keep])
 
 
 class _ShellQuadrature:
-    """Polar quadrature over the wavefront shell with exact jump handling.
+    """Polar quadrature over the wavefront shells of one radius r, for
+    sources anywhere, with exact jump handling.
 
     The measurement integrands are smooth in the radial variable except where
     a ray crosses an inclusion rim (directly, or through the displaced
@@ -483,21 +553,39 @@ class _ShellQuadrature:
     every inclusion, so a - a0 and a_u - a are zero on the dropped rays; and
     a rim-crossing root inside the shell lies on a rim, so every ray that
     carries a jump correction is kept.
+
+    The object holds what depends on r alone: the radial lattice rho and its
+    displaced radii rho*, the base angles and the trapezoid weights.
+    ``measure_M_eta`` and ``measure_Mtilde`` measure several sources' cells
+    in one pass. The pass's lattice rows are the kept rays of all its cells,
+    evaluated in pieces of at most ``_PASS_POINTS`` points. Every value is
+    an elementwise operation, a row-wise sum or a root solved with the rest
+    of its cell's roots, so a cell's value does not depend on the cells that
+    share its pass, nor on the size of the pieces.
     """
 
-    def __init__(self, ctx, config, y, r):
+    def __init__(self, ctx, config, r):
         self.ctx = ctx
+        self.phantom = ctx.phantom
         self.config = config
-        self.y = np.asarray(y, dtype=float)
         self.r = float(r)
         self.eta = config.eta
-        grid = ctx.grid
-        self.h = grid.h
+        self.amp = config.eta * (config.r0 / r)
+        self.h = ctx.grid.h
         self.rho = np.linspace(r - self.eta, r + self.eta, 96)
         self.drho = self.rho[1] - self.rho[0]
+        self.weights = np.full(self.rho.size, self.drho)
+        self.weights[[0, -1]] *= 0.5
         angular_step = 0.5 * self.h / r
         # multiple of 4 so the angular lattice respects quarter turns
         self.ntheta = 4 * max(16, int(np.ceil(np.pi / (2 * angular_step))))
+        self.theta = np.linspace(0.0, 2 * np.pi, self.ntheta, endpoint=False)
+        self.ct, self.st = np.cos(self.theta), np.sin(self.theta)
+
+    @cached_property
+    def rho_star(self):
+        """The displaced radius of each lattice radius."""
+        return kernels.radial_invert(self.rho, self.r, self.amp, self.eta)
 
     @staticmethod
     def misses_support(phantom, config, y, r):
@@ -514,38 +602,37 @@ class _ShellQuadrature:
                 return False
         return True
 
-    def rays_meeting_support(self, ct, st):
-        """Indices of the rays whose shell segment can meet an inclusion."""
-        return rays_meeting_support(self.ctx.phantom, self.y, self.rho[0],
-                                    self.rho[-1], ct, st)
+    def near_rays(self, ys):
+        """(k, ntheta) mask of the base rays from the sources ``ys`` (k, 2)
+        that reach an inclusion's bounding circle within r +- 1.5 eta."""
+        margin = 1.5 * self.eta
+        return _meets_support(self.phantom, (ys[:, :1], ys[:, 1:]),
+                              self.r - margin, self.r + margin,
+                              self.ct, self.st)
 
-    def base_angles(self):
-        return np.linspace(0.0, 2 * np.pi, self.ntheta, endpoint=False)
+    def rays_meeting_support(self, y, ct, st):
+        """Mask of the rays whose shell segment can meet an inclusion; ``y``
+        is a pair of arrays of source coordinates, one source per ray."""
+        return _meets_support(self.phantom, y, self.rho[0], self.rho[-1],
+                              ct, st)
 
-    def crossing_roots(self, ct, st):
+    def crossing_roots(self, y, ct, st):
         """All rim-crossing radii per ray, one array per root branch."""
         roots = []
-        for inc in self.ctx.phantom.inclusions:
-            roots.extend(_ray_rim_crossings(inc, self.y, ct, st))
+        for inc in self.phantom.inclusions:
+            roots.extend(_ray_rim_crossings(inc, y, ct, st))
         return roots
 
-    def shell_crossings(self, ct, st):
+    def shell_crossings(self, y, ct, st):
         """The rim crossings strictly inside the shell, over every root
         branch: the ray index and the radius of each."""
         rays = [np.zeros(0, dtype=np.intp)]
         radii = [np.zeros(0)]
-        for root in self.crossing_roots(ct, st):
+        for root in self.crossing_roots(y, ct, st):
             inside = (root > self.rho[0]) & (root < self.rho[-1])
             rays.append(np.nonzero(inside)[0])
             radii.append(root[inside])
         return np.concatenate(rays), np.concatenate(radii)
-
-    def one_sided(self, radii, ct, st):
-        """Phantom values just below and just above each radius on its ray,
-        as a (2, m) array."""
-        side = radii + np.array([[-_NUDGE], [_NUDGE]])
-        return self.ctx.phantom.eval(self.y[0] + side * ct,
-                                     self.y[1] + side * st)
 
     def radial_integrals(self, lattice_vals, jumps):
         """Per-ray composite trapezoid in rho with exact jump corrections.
@@ -558,12 +645,9 @@ class _ShellQuadrature:
         trapezoid is replaced by the trapezoids of the pieces between its
         nodes and the group's jumps.
         """
-        w = np.full(self.rho.size, self.drho)
-        w[0] *= 0.5
-        w[-1] *= 0.5
         # a sum along each contiguous row does not depend on how many rows
-        # there are, so culling rays changes no value
-        per_ray = np.sum(lattice_vals * w, axis=1)
+        # there are, so neither the cull nor the pass changes a value
+        per_ray = np.sum(lattice_vals * self.weights, axis=1)
         if not jumps:
             return per_ray
         rays, radii, below, above = (np.concatenate(part)
@@ -594,81 +678,228 @@ class _ShellQuadrature:
                                minlength=per_ray.size)
         return per_ray
 
-    def adaptive_theta_nodes(self):
-        """Base angular nodes plus refined nodes over the rim-sweep bands.
+    def adaptive_theta_nodes(self, ys):
+        """Base angular nodes plus refined nodes over the rim-sweep bands,
+        for the cells at the sources ``ys`` (k, 2), as ``_ShellNodes``.
 
-        Returns ``(angles, ct, st, near)``: the sorted angles covering one
-        period, their cosines and sines, and the ascending indices of the
-        rays that can come near an inclusion, namely the base rays that
-        reach an inclusion's bounding circle within r +- 1.5 eta and every
-        refined ray. Refinement of a base interval is driven by how far the
-        crossing radii move across it relative to eta.
+        The near rays are the base rays that reach an inclusion's bounding
+        circle within r +- 1.5 eta, and every refined ray; the kept rays are
+        the near rays that ``rays_meeting_support`` keeps (a ray that is not
+        near misses the narrower shell segment too). Refinement of a base
+        interval is driven by how far the crossing radii move across it
+        relative to eta.
 
-        The rim quadratic is solved only on those base rays and one
+        The rim quadratic is solved only on the near base rays and one
         neighbour on each side. That changes no angle: a root in the band
         lies on a rim, inside the bounding circle, so its ray is near, and
         the sweep of an interval reads the roots at its two ends only.
         """
-        theta = self.base_angles()
-        step = 2 * np.pi / self.ntheta
-        ct, st = np.cos(theta), np.sin(theta)
+        ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+        k, nt = len(ys), self.ntheta
         margin = 1.5 * self.eta
-        near = rays_meeting_support(self.ctx.phantom, self.y, self.r - margin,
-                                    self.r + margin, ct, st)
-        if not near.size:
-            return theta, ct, st, near
-        solved = np.unique(np.concatenate([near - 1, near, near + 1])
-                           % self.ntheta)
-        subdiv = np.ones(self.ntheta, dtype=int)
-        for part in self.crossing_roots(ct[solved], st[solved]):
+        base_near = self.near_rays(ys)
+        solved = (base_near | np.roll(base_near, 1, axis=1)
+                  | np.roll(base_near, -1, axis=1))
+        sc, sj = np.nonzero(solved)
+        subdiv = np.ones((k, nt), dtype=int)
+        for part in self.crossing_roots((ys[sc, 0], ys[sc, 1]), self.ct[sj],
+                                        self.st[sj]):
             # a missing root is NaN, which is never in the band
-            root = np.full(self.ntheta, np.nan)
-            root[solved] = part
+            root = np.full((k, nt), np.nan)
+            root[sc, sj] = part
             in_band = np.abs(root - self.r) < margin
-            active = np.nonzero(in_band | np.roll(in_band, -1))[0]
-            if not active.size:
-                continue
-            sweep = np.abs(root[(active + 1) % self.ntheta] - root[active])
+            ac, aj = np.nonzero(in_band | np.roll(in_band, -1, axis=1))
+            sweep = np.abs(root[ac, (aj + 1) % nt] - root[ac, aj])
             # intervals where a root appears or disappears get full depth
             fine = np.where(np.isfinite(sweep),
                             np.clip(np.ceil(sweep / (self.eta / 8.0)), 1, 64),
                             64).astype(int)
-            subdiv[active] = np.maximum(subdiv[active], fine)
-        if np.all(subdiv == 1):
-            return theta, ct, st, near
-        nodes = [theta]
-        for k in np.nonzero(subdiv > 1)[0]:
-            s = subdiv[k]
-            nodes.append(theta[k] + step * np.arange(1, s) / s)
-        angles = np.concatenate(nodes)
-        refined = angles[self.ntheta:]
-        order = np.argsort(angles, kind="stable")
-        # before sorting, the refined rays follow the base rays
-        is_near = np.arange(angles.size) >= self.ntheta
-        is_near[near] = True
-        return (angles[order],
-                np.concatenate([ct, np.cos(refined)])[order],
-                np.concatenate([st, np.sin(refined)])[order],
-                np.nonzero(is_near[order])[0])
+            subdiv[ac, aj] = np.maximum(subdiv[ac, aj], fine)
+        # base node j of a cell is followed by the subdiv - 1 refined nodes
+        # theta_j + step i / subdiv, i = 1, ..., subdiv - 1, which lie
+        # strictly between theta_j and the next base node: that is the
+        # sorted order
+        size = subdiv.ravel()
+        owner = np.repeat(np.arange(size.size), size)
+        i = np.arange(owner.size) - (np.cumsum(size) - size)[owner]
+        j = owner % nt
+        refined = np.nonzero(i)[0]
+        step = 2 * np.pi / nt
+        angles = self.theta[j]
+        angles[refined] += step * i[refined] / size[owner[refined]]
+        ct, st = self.ct[j], self.st[j]
+        ct[refined] = np.cos(angles[refined])
+        st[refined] = np.sin(angles[refined])
+        cell = owner // nt
+        near = np.nonzero((i > 0) | base_near.ravel()[owner])[0]
+        y = ys[cell[near]]
+        hit = self.rays_meeting_support((y[:, 0], y[:, 1]), ct[near],
+                                        st[near])
+        start = np.concatenate([[0], np.cumsum(subdiv.sum(axis=1))])
+        return _ShellNodes(ys, angles, ct, st, cell, start, near, near[hit])
 
-    def theta_total(self, angles, per_ray):
-        """Periodic trapezoid over a sorted, possibly non-uniform angle set."""
-        gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-        return float(np.sum(0.5 * gaps * (per_ray + np.roll(per_ray, -1))))
+    def integrate(self, nodes, jumps, lattice):
+        """(1/eta^2) times the shell integral of each cell of ``nodes``.
 
-    def normalized_total(self, per_ray_integrals):
-        """(1/eta^2) times the shell integral, given the per-ray radial
-        integrals as a function of the ray direction cosines and sines.
-
-        ``per_ray_integrals`` is called on the rays that
-        ``rays_meeting_support`` keeps; the integral is zero on the others.
+        The integrand is zero off the kept rays. ``jumps`` are the jump
+        tuples of ``radial_integrals`` on the kept rays, counted in the
+        order of ``nodes.keep``. ``lattice(cell, ct, st)`` gives the
+        integrand (radial Jacobian included) on the radial lattice of the
+        rays with those cell indices and direction cosines and sines; it is
+        called on at most ``_PASS_POINTS`` lattice points at a time, with
+        the jumps of those rays.
         """
-        angles, ct, st, near = self.adaptive_theta_nodes()
-        # a ray that is not near misses the narrower shell segment too
-        keep = near[self.rays_meeting_support(ct[near], st[near])]
-        per_ray = np.zeros(angles.size)
-        per_ray[keep] = per_ray_integrals(ct[keep], st[keep])
-        return self.theta_total(angles, per_ray) / self.eta**2
+        rays, radii, below, above = (np.concatenate(part)
+                                     for part in zip(*jumps))
+        order = np.argsort(rays, kind="stable")
+        rays, radii, below, above = (v[order]
+                                     for v in (rays, radii, below, above))
+        per_ray = np.zeros(nodes.angles.size)
+        step = max(1, _PASS_POINTS // self.rho.size)
+        for s in range(0, nodes.keep.size, step):
+            part = nodes.keep[s:s + step]
+            a, b = np.searchsorted(rays, [s, s + step])
+            per_ray[part] = self.radial_integrals(
+                lattice(nodes.cell[part], nodes.ct[part], nodes.st[part]),
+                [(rays[a:b] - s, radii[a:b], below[a:b], above[a:b])])
+        return nodes.theta_totals(per_ray) / self.eta**2
+
+    def measure_M_eta(self, ys, phi_u=None):
+        """M_eta of the cells at the sources ``ys`` (k, 2), one pass.
+
+        ``phi_u`` is the (k, n, n) stack of the energy densities in the
+        cells' displaced media; None measures cells whose medium does not
+        move, where phi_u is phi.
+
+        The coefficient change is evaluated symbolically, the displaced
+        radius comes from the radial root solve, and rim-crossing jumps are
+        integrated exactly, so the thin support of a_u - a is resolved at any
+        eta.
+        """
+        ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+        phantom, r, eta, amp = self.phantom, self.r, self.eta, self.amp
+        rho, rho_star = self.rho, self.rho_star
+        phi = self.ctx.solution.phi.values[None]
+        # the stack each point reads phi (field 0) and its cell's phi_u from
+        if phi_u is None:
+            phis, own = phi, np.zeros(len(ys), dtype=np.intp)
+        else:
+            phis, own = np.concatenate([phi, phi_u]), np.arange(1, len(ys) + 1)
+
+        def gather(cell, px, py):
+            """phi and phi_u at points of the cells ``cell``, which
+            broadcast against the points."""
+            field = own[cell]
+            return kernels.bilinear_gather(
+                phis, px, py, self.h,
+                field=np.stack([np.zeros_like(field), field]))
+
+        nodes = self.adaptive_theta_nodes(ys)
+        cell, yx, yy, ct, st = nodes.kept_rays()
+        rays, rc = self.shell_crossings((yx, yy), ct, st)
+        # where the local displacement is below resolution the direct and
+        # displaced jumps annihilate; correcting only one of them would
+        # fabricate a spurious half jump
+        f_rc = amp * kernels.bump((r - rc) / eta)
+        live = f_rc > 1e-12
+        rays, rc, f_rc = rays[live], rc[live], f_rc[live]
+        # direct jump: the undisplaced coefficient jumps at rc; the displaced
+        # point sits strictly below rc, so keep its coefficient evaluation on
+        # that side. A batch of roots shares its Newton steps, so each cell's
+        # crossings are solved as one batch, whatever cells share the pass
+        rstar = np.empty_like(rc)
+        for c in np.unique(cell[rays]):
+            mine = cell[rays] == c
+            rstar[mine] = kernels.radial_invert(rc[mine], r, amp, eta)
+        rstar = np.minimum(rstar, rc - _NUDGE)
+        # displaced jump: the displaced radius crosses rc at the image of rc
+        # under the position map
+        img = rc + f_rc
+        move = (img > rho[0]) & (img < rho[-1])
+        moved, rr = rays[move], img[move]
+        # the coefficient just below and above rc, at rho*(rc), and just
+        # above rr, in one evaluation
+        on = np.concatenate([rays, rays, rays, moved])
+        at = np.concatenate([rc - _NUDGE, rc + _NUDGE, rstar, rr + _NUDGE])
+        a_in, a_out, adisp, base = np.split(
+            phantom.eval(yx[on] + at * ct[on], yy[on] + at * st[on]),
+            np.cumsum([rays.size] * 3))
+        # the smooth factor at both kinds of jump, in one gather
+        on = np.concatenate([rays, moved])
+        at = np.concatenate([rc, rr])
+        phi_b, phi_v = gather(cell[on], yx[on] + at * ct[on],
+                              yy[on] + at * st[on])
+        sm = phi_b * phi_v * at
+        sm, smm = sm[:rc.size], sm[rc.size:]
+        jumps = [(rays, rc, (adisp - a_in) * sm, (adisp - a_out) * sm),
+                 (moved, rr, (a_in[move] - base) * smm,
+                  (a_out[move] - base) * smm)]
+
+        def lattice(cell, ct, st):
+            yx, yy = ys[cell, :1], ys[cell, 1:]
+            px = yx + np.outer(ct, rho)
+            py = yy + np.outer(st, rho)
+            # the coefficient at the displaced radii rho* minus at rho; off
+            # the unit square the gather reads zero, so the lattice is zero
+            dcoef = phantom.eval(yx + np.outer(ct, rho_star),
+                                 yy + np.outer(st, rho_star))
+            dcoef -= phantom.eval(px, py)
+            phi_b, phi_v = gather(cell[:, None], px, py)
+            return dcoef * phi_b * phi_v * rho
+
+        return self.integrate(nodes, jumps, lattice)
+
+    def profile(self, radii):
+        """The displacement profile f = amp w((r - rho)/eta) and its
+        derivative f' in rho at the radii."""
+        s = (self.r - radii) / self.eta
+        return (self.amp * kernels.bump(s),
+                -(self.config.r0 / self.r) * kernels.bump_prime(s))
+
+    @staticmethod
+    def divergence_factor(gathered, radii, ct, st, f, fprime):
+        """[d/drho(phi^2) f + phi^2 (f' + f/rho)] * rho from phi and its
+        gradient ``gathered`` at the polar points (radii, ct, st)."""
+        phi_at, dphix, dphiy = gathered
+        dphi2 = 2.0 * phi_at * (dphix * ct + dphiy * st)
+        return (dphi2 * f + phi_at**2 * (fprime + f / radii)) * radii
+
+    def measure_Mtilde(self, ys):
+        """Mtilde of the cells at the sources ``ys`` (k, 2), one pass.
+
+        The coefficient is evaluated symbolically (rim jumps handled
+        exactly), the displacement profile and its divergence are
+        closed-form, and phi^2 is interpolated from the grid solution.
+        """
+        ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+        phantom, rho = self.phantom, self.rho
+        # phi and its gradient are read at the same points
+        phi_fields = self.ctx.phi_and_gradient
+        lattice_profile = self.profile(rho)
+
+        nodes = self.adaptive_theta_nodes(ys)
+        cell, yx, yy, ct, st = nodes.kept_rays()
+        rays, rc = self.shell_crossings((yx, yy), ct, st)
+        yx, yy, ct, st = yx[rays], yy[rays], ct[rays], st[rays]
+        side = rc + np.array([[-_NUDGE], [_NUDGE]])
+        q_in, q_out = phantom.eval(yx + side * ct,
+                                   yy + side * st) - phantom.a0
+        sm = self.divergence_factor(
+            kernels.bilinear_gather(phi_fields, yx + rc * ct, yy + rc * st,
+                                    self.h),
+            rc, ct, st, *self.profile(rc))
+
+        def lattice(cell, ct, st):
+            yx, yy = ys[cell, :1], ys[cell, 1:]
+            px = yx + np.outer(ct, rho)
+            py = yy + np.outer(st, rho)
+            qvals = phantom.eval(px, py) - phantom.a0
+            return qvals * self.divergence_factor(
+                kernels.bilinear_gather(phi_fields, px, py, self.h), rho,
+                ct[:, None], st[:, None], *lattice_profile)
+
+        return self.integrate(nodes, [(rays, rc, q_in * sm, q_out * sm)],
+                              lattice)
 
 
 def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
@@ -676,10 +907,10 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     """Normalized internal cross-term (1/eta^2) int (a_u - a) phi phi_u.
 
     The optical solves live on the field grid, but the integral is taken in
-    polar coordinates around the source by default (see ``_polar_M_eta``).
-    ``quadrature="grid"`` selects plain trapezoid on the field grid instead
-    (needs h well below eta*r0/r to see the jump slivers); the two act as
-    independent cross-checks.
+    polar coordinates around the source by default: a pass of one cell of
+    ``_ShellQuadrature``. ``quadrature="grid"`` selects plain trapezoid on
+    the field grid instead (needs h well below eta*r0/r to see the jump
+    slivers); the two act as independent cross-checks.
     """
     if quadrature not in ("polar", "grid"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
@@ -687,7 +918,8 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
         return 0.0
     a_u, phi_u = perturbed_solution(ctx, config, y, r)
     if quadrature == "polar":
-        return _polar_M_eta(ctx, config, y, r, phi_u.values)
+        quad = _ShellQuadrature(ctx, config, r)
+        return float(quad.measure_M_eta([y], phi_u.values[None])[0])
     diff = a_u.values - ctx.a.values
     if not diff.any():
         return 0.0
@@ -696,132 +928,16 @@ def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
     return integrate(integrand) / config.eta**2
 
 
-def _polar_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
-                 phi_u) -> float:
-    """M_eta at (y, r) by the polar shell quadrature, given the values of
-    phi_u, the energy density in the displaced medium.
-
-    The coefficient change is evaluated symbolically, the displaced radius
-    comes from the radial root solve, and rim-crossing jumps are integrated
-    exactly, so the thin support of a_u - a is resolved at any eta.
-
-    The polar lattice is computed only on the rays whose shell segment comes
-    near an inclusion, and the per-ray integral is zero on the rest. This
-    drops no nonzero term: rho* = radial_invert(rho) stays in
-    [r - eta, r + eta] because the position map fixes both ends of the
-    shell; Phantom.eval returns exactly a0 off every inclusion, so a_u - a
-    is zero on a dropped ray; and a rim-crossing root inside the shell lies
-    on the rim, so its ray is kept.
-    """
-    eta, r0 = config.eta, config.r0
-    amp = eta * (r0 / r)
-    phantom = ctx.phantom
-    # the position map moves points by at most amp < eta and fixes the shell
-    # boundary, so supp(a_u - a) lies strictly inside (r - eta, r + eta)
-    quad = _ShellQuadrature(ctx, config, y, r)
-    rho = quad.rho
-    rho_star = kernels.radial_invert(rho, r, amp, eta)
-    # phi and phi_u are read at the same points
-    phis = np.stack([ctx.solution.phi.values, phi_u])
-
-    def smooth_at(radii, ct, st):
-        px = quad.y[0] + radii * ct
-        py = quad.y[1] + radii * st
-        phi_b, phi_u = kernels.bilinear_gather(phis, px, py, quad.h)
-        return phi_b * phi_u * radii
-
-    def per_ray_integrals(ct, st):
-        px = quad.y[0] + np.outer(ct, rho)
-        py = quad.y[1] + np.outer(st, rho)
-        qx = quad.y[0] + np.outer(ct, rho_star)
-        qy = quad.y[1] + np.outer(st, rho_star)
-        # off the unit square the gather reads zero, so the lattice is zero
-        dcoef = phantom.eval(qx, qy) - phantom.eval(px, py)
-        phi_b, phi_u = kernels.bilinear_gather(phis, px, py, quad.h)
-        lattice = dcoef * phi_b * phi_u * rho
-
-        rays, rc = quad.shell_crossings(ct, st)
-        # where the local displacement is below resolution the direct and
-        # displaced jumps annihilate; correcting only one of them would
-        # fabricate a spurious half jump
-        f_rc = amp * kernels.bump((r - rc) / eta)
-        live = f_rc > 1e-12
-        rays, rc, f_rc = rays[live], rc[live], f_rc[live]
-        ctv, stv = ct[rays], st[rays]
-        a_in, a_out = quad.one_sided(rc, ctv, stv)
-        # direct jump: the undisplaced coefficient jumps at rc; the
-        # displaced point sits strictly below rc, so keep its coefficient
-        # evaluation on that side
-        rstar = kernels.radial_invert(rc, r, amp, eta)
-        rstar = np.minimum(rstar, rc - _NUDGE)
-        adisp = phantom.eval(quad.y[0] + rstar * ctv,
-                             quad.y[1] + rstar * stv)
-        # displaced jump: the displaced radius crosses rc at the image of rc
-        # under the position map
-        img = rc + f_rc
-        move = (img > rho[0]) & (img < rho[-1])
-        rr = img[move]
-        ctm, stm = ctv[move], stv[move]
-        base = phantom.eval(quad.y[0] + (rr + _NUDGE) * ctm,
-                            quad.y[1] + (rr + _NUDGE) * stm)
-        # the smooth factor at both kinds of jump, in one gather
-        sm = smooth_at(np.concatenate([rc, rr]), np.concatenate([ctv, ctm]),
-                       np.concatenate([stv, stm]))
-        sm, smm = sm[:rc.size], sm[rc.size:]
-        jumps = [(rays, rc, (adisp - a_in) * sm, (adisp - a_out) * sm),
-                 (rays[move], rr, (a_in[move] - base) * smm,
-                  (a_out[move] - base) * smm)]
-        return quad.radial_integrals(lattice, jumps)
-
-    return quad.normalized_total(per_ray_integrals)
-
-
 def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
     """Linearized measurement (1/eta^2) int (a - a0) div(phi^2 v).
 
-    Same polar shell quadrature as measure_M_eta: the coefficient is
-    evaluated symbolically (rim jumps handled exactly), the displacement
-    profile and its divergence are closed-form, and phi^2 is interpolated
-    from the grid solution.
+    Same polar shell quadrature as measure_M_eta, a pass of one cell.
     """
     if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
         return 0.0
     if not ctx.has_contrast:
         return 0.0
-    eta, r0 = config.eta, config.r0
-    quad = _ShellQuadrature(ctx, config, y, r)
-    rho = quad.rho
-    phantom = ctx.phantom
-    # phi and its gradient are read at the same points
-    phi_fields = ctx.phi_and_gradient
-
-    def smooth_factor(radii_grid, ct, st):
-        """[d/drho(phi^2) f + phi^2 (f\' + f/rho)] * rho at polar points."""
-        px = quad.y[0] + radii_grid * ct
-        py = quad.y[1] + radii_grid * st
-        phi_at, dphix, dphiy = kernels.bilinear_gather(phi_fields, px, py,
-                                                       quad.h)
-        dphi2 = 2.0 * phi_at * (dphix * ct + dphiy * st)
-        s = (r - radii_grid) / eta
-        fval = eta * (r0 / r) * kernels.bump(s)
-        fprime = -(r0 / r) * kernels.bump_prime(s)
-        return (
-            dphi2 * fval + phi_at**2 * (fprime + fval / radii_grid)
-        ) * radii_grid
-
-    def per_ray_integrals(ct, st):
-        px = quad.y[0] + np.outer(ct, rho)
-        py = quad.y[1] + np.outer(st, rho)
-        qvals = phantom.eval(px, py) - phantom.a0
-        lattice = qvals * smooth_factor(rho, ct[:, None], st[:, None])
-        rays, rc = quad.shell_crossings(ct, st)
-        ctv, stv = ct[rays], st[rays]
-        q_in, q_out = quad.one_sided(rc, ctv, stv) - phantom.a0
-        sm = smooth_factor(rc, ctv, stv)
-        return quad.radial_integrals(lattice, [(rays, rc, q_in * sm,
-                                                q_out * sm)])
-
-    return quad.normalized_total(per_ray_integrals)
+    return float(_ShellQuadrature(ctx, config, r).measure_Mtilde([y])[0])
 
 
 def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,
@@ -845,51 +961,53 @@ def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,
 
 
 @contextmanager
-def _sinogram_cells(m, *cells):
-    """Re-raise a failure at source ``m`` as the failure of one of the radius
-    indices ``cells``: the system a stacked solve names, else the first."""
+def _sinogram_cells(q, sources):
+    """Re-raise a failure at radius index ``q`` as the failure of one of the
+    source indices ``sources``: the system a stacked solve names, else the
+    first."""
     try:
         yield
     except Exception as exc:
-        q = cells[getattr(exc, "system", 0)]
+        m = sources[getattr(exc, "system", 0)]
         raise RuntimeError(
             f"sinogram cell (source {m}, radius index {q}) failed: {exc}"
         ) from exc
 
 
-def _M_eta_row(ctx: ForwardContext, config: AcousticConfig, m, y, radii,
-               out):
-    """Measure M_eta at source ``m`` (at ``y``) over ``radii`` into ``out``.
+def _M_eta_column(quad: _ShellQuadrature, q, sources, cells, out):
+    """Measure M_eta at radius index ``q`` (radius ``quad.r``) for the
+    source indices ``cells`` (rows of ``sources``) into ``out``, indexed by
+    source.
 
     The cells whose displaced medium differs from ``ctx.a`` are solved in
     near-equal stacks of at most ``_MAX_STACK`` systems, or one at a time
-    when l = 0; the others reuse ``ctx.solution``. The values equal those of
+    when l = 0, and each stack is measured in one pass; the other cells are
+    measured in one pass on ``ctx.solution``. The values equal those of
     ``measure_M_eta`` cell by cell up to the rounding of the stacked CG.
     """
-    cells, shells = [], []
-    for q, r in enumerate(radii):
-        with _sinogram_cells(m, q):
-            if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
-                continue
-            shell = _displaced_shell(ctx, config, y, r)
-            if _moves(ctx, shell):
-                cells.append(q)
-                shells.append(shell)
-            else:
-                out[q] = _polar_M_eta(ctx, config, y, r,
-                                      ctx.solution.phi.values)
-    if not cells:
+    ctx = quad.ctx
+    still, moving, shells = [], [], []
+    for m in cells:
+        with _sinogram_cells(q, [m]):
+            shell = _displaced_shell(ctx, quad.config, sources[m], quad.r)
+        if _moves(ctx, shell):
+            moving.append(m)
+            shells.append(shell)
+        else:
+            still.append(m)
+    if still:
+        with _sinogram_cells(q, still):
+            out[still] = quad.measure_M_eta(sources[still])
+    if not moving:
         return
     size = _MAX_STACK if ctx.l > 0 else 1
-    for part in np.array_split(np.arange(len(cells)),
-                               math.ceil(len(cells) / size)):
-        stack = [cells[s] for s in part]
-        with _sinogram_cells(m, *stack):
+    for part in np.array_split(np.arange(len(moving)),
+                               math.ceil(len(moving) / size)):
+        stack = [moving[s] for s in part]
+        with _sinogram_cells(q, stack):
             phis = _displaced_phis(
                 ctx, _coefficient_stack(ctx, [shells[s] for s in part]))
-        for q, phi_u in zip(stack, phis):
-            with _sinogram_cells(m, q):
-                out[q] = _polar_M_eta(ctx, config, y, radii[q], phi_u)
+            out[stack] = quad.measure_M_eta(sources[stack], phis)
 
 
 def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
@@ -897,10 +1015,16 @@ def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
                     progress=None) -> Sinogram:
     """Dense cylinder sweep; rows are sources in angle order, columns radii.
 
-    Cells are independent and evaluated in a fixed order, so outputs are
-    deterministic. An M_eta sweep solves each source's perturbed systems as
-    stacks on the context's factorization (see ``_M_eta_row``); an Mtilde
-    sweep solves nothing.
+    The sweep runs one radius at a time, in order, and calls
+    ``progress(q + 1, nr)`` after radius index q. The cells of one radius
+    share one ``_ShellQuadrature``. An M_eta sweep solves the radius's
+    moving cells as stacks on the context's factorization and measures each
+    stack in one pass (see ``_M_eta_column``); an Mtilde sweep solves
+    nothing and measures the radius in one pass. Every cell's value is
+    computed by the same operations whatever cells share its pass, so
+    outputs are deterministic, and equal to ``measure_M_eta`` and
+    ``measure_Mtilde`` cell by cell (up to the rounding of the stacked CG
+    for M_eta).
     """
     if ny < 8 or nr < 16:
         raise ValueError("need ny >= 8 and nr >= 16")
@@ -912,14 +1036,16 @@ def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
     sources = config.sources(ny)
     radii = config.radii(nr)
     values = np.zeros((ny, nr))
-    for m in range(ny):
-        y = sources[m]
-        if which == "M_eta":
-            _M_eta_row(ctx, config, m, y, radii, values[m])
-        else:
-            for q in range(nr):
-                with _sinogram_cells(m, q):
-                    values[m, q] = measure_Mtilde(ctx, config, y, radii[q])
+    for q, r in enumerate(radii):
+        cells = [m for m in range(ny) if not _ShellQuadrature.misses_support(
+            ctx.phantom, config, sources[m], r)]
+        if cells and which == "M_eta":
+            _M_eta_column(_ShellQuadrature(ctx, config, r), q, sources, cells,
+                          values[:, q])
+        elif cells and ctx.has_contrast:
+            with _sinogram_cells(q, cells):
+                values[cells, q] = _ShellQuadrature(
+                    ctx, config, r).measure_Mtilde(sources[cells])
         if progress is not None:
-            progress(m + 1, ny)
+            progress(q + 1, nr)
     return Sinogram(config, ny, nr, values)

@@ -13,12 +13,13 @@ that iterate's own factorization.
 
 A :class:`RobinOperator` built on a (k, n, n) stack of coefficients solves k
 independent systems at once: one stacked CG (see ``fields.cg``) whose
-preconditioner solves the k residuals in one multi-right-hand-side call on
-the nearby operator's LU. Two callers solve stacks this way: the exhaustion
-guess of ``inversion`` solves each stack of candidate coefficients on the
-background factorization, and the M_eta sweep of ``acousto`` solves each
-source's displaced media, at most four at a time, on the unperturbed
-factorization. Every other solve is a single system.
+preconditioner solves the residuals of the systems still iterating in one
+multi-right-hand-side call on the nearby operator's LU. Two callers solve
+stacks this way: the exhaustion guess of ``inversion`` solves each stack of
+candidate coefficients on the background factorization, and the M_eta sweep
+of ``acousto`` solves the displaced media of one wave radius, over all
+sources, at most four at a time, on the unperturbed factorization. Every
+other solve is a single system.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class RobinOperator:
 
         On a stack of coefficients, ``b`` and ``x0`` are matching stacks and
         the k systems are solved by one stacked CG; the preconditioner solves
-        the k residuals as one multi-right-hand-side LU solve.
+        the residuals of the systems still iterating as one
+        multi-right-hand-side LU solve.
         """
         n = self.grid.n
         precond = None

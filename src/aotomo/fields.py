@@ -361,7 +361,10 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
     stack of independent systems that ``apply_op`` and ``precond`` map as a
     whole. Each system has its own step lengths and stopping test, and
     stops updating once it converges; ``max_iter`` bounds the iterations of
-    each. A system with a zero right-hand side gets the zero solution. The
+    each. ``precond`` sees only the systems that are still active, so each
+    system costs one preconditioner solve per iteration it takes, while
+    ``apply_op`` keeps mapping the whole stack. A system with a zero
+    right-hand side gets the zero solution. The
     call returns the stacked solution, the worst system's relative residual
     as a float and the summed iteration count of the systems as an int;
     SolverError carries the same three.
@@ -386,11 +389,11 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
         if dead.any():
             x *= ~dead
         r = b - apply_op(x)
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = dot(r, z)
     res = np.sqrt(dot(r, r)) / bnorm
     active = res > tol
+    z = _precondition(precond, r, active)
+    p = z.copy()
+    rz = dot(r, z)
     its = 0
     for _ in range(max_iter):
         if not active.any():
@@ -406,7 +409,7 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
         active = res > tol
         if not active.any():
             break
-        z = precond(r) if precond is not None else r
+        z = _precondition(precond, r, active, z)
         rz_new = dot(r, z)
         p *= active * rz_new / (rz + dead)
         p += z
@@ -421,6 +424,30 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
             iterate=x,
         )
     return x, worst, it
+
+
+def _precondition(precond, r, active, z=None):
+    """``precond`` applied to the active systems of the residual ``r``.
+
+    A system that has stopped keeps its residual as z: it enters only a
+    step that its zero step length cancels, so its preconditioner solve
+    would be wasted. ``z`` is the previous result, spent by now: the active
+    residuals are gathered into it and it takes the result, so no stack
+    beyond the preconditioner's output is allocated.
+    """
+    if precond is None or not np.any(active):
+        return r
+    if np.ndim(active) == 0 or active.all():
+        return precond(r)
+    live = np.flatnonzero(active)
+    if z is None or z is r:
+        z = np.empty_like(r)
+    head = z[:live.size]
+    np.take(r, live, axis=0, out=head)
+    solved = precond(head)
+    np.copyto(z, r)
+    z[live] = solved
+    return z
 
 
 # ---------------------------------------------------------------------------

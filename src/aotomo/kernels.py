@@ -138,23 +138,47 @@ def edge_form_apply(x, cx, cy, out=None):
     return out
 
 
-def bilinear_gather(values, px, py, h):
+def bilinear_gather(values, px, py, h, field=None):
     """Sample a grid field at arbitrary points; zero outside the unit square.
 
     ``values`` is one (n, n) field or a stack (k, n, n) of fields read at the
     same points; the corners and weights are computed once for the stack.
     The result has the shape of ``px``, after a leading axis of length k for
     a stack.
+
+    ``field`` picks the fields of a stack per point instead: an integer
+    array whose trailing axes broadcast to the shape of ``px``, and whose
+    leading axes, if any, read several fields at each point. The result has
+    the shape of ``field`` broadcast to ``px``, and its entry at point p
+    reads the field ``field[..., p]``.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
-    shape = values.shape[:-2] + np.shape(px)
     keep, index, weight = bilinear_corners(px, py, h, n)
-    corner = np.take(values.reshape(-1, n * n), index, axis=1)
-    v = corner[:, 0] * weight[0]
-    v += corner[:, 1] * weight[1]
-    v += corner[:, 2] * weight[2]
-    v += corner[:, 3] * weight[3]
+    if field is None:
+        shape = values.shape[:-2] + np.shape(px)
+        stack = values.reshape(-1, n * n)
+
+        def corner(c):
+            return np.take(stack, index[c], axis=1)
+    else:
+        field = np.asarray(field)
+        reads = field.shape[:max(field.ndim - np.ndim(px), 0)]
+        shape = reads + np.shape(px)
+        # where each read's field starts in the flat stack
+        start = np.broadcast_to(field * (n * n), shape).reshape(
+            math.prod(reads), keep.size)
+        if not keep.all():
+            start = start[:, keep]
+        flat = values.reshape(-1)
+
+        def corner(c):
+            return np.take(flat, index[c] + start)
+    # one corner at a time, so no array holds all four corners of every read
+    v = corner(0) * weight[0]
+    v += corner(1) * weight[1]
+    v += corner(2) * weight[2]
+    v += corner(3) * weight[3]
     if keep.all():
         return v.reshape(shape)
     out = np.zeros((v.shape[0], keep.size))
@@ -177,15 +201,15 @@ def bilinear_corners(px, py, h, n):
     if not keep.all():
         px = px[keep]
         py = py[keep]
-    gx = np.clip(px / h, 0.0, n - 1 - 1e-12)
-    gy = np.clip(py / h, 0.0, n - 1 - 1e-12)
-    ix = gx.astype(np.intp)
-    iy = gy.astype(np.intp)
-    tx = gx - ix
-    ty = gy - iy
+    # in place where it can be: this runs on every shell-quadrature pass
+    tx = np.clip(px / h, 0.0, n - 1 - 1e-12)
+    ty = np.clip(py / h, 0.0, n - 1 - 1e-12)
+    ix = tx.astype(np.intp)
+    iy = ty.astype(np.intp)
+    tx -= ix
+    ty -= iy
     sx = 1.0 - tx
     sy = 1.0 - ty
-    # filled in place: this runs on every shell-quadrature cell
     index = np.empty((4, px.size), dtype=np.intp)
     np.multiply(ix, n, out=index[0])
     index[0] += iy

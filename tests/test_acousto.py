@@ -254,34 +254,44 @@ def disk_ellipse_phantom():
 
 
 class TestRayCull:
+    SOURCES = np.array([source_at(a) for a in (0.0, 0.8, 2.0, 4.0)])
+
+    @classmethod
+    def probe_radii(cls, ph, extra=()):
+        """Radii at which a shell meets an inclusion's bounding circle, from
+        each source."""
+        for y in cls.SOURCES:
+            for inc in ph.inclusions:
+                dc = np.hypot(*(np.asarray(inc.center) - y))
+                rb = inc.bounding_radius()
+                yield from (dc + f * rb + e for f, e in
+                            [(-1.0, 0.0), (-0.3, 0.0), (0.0, 0.0),
+                             (0.9, 0.0)] + list(extra))
+
     def test_dropped_rays_see_only_background(self, disk_ellipse_phantom):
         ph = disk_ellipse_phantom
         cfg = AcousticConfig(eta=0.0625)
         ctx = make_context(ph, Grid(33))
         kept_total = dropped_total = 0
-        for angle in (0.0, 0.8, 2.0, 4.0):
-            y = source_at(angle)
-            for inc in ph.inclusions:
-                dc = np.hypot(*(np.asarray(inc.center) - y))
-                rb = inc.bounding_radius()
-                for r in (dc - rb, dc - 0.3 * rb, dc, dc + 0.9 * rb):
-                    quad = acousto._ShellQuadrature(ctx, cfg, y, r)
-                    theta, ct, st, _ = quad.adaptive_theta_nodes()
-                    kept = quad.rays_meeting_support(ct, st)
-                    dropped = np.setdiff1d(np.arange(theta.size), kept)
-                    rho_star = kernels.radial_invert(
-                        quad.rho, r, cfg.eta * cfg.r0 / r, cfg.eta)
-                    for radii in (quad.rho, rho_star):
-                        px = y[0] + np.outer(radii, ct[dropped])
-                        py = y[1] + np.outer(radii, st[dropped])
-                        assert np.all(ph.eval(px, py) == ph.a0), (angle, r)
-                    # every ray with a rim crossing inside the shell is kept
-                    for root in quad.crossing_roots(ct, st):
-                        inside = np.isfinite(root) & (root > quad.rho[0]) & (
-                            root < quad.rho[-1])
-                        assert np.all(np.isin(np.nonzero(inside)[0], kept))
-                    kept_total += kept.size
-                    dropped_total += dropped.size
+        for r in self.probe_radii(ph):
+            quad = acousto._ShellQuadrature(ctx, cfg, r)
+            # one pass over every source at this radius
+            nodes = quad.adaptive_theta_nodes(self.SOURCES)
+            dropped = np.setdiff1d(np.arange(nodes.angles.size), nodes.keep)
+            sx, sy = self.SOURCES[nodes.cell, 0], self.SOURCES[nodes.cell, 1]
+            rho_star = kernels.radial_invert(
+                quad.rho, r, cfg.eta * cfg.r0 / r, cfg.eta)
+            for radii in (quad.rho, rho_star):
+                px = sx[dropped] + np.outer(radii, nodes.ct[dropped])
+                py = sy[dropped] + np.outer(radii, nodes.st[dropped])
+                assert np.all(ph.eval(px, py) == ph.a0), r
+            # every ray with a rim crossing inside the shell is kept
+            for root in quad.crossing_roots((sx, sy), nodes.ct, nodes.st):
+                inside = np.isfinite(root) & (root > quad.rho[0]) & (
+                    root < quad.rho[-1])
+                assert np.all(np.isin(np.nonzero(inside)[0], nodes.keep))
+            kept_total += nodes.keep.size
+            dropped_total += dropped.size
         assert kept_total > 0 and dropped_total > kept_total
 
     @pytest.mark.parametrize("which", ["M_eta", "Mtilde"])
@@ -292,18 +302,17 @@ class TestRayCull:
         culled = sample_sinogram(ctx, cfg, 8, 16, which=which)
         assert culled.values.any()
         monkeypatch.setattr(acousto._ShellQuadrature, "rays_meeting_support",
-                            lambda self, ct, st: np.arange(ct.size))
+                            lambda self, y, ct, st: np.ones(ct.shape, bool))
         full = sample_sinogram(ctx, cfg, 8, 16, which=which)
         assert np.array_equal(culled.values, full.values)
 
-
     @staticmethod
-    def full_angle_nodes(quad):
-        """Reference: the rim quadratic solved on every base angle, the
-        refined angles sorted in."""
-        theta = quad.base_angles()
+    def full_angle_nodes(quad, y):
+        """Reference: the rim quadratic solved on every base angle of the
+        source y, the refined angles sorted in."""
+        theta = quad.theta
         step = 2 * np.pi / quad.ntheta
-        roots = quad.crossing_roots(np.cos(theta), np.sin(theta))
+        roots = quad.crossing_roots(y, np.cos(theta), np.sin(theta))
         subdiv = np.ones(quad.ntheta, dtype=int)
         for root in roots:
             in_band = np.abs(root - quad.r) < 1.5 * quad.eta
@@ -324,22 +333,23 @@ class TestRayCull:
         cfg = AcousticConfig(eta=0.0625)
         ctx = make_context(ph, Grid(33))
         refined = 0
-        for angle in (0.0, 0.8, 2.0, 4.0):
-            y = source_at(angle)
-            for inc in ph.inclusions:
-                dc = np.hypot(*(np.asarray(inc.center) - y))
-                rb = inc.bounding_radius()
-                for r in (dc - rb - 0.1, dc - rb, dc - 0.3 * rb, dc,
-                          dc + 0.9 * rb):
-                    quad = acousto._ShellQuadrature(ctx, cfg, y, r)
-                    angles, ct, st, near = quad.adaptive_theta_nodes()
-                    assert np.array_equal(angles, self.full_angle_nodes(quad))
-                    assert np.array_equal(ct, np.cos(angles))
-                    assert np.array_equal(st, np.sin(angles))
-                    # the exact cull on every angle keeps only near rays
-                    kept = quad.rays_meeting_support(ct, st)
-                    assert np.all(np.isin(kept, near))
-                    refined += angles.size > quad.ntheta
+        for r in self.probe_radii(ph, extra=[(-1.0, -0.1)]):
+            quad = acousto._ShellQuadrature(ctx, cfg, r)
+            nodes = quad.adaptive_theta_nodes(self.SOURCES)
+            for c, y in enumerate(self.SOURCES):
+                own = slice(nodes.start[c], nodes.start[c + 1])
+                angles = nodes.angles[own]
+                assert np.array_equal(angles, self.full_angle_nodes(quad, y))
+                assert np.array_equal(nodes.ct[own], np.cos(angles))
+                assert np.array_equal(nodes.st[own], np.sin(angles))
+                assert np.all(nodes.cell[own] == c)
+                refined += angles.size > quad.ntheta
+            # the exact cull on every angle keeps only near rays
+            sx, sy = self.SOURCES[nodes.cell, 0], self.SOURCES[nodes.cell, 1]
+            kept = np.nonzero(quad.rays_meeting_support((sx, sy), nodes.ct,
+                                                        nodes.st))[0]
+            assert np.all(np.isin(kept, nodes.near))
+            assert np.array_equal(nodes.keep, kept)
         assert refined > 0
 
     @pytest.mark.parametrize("which", ["M_eta", "Mtilde"])
@@ -349,14 +359,11 @@ class TestRayCull:
         ctx = make_context(disk_ellipse_phantom, Grid(65))
         windowed = sample_sinogram(ctx, cfg, 8, 16, which=which)
         assert windowed.values.any()
-
-        def full(quad):
-            angles = self.full_angle_nodes(quad)
-            return (angles, np.cos(angles), np.sin(angles),
-                    np.arange(angles.size))
-
-        monkeypatch.setattr(acousto._ShellQuadrature, "adaptive_theta_nodes",
-                            full)
+        # every base ray near: the rim quadratic is solved on every base
+        # angle, and the cull runs on every ray
+        monkeypatch.setattr(acousto._ShellQuadrature, "near_rays",
+                            lambda self, ys: np.ones((len(ys), self.ntheta),
+                                                     dtype=bool))
         reference = sample_sinogram(ctx, cfg, 8, 16, which=which)
         assert np.array_equal(windowed.values, reference.values)
 
@@ -410,8 +417,7 @@ class TestShellQuadrature:
 
     def test_vectorised_jumps_match_loop(self, disk_context65,
                                          loop_radial_integrals):
-        quad = acousto._ShellQuadrature(disk_context65, AcousticConfig(),
-                                        source_at(0.0), 0.9)
+        quad = acousto._ShellQuadrature(disk_context65, AcousticConfig(), 0.9)
         rho = quad.rho
         rng = np.random.default_rng(11)
         nrays = 30
@@ -462,6 +468,51 @@ class TestShellQuadrature:
         assert sides == {True, False}
 
 
+class TestShellPass:
+    @pytest.mark.parametrize("which", ["M_eta", "Mtilde"])
+    def test_pass_size_changes_no_value(self, disk_ellipse_phantom,
+                                        monkeypatch, which):
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(disk_ellipse_phantom, Grid(65))
+        default = sample_sinogram(ctx, cfg, 8, 16, which=which)
+        assert default.values.any()
+        # one ray per piece, and every pass in one piece
+        for points in (96, 2**40):
+            monkeypatch.setattr(acousto, "_PASS_POINTS", points)
+            sino = sample_sinogram(ctx, cfg, 8, 16, which=which)
+            assert np.array_equal(sino.values, default.values), points
+
+    @pytest.mark.parametrize("which", ["two_disk_phantom", "ellipse_phantom"])
+    def test_multi_cell_pass_matches_single_cells(self, request, which):
+        ctx = make_context(request.getfixturevalue(which), Grid(65))
+        cfg = AcousticConfig(eta=0.0625)
+        sources = cfg.sources(16)
+        phi = ctx.solution.phi.values
+        passes = 0
+        for r in cfg.radii(16):
+            live = [m for m in range(16) if not acousto._ShellQuadrature
+                    .misses_support(ctx.phantom, cfg, sources[m], r)]
+            if len(live) < 2:
+                continue
+            quad = acousto._ShellQuadrature(ctx, cfg, r)
+            ys = sources[live]
+            phis = np.stack([acousto.perturbed_solution(ctx, cfg, y, r)[1]
+                             .values for y in ys])
+            together = quad.measure_M_eta(ys, phis)
+            alone = [quad.measure_M_eta(ys[[c]], phis[[c]])[0]
+                     for c in range(len(ys))]
+            assert np.array_equal(together, alone), r
+            # a pass on phi reads what a pass given phi as phi_u reads
+            still = quad.measure_M_eta(ys)
+            assert np.array_equal(still, quad.measure_M_eta(
+                ys, np.repeat(phi[None], len(ys), axis=0))), r
+            together = quad.measure_Mtilde(ys)
+            alone = [quad.measure_Mtilde(ys[[c]])[0] for c in range(len(ys))]
+            assert np.array_equal(together, alone), r
+            passes += bool(together.any())
+        assert passes > 2
+
+
 @pytest.fixture(scope="module")
 def ellipse_phantom():
     return phantom.Phantom(
@@ -508,7 +559,7 @@ class TestStackedSweep:
                         progress=lambda done, total: rows.append([]))
         sizes = [k for row in rows for k in row]
         assert max(sizes) == 4
-        # each source's stacks are near-equal
+        # the stacks of each radius are near-equal
         assert all(max(row) - min(row) <= 1 for row in rows if row)
         # one system per cell whose displaced medium differs from a
         sources, radii = cfg.sources(8), cfg.radii(16)

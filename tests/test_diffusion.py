@@ -236,6 +236,24 @@ class TestStackedSolve:
         assert stacked[2] == sum(counts)
         assert not np.any(stacked[0][3])
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_preconditions_only_active_systems(self, warm):
+        g, coefs, b, precond = self.systems()
+        x0 = 0.5 * np.ones(b.shape) if warm else None
+        columns = []
+
+        def counted(r):
+            columns.append(r.shape[0])
+            return precond(r)
+
+        op = RobinOperator(g, coefs, 0.1)
+        _, _, it = fields.cg(op.apply, b, x0=x0, precond=counted,
+                             dot=fields.stack_dot)
+        # one LU column per iteration a system takes; the zero right-hand
+        # side and the systems that have converged take none
+        assert sum(columns) == it
+        assert min(columns) < max(columns) == 3
+
     def test_per_system_iteration_counts(self):
         g, coefs, b, precond = self.systems()
         op = RobinOperator(g, coefs, 0.1)

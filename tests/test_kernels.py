@@ -52,6 +52,26 @@ def test_stacked_gather_matches_single_fields():
         assert np.max(np.abs(single - ref)) <= 1e-15 * np.max(np.abs(f))
 
 
+def test_per_point_field_matches_stacked_gather():
+    rng = np.random.default_rng(10)
+    stack = rng.standard_normal((4, N, N))
+    # points partly outside the unit square, where gather reads zero
+    px = rng.random((40, 50)) * 1.3 - 0.15
+    py = rng.random((40, 50)) * 1.3 - 0.15
+    every = kernels.bilinear_gather(stack, px, py, H)
+    rows = rng.integers(0, 4, (40, 1))
+    # field 0 at every point, and one field per row of points
+    got = kernels.bilinear_gather(stack, px, py, H,
+                                  field=np.stack([np.zeros_like(rows), rows]))
+    assert got.shape == (2, 40, 50)
+    assert np.array_equal(got[0], every[0])
+    assert np.array_equal(got[1],
+                          np.take_along_axis(every, rows[None], axis=0)[0])
+    # without leading axes, one read per point
+    one = kernels.bilinear_gather(stack, px, py, H, field=rows)
+    assert np.array_equal(one, got[1])
+
+
 def test_stacked_robin_apply_matches_single_fields():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, N, N))
