@@ -980,10 +980,10 @@ def _M_eta_column(quad: _ShellQuadrature, q, sources, cells, out):
     source.
 
     The cells whose displaced medium differs from ``ctx.a`` are solved in
-    near-equal stacks of at most ``_MAX_STACK`` systems, or one at a time
-    when l = 0, and each stack is measured in one pass; the other cells are
-    measured in one pass on ``ctx.solution``. The values equal those of
-    ``measure_M_eta`` cell by cell up to the rounding of the stacked CG.
+    near-equal stacks of at most ``_MAX_STACK`` systems, and each stack is
+    measured in one pass; the other cells are measured in one pass on
+    ``ctx.solution``. The values equal those of ``measure_M_eta`` cell by
+    cell up to the rounding of the stacked CG.
     """
     ctx = quad.ctx
     still, moving, shells = [], [], []
@@ -1000,9 +1000,8 @@ def _M_eta_column(quad: _ShellQuadrature, q, sources, cells, out):
             out[still] = quad.measure_M_eta(sources[still])
     if not moving:
         return
-    size = _MAX_STACK if ctx.l > 0 else 1
     for part in np.array_split(np.arange(len(moving)),
-                               math.ceil(len(moving) / size)):
+                               math.ceil(len(moving) / _MAX_STACK)):
         stack = [moving[s] for s in part]
         with _sinogram_cells(q, stack):
             phis = _displaced_phis(

@@ -367,7 +367,7 @@ def cmd_reconstruct(cfg, args):
 
 def cmd_evaluate(cfg, args):
     truth = _load_phantom(cfg, args.phantom)
-    rec = _load_field(args.recon)
+    rec = _load_on_grid(args.recon, fields.ScalarField, cfg.grid)
     grid = rec.grid
     a_true = truth.sample(grid)
     num = fields.inner(rec - a_true, rec - a_true)
@@ -429,8 +429,22 @@ def cmd_export(cfg, args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, so that it ends in one
+    ``error:`` line and exit code 2 like every other bad input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def threshold(text):
+    """``segment --threshold``: ``auto`` or a number (argparse names this
+    function when it rejects a value)."""
+    return text if text == "auto" else float(text)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aotomo",
         description="acousto-optic absorption reconstruction pipeline",
     )
@@ -472,7 +486,7 @@ def build_parser():
     se = sub.add_parser("segment", help="inclusion masks from the potential")
     se.add_argument("--config", required=True)
     se.add_argument("--psi", required=True)
-    se.add_argument("--threshold", default="auto")
+    se.add_argument("--threshold", type=threshold, default="auto")
     se.add_argument("--smooth", type=float, default=2.0,
                     help="pre-smoothing sigma in nodes for measured data")
     se.add_argument("--outdir", required=True)
@@ -515,9 +529,8 @@ def _one_line(exc):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # export is the one command without --config
         cfg = load_config(args.config) if "config" in args else None
         return args.func(cfg, args)

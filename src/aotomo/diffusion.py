@@ -19,7 +19,8 @@ stacks this way: the exhaustion guess of ``inversion`` solves each stack of
 candidate coefficients on the background factorization, and the M_eta sweep
 of ``acousto`` solves the displaced media of one wave radius, over all
 sources, at most four at a time, on the unperturbed factorization. Every
-other solve is a single system.
+other solve is a single system. With l = 0, phi = g on the boundary, and
+the solve is one sparse LU solve of (-lap + a) on the interior nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import kernels
 from .fields import (
@@ -38,6 +38,7 @@ from .fields import (
     cg,
     edge_form_matrix,
     neumann_edge_coefficients,
+    spd_lu,
     stack_dot,
     trace_from_grid,
 )
@@ -117,9 +118,7 @@ class RobinOperator:
 
     def factorized(self):
         if self._splu is None:
-            # the matrix is SPD: a symmetric ordering keeps the factors small
-            self._splu = spla.splu(self.sparse_matrix().tocsc(),
-                                   permc_spec="MMD_AT_PLUS_A")
+            self._splu = spd_lu(self.sparse_matrix())
         return self._splu
 
     def solve(self, b, x0=None, precond_with=None):
@@ -147,26 +146,21 @@ class RobinOperator:
 
 
 def _dirichlet_solve(grid, a_values, g: BoundaryTrace):
-    """phi = g on the boundary, (-lap + a) phi = 0 inside."""
+    """phi = g on the boundary, (-lap + a) phi = 0 inside, by one LU solve
+    on the interior nodes; returns phi and the solve's relative residual."""
     n, h = grid.n, grid.h
-    bc = g.as_grid_array()
-    a = np.ascontiguousarray(a_values)
-
-    # move boundary values to the right-hand side of the interior system
-    bvec = np.zeros((n, n))
-    bvec[1, 1:-1] += bc[0, 1:-1] / h**2
-    bvec[-2, 1:-1] += bc[-1, 1:-1] / h**2
-    bvec[1:-1, 1] += bc[1:-1, 0] / h**2
-    bvec[1:-1, -2] += bc[1:-1, -1] / h**2
-
-    def apply_op(x):
-        return kernels.dirichlet_apply(x, a, h)
-
-    x, res, it = cg(apply_op, bvec, max_iter=50 * n)
-    x = x.copy()
-    ii, jj = grid.boundary_indices()
-    x[ii, jj] = g.values
-    return x, res, it
+    full = (edge_form_matrix(np.ones((n - 1, n)), np.ones((n, n - 1)))
+            / (h * h) + sp.diags(np.ravel(a_values))).tocsr()
+    inner = np.arange(1, n - 1)
+    nodes = (n * inner[:, None] + inner).ravel()
+    rows = full[nodes]
+    matrix = rows[:, nodes]
+    x = g.as_grid_array()
+    # the boundary values move to the right-hand side of the interior rows
+    b = -(rows @ x.ravel())
+    x.flat[nodes] = spd_lu(matrix).solve(b)
+    miss = matrix @ x.flat[nodes] - b
+    return x, float(np.linalg.norm(miss) / (np.linalg.norm(b) or 1.0))
 
 
 def _one_sided_flux(grid, phi_values):
@@ -196,10 +190,10 @@ def solve_T(problem: RobinProblem, x0: ScalarField | None = None,
     outgoing boundary flux."""
     grid = problem.a.grid
     if problem.l == 0.0:
-        x, res, it = _dirichlet_solve(grid, problem.a.values, problem.g)
+        x, res = _dirichlet_solve(grid, problem.a.values, problem.g)
         phi = ScalarField(grid, x)
         flux = _one_sided_flux(grid, x)
-        return OpticalSolution(phi, flux, res, it)
+        return OpticalSolution(phi, flux, res, 0)
     op = RobinOperator(grid, problem.a.values, problem.l)
     b = op.boundary_rhs(problem.g)
     x0v = None if x0 is None else x0.values

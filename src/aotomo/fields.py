@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import kernels
-
 MAGIC = b"AORF"
 FORMAT_VERSION = 1
 KIND_SCALAR = 0
@@ -451,27 +449,37 @@ def _precondition(precond, r, active, z=None):
 
 
 # ---------------------------------------------------------------------------
-# Poisson solvers
+# direct solvers
+
+
+def spd_lu(matrix):
+    """SuperLU factors of a sparse symmetric positive definite matrix; the
+    minimum-degree ordering of A^T + A uses the symmetry to keep them small."""
+    # loaded on first use: most CLI commands factor nothing
+    import scipy.sparse.linalg as spla
+
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def dirichlet_laplace_solve(b, h):
+    """Solve -lap(u) = b with u = 0 on the boundary of a square grid of
+    spacing ``h``, to rounding: the type-I sine transform diagonalises the
+    5-point Laplacian (Buzbee, Golub and Nielson 1970). Boundary entries of
+    ``b`` are ignored and those of ``u`` are zero."""
+    import scipy.fft
+
+    m = b.shape[0] - 2
+    lam = (2.0 / h * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1))) ** 2
+    u = np.zeros(b.shape)
+    u[1:-1, 1:-1] = scipy.fft.idstn(
+        scipy.fft.dstn(b[1:-1, 1:-1], type=1) / (lam[:, None] + lam), type=1)
+    return u
 
 
 def poisson_dirichlet(rhs) -> ScalarField:
-    """Solve -lap(u) = rhs with u = 0 on the boundary (5-point stencil, CG)."""
-    if isinstance(rhs, ScalarField):
-        grid, b = rhs.grid, rhs.values
-    else:
-        raise TypeError("rhs must be a ScalarField")
-    h = grid.h
-    bvec = b.copy()
-    bvec[0, :] = 0.0
-    bvec[-1, :] = 0.0
-    bvec[:, 0] = 0.0
-    bvec[:, -1] = 0.0
-
-    def apply_op(x):
-        return kernels.dirichlet_apply(x, None, h)
-
-    u, res, it = cg(apply_op, bvec, max_iter=50 * grid.n)
-    return ScalarField(grid, u)
+    """Solve -lap(u) = rhs with u = 0 on the boundary (5-point stencil)."""
+    grid, b = _unwrap(rhs)
+    return ScalarField(grid, dirichlet_laplace_solve(b, grid.h))
 
 
 def neumann_edge_coefficients(grid):
@@ -495,21 +503,15 @@ def neumann_solve_weighted(grid, b):
     ``b`` is a plain-dot assembled right-hand side (must have zero sum up to
     roundoff; the mean is projected out). Returns a zero-weighted-mean array.
     """
-    cx, cy = neumann_edge_coefficients(grid)
+    # the edge-form matrix is symmetric with kernel = constants, so
+    # compatibility means plain zero sum of b; node 0's row then follows from
+    # the others, and pinning z there to zero leaves an SPD system
+    bproj = (b - b.sum() / b.size).ravel()
+    form = edge_form_matrix(*neumann_edge_coefficients(grid))
+    z = np.zeros(grid.shape)
+    z.flat[1:] = spd_lu(form[1:, 1:]).solve(bproj[1:])
     w = grid.trapezoid_weights()
-    wsum = w.sum()
-
-    def project(v):
-        return v - (np.sum(w * v) / wsum)
-
-    def apply_op(x):
-        return kernels.edge_form_apply(x, cx, cy)
-
-    # the edge-form matrix is symmetric in the plain dot product with kernel
-    # = constants, so compatibility means plain zero sum of b
-    bproj = b - b.sum() / b.size
-    z, res, it = cg(apply_op, bproj, max_iter=50 * grid.n)
-    return project(z)
+    return z - np.sum(w * z) / w.sum()
 
 
 def poisson_neumann(rhs) -> ScalarField:

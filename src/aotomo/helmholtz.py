@@ -6,8 +6,9 @@ psi is the variational projection: find the zero-mean psi with
 
     <grad psi, grad v> = U(grad v)   for every test function v,
 
-assembled with the compact edge-difference operators, so the divergence-free
-remainder is orthogonal to every discrete gradient up to solver tolerance.
+assembled with the compact edge-difference operators and solved directly, so
+the divergence-free remainder is orthogonal to every discrete gradient up to
+rounding.
 The potential is continuous inside each inclusion and jumps across the
 inclusion rims, which is what the segmentation stage exploits.
 """
@@ -19,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .fields import (
     Grid,
     ScalarField,
     VectorField,
-    cg,
     diff_axis0,
+    dirichlet_laplace_solve,
     divergence,
     edge_average,
     edge_diff,
@@ -112,7 +112,7 @@ def decompose(U: WeakVectorFunctional) -> PsiField:
 
     Orientation follows the divergence-of-the-vector-solve convention, so
     U(grad v) + <grad psi, grad v> = 0 for every discrete test function v
-    (the remainder is orthogonal to all gradients, to solver tolerance).
+    (the remainder is orthogonal to all gradients, to rounding).
     """
     grid = U.grid
     psi = -neumann_solve_weighted(grid, U.gradient_rhs())
@@ -123,7 +123,7 @@ def orthogonality_residual(U: WeakVectorFunctional, psi: PsiField,
                            v: ScalarField) -> float:
     """U(grad v) + <grad psi, grad v> in the edge pairing.
 
-    Zero (to solver tolerance) for the decomposed potential; this is the
+    Zero (to rounding) for the decomposed potential; this is the
     discrete statement that the remainder is divergence free.
     """
     dpx, dpy = edge_diff(psi.psi.values)
@@ -138,8 +138,7 @@ def ground_truth_psi(phantom: Phantom, phi: ScalarField) -> PsiField:
     return decompose(WeakVectorFunctional(phantom, phi))
 
 
-def free_space_potential(U: WeakVectorFunctional, pad=2.25,
-                         tol=1e-9) -> PsiField:
+def free_space_potential(U: WeakVectorFunctional, pad=2.25) -> PsiField:
     """Potential of the zero-padded data on an enlarged grid.
 
     Solves -lap(psi) = div(U) with the data extended by zero and the far
@@ -159,12 +158,7 @@ def free_space_potential(U: WeakVectorFunctional, pad=2.25,
     big1[npad:npad + n, npad:npad + n] = u1
     big2[npad:npad + n, npad:npad + n] = u2
     rhs = diff_axis0(big1, h) + diff_axis0(big2.T, h).T
-    rhs[0, :] = rhs[-1, :] = rhs[:, 0] = rhs[:, -1] = 0.0
-
-    def apply_op(x):
-        return kernels.dirichlet_apply(x, None, h)
-
-    big_psi, _, _ = cg(apply_op, rhs, tol=tol, max_iter=100 * nbig)
+    big_psi = dirichlet_laplace_solve(rhs, h)
     inner_vals = big_psi[npad:npad + n, npad:npad + n].copy()
     restricted = ScalarField(grid, inner_vals)
     restricted = restricted - integrate(restricted)

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .diffusion import (
     OpticalSolution,
@@ -51,6 +50,7 @@ from .fields import (
     edge_diff_transpose,
     edge_form_matrix,
     gradient,
+    spd_lu,
 )
 from .helmholtz import PsiField
 from .segmentation import InclusionMask
@@ -87,7 +87,7 @@ class MaskSpace:
             raise ValueError("mask has no interior nodes")
         self._nodes = np.flatnonzero(inner)
         form = edge_form_matrix(self.cx, self.cy)[self._nodes][:, self._nodes]
-        self._lu = spla.splu(form.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self._lu = spd_lu(form)
 
     def diff(self, x):
         """Edge differences of x with its values off the interior zeroed."""

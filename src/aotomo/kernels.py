@@ -1,6 +1,11 @@
 """The hot kernels: the bump profile, the stencil operators, bilinear
 gather/scatter and the radial inverse of the wavefront's position map.
 
+Of the stencil operators only :func:`robin_apply`, the Robin CG's
+matrix-vector product, runs in the pipeline; :func:`dirichlet_apply` and
+:func:`edge_form_apply` are the references for the tests of the direct
+solves in ``fields`` and ``diffusion``.
+
 :data:`BUMP_PRIME_SUP` is sup |w'| of the bump profile. It decides where the
 position map is monotone: ``acousto.AcousticConfig.monotone_radius`` and the
 branch choice in :func:`radial_invert` both read it.
@@ -91,20 +96,14 @@ def robin_apply(x, a, l, h, out=None):
     return out
 
 
-def dirichlet_apply(x, a, h, out=None):
+def dirichlet_apply(x, a, h):
     """Apply (-lap + a) with homogeneous Dirichlet data.
 
     Boundary entries of ``x`` are ignored (treated as zero) and boundary rows
     of the output are zero.
     """
     h2 = h * h
-    if out is None:
-        out = np.zeros_like(x)
-    else:
-        out[0, :] = 0.0
-        out[-1, :] = 0.0
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
+    out = np.zeros_like(x)
     xi = x[1:-1, 1:-1]
     core = 4.0 * xi - x[:-2, 1:-1] - x[2:, 1:-1] - x[1:-1, :-2] - x[1:-1, 2:]
     # cancel the reads of boundary entries (treated as zero)
@@ -119,16 +118,13 @@ def dirichlet_apply(x, a, h, out=None):
     return out
 
 
-def edge_form_apply(x, cx, cy, out=None):
+def edge_form_apply(x, cx, cy):
     """Apply the edge-difference quadratic form operator.
 
     out[p] = sum over edges e=(p,q) of c_e * (x[p] - x[q]); ``cx`` has shape
     (n-1, n) for x-directed edges, ``cy`` has shape (n, n-1).
     """
-    if out is None:
-        out = np.zeros_like(x)
-    else:
-        out[...] = 0.0
+    out = np.zeros_like(x)
     fx = cx * (x[1:, :] - x[:-1, :])
     out[1:, :] += fx
     out[:-1, :] -= fx

@@ -189,6 +189,9 @@ def _bad_inputs(d):
         ("missing recon", ["evaluate", "--config", cfg, "--phantom",
                            d / "truth_ok.json", "--recon", d / "none.aorf",
                            "--out", d / "bad_metrics.json"]),
+        ("recon not a scalar field",
+         ["evaluate", "--config", cfg, "--phantom", d / "truth_ok.json",
+          "--recon", d / "flux_ok.aorf", "--out", d / "bad_metrics.json"]),
         ("missing export field", ["export", "--pgm", d / "none.aorf",
                                   d / "bad.pgm"]),
         ("missing truth", reconstruct("--truth", d / "none.json")),
@@ -208,6 +211,8 @@ def _bad_inputs(d):
         ("truncated header", segment + [d / "header.aorf"]),
         ("truncated payload", segment + [d / "short.aorf"]),
         ("psi on another grid", segment + [d / "grid33.aorf"]),
+        ("threshold not a number",
+         segment + [d / "psi_ok.aorf", "--threshold", "abc"]),
         ("edited r column", ["recover-psi", "--config", cfg, "--sinogram",
                              d / "sino_r.csv", "--out", d / "bad_psi.aorf"]),
     ]
@@ -248,11 +253,11 @@ def test_version_is_the_package_version(capsys):
     assert f"aotomo {aotomo.__version__} " in capsys.readouterr().out
 
 
-def test_import_leaves_out_scipy_integrate_and_optimize():
+def test_import_leaves_out_scipy_integrate_optimize_and_fft():
     src = os.path.dirname(os.path.dirname(aotomo.__file__))
     code = ("import sys, aotomo.cli; "
             "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.integrate', 'scipy.optimize'))))")
+            "('scipy.integrate', 'scipy.optimize', 'scipy.fft'))))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120,

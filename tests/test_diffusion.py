@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aotomo import diffusion, fields
+from aotomo import diffusion, fields, kernels
 from aotomo.diffusion import RobinOperator, RobinProblem, solve_DT, solve_T, solve_adjoint
 from aotomo.fields import BoundaryTrace, Grid, ScalarField, inner, norm_l2
 
@@ -67,6 +67,22 @@ class TestSolveT:
         ii, jj = grid33.boundary_indices()
         assert np.max(np.abs(sol.phi.values[ii, jj] - 1.0)) == 0.0
         assert 0 < sol.phi.values[grid33.n // 2, grid33.n // 2] < 1
+
+    def test_dirichlet_path_solves_to_rounding(self, grid33):
+        g, h = grid33, grid33.h
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.0, 3.0, g.shape)
+        bc = BoundaryTrace(g, rng.standard_normal(4 * (g.n - 1)))
+        sol = solve_T(RobinProblem(ScalarField(g, a), bc, 0.0))
+        ii, jj = g.boundary_indices()
+        assert np.array_equal(sol.phi.values[ii, jj], bc.values)
+        assert sol.iterations == 0 and sol.residual <= 1e-12
+        # the 5-point operator on the interior, with the boundary
+        # neighbours moved to the right-hand side
+        e = bc.as_grid_array()
+        b = (e[:-2, 1:-1] + e[2:, 1:-1] + e[1:-1, :-2] + e[1:-1, 2:]) / h**2
+        got = kernels.dirichlet_apply(sol.phi.values, a, h)[1:-1, 1:-1]
+        assert np.linalg.norm(got - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_comparison_principle_family(self, phantom_family, grid65):
         for p in phantom_family:

@@ -237,6 +237,17 @@ class TestPoissonDirichlet:
         rhs = inner(u2, r1)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
+    def test_sine_transform_solve_to_rounding(self):
+        # a spacing other than 1/(n-1), as on the padded grid of
+        # helmholtz.free_space_potential
+        h = 0.037
+        b = np.random.default_rng(6).standard_normal((40, 40))
+        u = fields.dirichlet_laplace_solve(b, h)
+        ii, jj = Grid(40).boundary_indices()
+        assert not u[ii, jj].any()
+        miss = kernels.dirichlet_apply(u, None, h)[1:-1, 1:-1] - b[1:-1, 1:-1]
+        assert np.linalg.norm(miss) <= 1e-12 * np.linalg.norm(b[1:-1, 1:-1])
+
     def test_refinement_order(self):
         errs = []
         for n in (33, 65, 129):
@@ -271,6 +282,16 @@ class TestPoissonNeumann:
             errs.append(err)
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert min(order) >= 1.9
+
+    def test_weighted_solve_to_rounding(self):
+        g = Grid(33)
+        b = np.random.default_rng(7).standard_normal(g.shape)
+        b -= b.mean()
+        z = fields.neumann_solve_weighted(g, b)
+        cx, cy = fields.neumann_edge_coefficients(g)
+        miss = kernels.edge_form_apply(z, cx, cy) - b
+        assert np.linalg.norm(miss) <= 1e-12 * np.linalg.norm(b)
+        assert abs(integrate(ScalarField(g, z))) <= 1e-14
 
     def test_gauge_independent(self):
         g = Grid(33)
