@@ -267,15 +267,14 @@ def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
 @dataclass
 class ForwardContext:
     """Cached unperturbed forward solve shared across a measurement sweep,
-    with the factorization of its operator (l > 0) that preconditions both
-    that solve and the sweep's perturbed solves, and what the linearized
+    with the factorization of its operator that preconditions both that
+    solve and the sweep's perturbed solves, and what the linearized
     measurement reads of them, computed on first use.
 
     An M_eta sweep solves the perturbed systems of one radius as stacks of
     at most four on that factorization, each system warm-started from this
     solution, and measures each stack in one quadrature pass that reads phi
-    from this solution; with l = 0 there is no factorization, and each
-    perturbed system is its own solve."""
+    from this solution."""
 
     phantom: Phantom
     grid: Grid
@@ -288,7 +287,7 @@ class ForwardContext:
     def __post_init__(self):
         if self.a is None:
             self.a = self.phantom.sample(self.grid)
-        if self.operator is None and self.l > 0:
+        if self.operator is None:
             self.operator = RobinOperator(self.grid, self.a.values, self.l)
         if self.solution is None:
             self.solution = solve_T(RobinProblem(self.a, self.g, self.l),
@@ -387,15 +386,10 @@ def _displaced_phis(ctx: ForwardContext, a):
     """phi_u in each displaced medium of a (k, n, n) coefficient stack.
 
     The k systems are one stacked CG preconditioned by the context's
-    factorization, each warm-started from phi. With l = 0 there is no
-    factorization to stack on, and each medium is its own ``solve_T``. A
-    SolverError of a stacked solve names in ``system`` the index of the
-    system whose final residual is the largest.
+    factorization, each warm-started from phi. A SolverError of a stacked
+    solve names in ``system`` the index of the system whose final residual
+    is the largest.
     """
-    if ctx.l == 0:
-        return np.stack([
-            solve_T(RobinProblem(ScalarField(ctx.grid, v), ctx.g, ctx.l))
-            .phi.values for v in a])
     op = RobinOperator(ctx.grid, a, ctx.l)
     # every system has the same right-hand side and start: read-only views
     b = np.broadcast_to(op.boundary_rhs(ctx.g), a.shape)

@@ -253,32 +253,15 @@ def _masks_from_manifest(path, grid):
     masks = []
     for name, label, clipped in entries:
         pgm = os.path.join(base, name)
-        img = _load_pgm(pgm)
+        _require_file(pgm, "mask image")
+        img = segmentation.load_pgm(pgm)
         if img.shape != grid.shape:
             raise FileFormatError(
-                f"{pgm}: {img.shape[1]} x {img.shape[0]} mask, but the "
+                f"{pgm}: {img.shape[0]} x {img.shape[1]} mask, but the "
                 f"config has grid.n = {grid.n}")
-        mask = img.T[:, ::-1] > 127
-        masks.append(segmentation.InclusionMask(grid, mask, label, clipped))
+        masks.append(
+            segmentation.InclusionMask(grid, img > 127, label, clipped))
     return masks
-
-
-def _load_pgm(path):
-    """Read a binary PGM as written by ``segmentation.save_mask_pgm``."""
-    _require_file(path, "mask image")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5\n"):
-        raise FileFormatError(f"{path} is not a binary PGM")
-    parts = data.split(b"\n", 3)
-    try:
-        w, h = (int(x) for x in parts[1].split())
-        if int(parts[2]) != 255:
-            raise ValueError("maxval is not 255")
-        return np.frombuffer(parts[3], dtype=np.uint8,
-                             count=w * h).reshape(h, w)
-    except (ValueError, IndexError) as exc:
-        raise FileFormatError(f"{path}: bad PGM header or payload ({exc})")
 
 
 def _load_field(path):

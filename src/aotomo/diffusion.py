@@ -2,8 +2,11 @@
 
 The operator is (-lap + a) with the boundary condition l*dnu(phi) + phi = g
 discretized by second-order ghost elimination. Rows are scaled by the
-trapezoid pattern so the assembled system is symmetric positive definite;
-solves are conjugate gradient, optionally preconditioned by the cached sparse
+trapezoid pattern so the assembled system is symmetric positive definite. At
+l = 0, the Dirichlet limit phi = g, the boundary rows are the identity and
+the interior rows the 5-point (-lap + a), whose boundary neighbours move to
+the right-hand side; that system is symmetric positive definite too. Solves
+are conjugate gradient, optionally preconditioned by the cached sparse
 factorization of a nearby operator. A measurement sweep preconditions its
 perturbed solves with the unperturbed operator; the reconstruction
 preconditions its forward, tangent and adjoint solves with the operator at
@@ -19,8 +22,7 @@ stacks this way: the exhaustion guess of ``inversion`` solves each stack of
 candidate coefficients on the background factorization, and the M_eta sweep
 of ``acousto`` solves the displaced media of one wave radius, over all
 sources, at most four at a time, on the unperturbed factorization. Every
-other solve is a single system. With l = 0, phi = g on the boundary, and
-the solve is one sparse LU solve of (-lap + a) on the interior nodes.
+other solve is a single system.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from .fields import (
     ScalarField,
     cg,
     edge_form_matrix,
+    gradient,
     neumann_edge_coefficients,
     spd_lu,
     stack_dot,
-    trace_from_grid,
 )
 
 
@@ -66,7 +68,10 @@ class OpticalSolution:
 
 
 class RobinOperator:
-    """Symmetrized discrete Robin diffusion operator for a fixed coefficient.
+    """Symmetrized discrete diffusion operator for a fixed coefficient: the
+    Robin rows of ``kernels.robin_apply``, or at l = 0 the identity on the
+    boundary and the 5-point (-lap + a) of ``kernels.dirichlet_apply`` inside,
+    whose boundary neighbours ``boundary_rhs`` moves to the right-hand side.
 
     ``a_values`` is one (n, n) coefficient or a (k, n, n) stack of them; a
     stack maps, and solves, k fields at once, one per coefficient. Only a
@@ -74,31 +79,41 @@ class RobinOperator:
     """
 
     def __init__(self, grid: Grid, a_values, l: float):
-        if l <= 0:
-            raise ValueError("RobinOperator needs l > 0; use the Dirichlet path")
+        if l < 0:
+            raise ValueError("extrapolation length must be nonnegative")
         self.grid = grid
         self.a = np.ascontiguousarray(a_values, dtype=np.float64)
         self.l = float(l)
         self._splu = None
+        # a source's share in each row; none in the identity rows of l = 0
         c = np.ones(grid.n)
-        c[0] = c[-1] = 0.5
+        c[0] = c[-1] = 0.5 if self.l > 0 else 0.0
         self.row_weights = np.outer(c, c)
 
     def apply(self, x):
-        return kernels.robin_apply(x, self.a, self.l, self.grid.h)
+        if self.l > 0:
+            return kernels.robin_apply(x, self.a, self.l, self.grid.h)
+        out = kernels.dirichlet_apply(x, self.a, self.grid.h)
+        ii, jj = self.grid.boundary_indices()
+        out[..., ii, jj] = x[..., ii, jj]
+        return out
 
     def boundary_rhs(self, g: BoundaryTrace):
         """Right-hand side vector for boundary data g (already row-scaled);
         it does not depend on the coefficient."""
-        n = self.grid.n
-        b = np.zeros((n, n))
-        ii, jj = self.grid.boundary_indices()
-        b[ii, jj] = g.values / (self.l * self.grid.h)
+        h = self.grid.h
+        if self.l > 0:
+            return g.as_grid_array() / (self.l * h)
+        b = g.as_grid_array()
+        b[1:-1, 1:-1] = (b[:-2, 1:-1] + b[2:, 1:-1] + b[1:-1, :-2]
+                         + b[1:-1, 2:]) / (h * h)
         return b
 
     def boundary_flux(self, g: BoundaryTrace, x):
         """Outgoing flux (g - x)/l on the boundary nodes of the solution x
-        for data g; one row per field of a stack."""
+        for data g, one row per field of a stack; at l = 0, one field's."""
+        if self.l == 0:
+            return _one_sided_flux(self.grid, x)
         ii, jj = self.grid.boundary_indices()
         return (g.values - x[..., ii, jj]) / self.l
 
@@ -109,6 +124,12 @@ class RobinOperator:
 
     def sparse_matrix(self):
         n, h = self.grid.n, self.grid.h
+        if self.l == 0:
+            # the 5-point operator on the interior, the identity elsewhere
+            form = edge_form_matrix(np.ones((n - 1, n)), np.ones((n, n - 1)))
+            inner = sp.diags(self.row_weights.ravel())
+            return (inner @ (form / (h * h) + sp.diags(self.a.ravel())) @ inner
+                    + sp.diags(1.0 - self.row_weights.ravel())).tocsr()
         ends = np.zeros(n)
         ends[0] = ends[-1] = 1.0
         sides = ends[:, None] + ends[None, :]
@@ -145,59 +166,36 @@ class RobinOperator:
                   dot=dot)
 
 
-def _dirichlet_solve(grid, a_values, g: BoundaryTrace):
-    """phi = g on the boundary, (-lap + a) phi = 0 inside, by one LU solve
-    on the interior nodes; returns phi and the solve's relative residual."""
-    n, h = grid.n, grid.h
-    full = (edge_form_matrix(np.ones((n - 1, n)), np.ones((n, n - 1)))
-            / (h * h) + sp.diags(np.ravel(a_values))).tocsr()
-    inner = np.arange(1, n - 1)
-    nodes = (n * inner[:, None] + inner).ravel()
-    rows = full[nodes]
-    matrix = rows[:, nodes]
-    x = g.as_grid_array()
-    # the boundary values move to the right-hand side of the interior rows
-    b = -(rows @ x.ravel())
-    x.flat[nodes] = spd_lu(matrix).solve(b)
-    miss = matrix @ x.flat[nodes] - b
-    return x, float(np.linalg.norm(miss) / (np.linalg.norm(b) or 1.0))
-
-
 def _one_sided_flux(grid, phi_values):
-    """Outward normal derivative by one-sided second-order differences;
-    corners average the two one-sided normals."""
-    h = grid.h
-    v = phi_values
-    n = grid.n
+    """Outward normal derivative on the boundary nodes, from the one-sided
+    end rows of ``fields.gradient``; corners average their two normals."""
+    grad = gradient(ScalarField(grid, phi_values))
     out = np.zeros(grid.shape)
-    count = np.zeros(grid.shape)
-    faces = [
-        (np.s_[0, :], (3 * v[0, :] - 4 * v[1, :] + v[2, :]) / (2 * h)),
-        (np.s_[-1, :], (3 * v[-1, :] - 4 * v[-2, :] + v[-3, :]) / (2 * h)),
-        (np.s_[:, 0], (3 * v[:, 0] - 4 * v[:, 1] + v[:, 2]) / (2 * h)),
-        (np.s_[:, -1], (3 * v[:, -1] - 4 * v[:, -2] + v[:, -3]) / (2 * h)),
-    ]
-    for sl, vals in faces:
-        out[sl] += vals
-        count[sl] += 1.0
-    out[count > 0] /= count[count > 0]
-    return trace_from_grid(grid, out)
+    out[0, :] -= grad.vx[0, :]
+    out[-1, :] += grad.vx[-1, :]
+    out[:, 0] -= grad.vy[:, 0]
+    out[:, -1] += grad.vy[:, -1]
+    out[::grid.n - 1, ::grid.n - 1] *= 0.5
+    ii, jj = grid.boundary_indices()
+    return out[ii, jj]
 
 
 def solve_T(problem: RobinProblem, x0: ScalarField | None = None,
             precond_with: RobinOperator | None = None) -> OpticalSolution:
     """Solve the diffusion problem and return the energy density and its
-    outgoing boundary flux."""
+    outgoing boundary flux. A lone l = 0 system given no preconditioner is
+    one solve on its own factorization, which keeps phi = g on the boundary
+    exactly; it reports 0 iterations and its true relative residual."""
     grid = problem.a.grid
-    if problem.l == 0.0:
-        x, res = _dirichlet_solve(grid, problem.a.values, problem.g)
-        phi = ScalarField(grid, x)
-        flux = _one_sided_flux(grid, x)
-        return OpticalSolution(phi, flux, res, 0)
     op = RobinOperator(grid, problem.a.values, problem.l)
     b = op.boundary_rhs(problem.g)
-    x0v = None if x0 is None else x0.values
-    x, res, it = op.solve(b, x0=x0v, precond_with=precond_with)
+    if problem.l == 0 and precond_with is None:
+        x = op.factorized().solve(b.ravel()).reshape(grid.shape)
+        miss = op.apply(x) - b
+        res, it = float(np.linalg.norm(miss) / (np.linalg.norm(b) or 1)), 0
+    else:
+        x0v = None if x0 is None else x0.values
+        x, res, it = op.solve(b, x0=x0v, precond_with=precond_with)
     phi = ScalarField(grid, x)
     flux = BoundaryTrace(grid, op.boundary_flux(problem.g, x))
     return OpticalSolution(phi, flux, res, it)

@@ -1,10 +1,10 @@
 """The hot kernels: the bump profile, the stencil operators, bilinear
 gather/scatter and the radial inverse of the wavefront's position map.
 
-Of the stencil operators only :func:`robin_apply`, the Robin CG's
-matrix-vector product, runs in the pipeline; :func:`dirichlet_apply` and
-:func:`edge_form_apply` are the references for the tests of the direct
-solves in ``fields`` and ``diffusion``.
+The stencil operators :func:`robin_apply` and :func:`dirichlet_apply` are
+the matrix-vector products of ``diffusion.RobinOperator`` at l > 0 and at
+l = 0, the Dirichlet limit; :func:`edge_form_apply` is the reference for the
+tests of the direct solves in ``fields``.
 
 :data:`BUMP_PRIME_SUP` is sup |w'| of the bump profile. It decides where the
 position map is monotone: ``acousto.AcousticConfig.monotone_radius`` and the
@@ -100,21 +100,23 @@ def dirichlet_apply(x, a, h):
     """Apply (-lap + a) with homogeneous Dirichlet data.
 
     Boundary entries of ``x`` are ignored (treated as zero) and boundary rows
-    of the output are zero.
+    of the output are zero. ``x`` and ``a`` are one field or stacks, as for
+    :func:`robin_apply`; ``a`` may be None for -lap alone.
     """
     h2 = h * h
     out = np.zeros_like(x)
-    xi = x[1:-1, 1:-1]
-    core = 4.0 * xi - x[:-2, 1:-1] - x[2:, 1:-1] - x[1:-1, :-2] - x[1:-1, 2:]
+    xi = x[..., 1:-1, 1:-1]
+    core = (4.0 * xi - x[..., :-2, 1:-1] - x[..., 2:, 1:-1]
+            - x[..., 1:-1, :-2] - x[..., 1:-1, 2:])
     # cancel the reads of boundary entries (treated as zero)
-    core[0, :] += x[0, 1:-1]
-    core[-1, :] += x[-1, 1:-1]
-    core[:, 0] += x[1:-1, 0]
-    core[:, -1] += x[1:-1, -1]
+    core[..., 0, :] += x[..., 0, 1:-1]
+    core[..., -1, :] += x[..., -1, 1:-1]
+    core[..., :, 0] += x[..., 1:-1, 0]
+    core[..., :, -1] += x[..., 1:-1, -1]
     core /= h2
     if a is not None:
-        core += a[1:-1, 1:-1] * xi
-    out[1:-1, 1:-1] = core
+        core += a[..., 1:-1, 1:-1] * xi
+    out[..., 1:-1, 1:-1] = core
     return out
 
 

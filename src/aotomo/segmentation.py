@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .fields import Grid, ScalarField, gradient
+from .fields import FileFormatError, Grid, ScalarField, gradient
 from .helmholtz import PsiField
 
 _CROSS = ndimage.generate_binary_structure(2, 1)
@@ -169,13 +169,37 @@ def boundary_hausdorff(mask: InclusionMask, points) -> float:
     return float(max(forward, backward))
 
 
-def save_mask_pgm(path, mask: InclusionMask):
-    """Binary PGM (P5), 255 inside the mask; rows run from y = 1 down."""
-    n = mask.grid.n
-    img = np.where(mask.mask.T[::-1, :], 255, 0).astype(np.uint8)
+def _write_pgm(path, img):
+    """Binary PGM (P5) of a square uint8 image indexed [i, j] like a field;
+    rows run from y = 1 down."""
+    n = img.shape[0]
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n} {n}\n255\n".encode())
-        fh.write(img.tobytes())
+        fh.write(img.T[::-1, :].tobytes())
+
+
+def load_pgm(path):
+    """Read a binary PGM as written by :func:`save_mask_pgm`, indexed [i, j]
+    like a field; a malformed file raises FileFormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(b"P5\n"):
+        raise FileFormatError(f"{path} is not a binary PGM")
+    parts = data.split(b"\n", 3)
+    try:
+        w, h = (int(x) for x in parts[1].split())
+        if int(parts[2]) != 255:
+            raise ValueError("maxval is not 255")
+        img = np.frombuffer(parts[3], dtype=np.uint8,
+                            count=w * h).reshape(h, w)
+    except (ValueError, IndexError) as exc:
+        raise FileFormatError(f"{path}: bad PGM header or payload ({exc})")
+    return img.T[:, ::-1]
+
+
+def save_mask_pgm(path, mask: InclusionMask):
+    """Binary PGM (P5), 255 inside the mask."""
+    _write_pgm(path, np.where(mask.mask, 255, 0).astype(np.uint8))
 
 
 def save_field_pgm(path, field: ScalarField):
@@ -183,8 +207,4 @@ def save_field_pgm(path, field: ScalarField):
     vals = field.values
     lo, hi = float(vals.min()), float(vals.max())
     span = hi - lo if hi > lo else 1.0
-    img = np.round((vals.T[::-1, :] - lo) / span * 255).astype(np.uint8)
-    n = field.grid.n
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{n} {n}\n255\n".encode())
-        fh.write(img.tobytes())
+    _write_pgm(path, np.round((vals - lo) / span * 255).astype(np.uint8))

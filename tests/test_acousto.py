@@ -590,23 +590,29 @@ class TestStackedSweep:
         assert acousto._moves(ctx, acousto._displaced_shell(ctx, cfg, y, r))
 
     @pytest.mark.filterwarnings("ignore:grid n=33 under-resolves")
-    def test_dirichlet_sweep_solves_cell_by_cell(self, two_disk_phantom,
-                                                 monkeypatch):
-        ctx = make_context(two_disk_phantom, Grid(33), l=0.0)
-        assert ctx.operator is None
+    def test_dirichlet_sweep_stacks_on_one_factorization(self,
+                                                         two_disk_phantom,
+                                                         monkeypatch):
         cfg = AcousticConfig(eta=0.0625)
-        calls = []
-        solve_T = diffusion.solve_T
+        factorizations = []
+        spd_lu = diffusion.spd_lu
 
-        def counted(problem, *args, **kwargs):
-            calls.append(problem.l)
-            return solve_T(problem, *args, **kwargs)
+        def counted(matrix):
+            factorizations.append(matrix.shape)
+            return spd_lu(matrix)
 
-        monkeypatch.setattr(acousto, "solve_T", counted)
-        sino = sample_sinogram(ctx, cfg, 8, 16)
-        assert sino.values.any()
-        assert calls and set(calls) == {0.0}
-        assert np.array_equal(sino.values, self.cell_loop(ctx, cfg, 8, 16))
+        monkeypatch.setattr(diffusion, "spd_lu", counted)
+        for n in (33, 65):
+            factorizations.clear()
+            ctx = make_context(two_disk_phantom, Grid(n), l=0.0)
+            assert ctx.operator is not None
+            sino = sample_sinogram(ctx, cfg, 8, 16)
+            # the context's factorization serves every moving cell
+            assert factorizations == [(n * n, n * n)], n
+            ref = self.cell_loop(ctx, cfg, 8, 16)
+            scale = np.max(np.abs(ref))
+            assert scale > 0
+            assert np.max(np.abs(sino.values - ref)) <= 1e-12 * scale, n
 
     @staticmethod
     def grazing_radii(cfg, dc, rb):

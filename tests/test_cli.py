@@ -76,6 +76,35 @@ def test_every_command_in_sequence(workdir, capsys):
     assert isinstance(fields.load_field(d / "psi.aorf"), fields.ScalarField)
 
 
+def test_dirichlet_forward_and_sinogram(workdir, capsys):
+    """At optics.l = 0, forward and sinogram run, and write what the library
+    computes on the same context."""
+    d = workdir
+    doc = json.loads((d / "config.json").read_text())
+    doc["optics"]["l"] = 0.0
+    doc["phantom_file"] = str(d / "l0" / "phantom.json")
+    cfg = d / "config_l0.json"
+    cfg.write_text(json.dumps(doc))
+    for argv in (["phantom", "gen", "--config", cfg, "--preset", "two-disks",
+                  "--out", d / "l0" / "phantom.json"],
+                 ["forward", "--config", cfg, "--outdir", d / "l0"],
+                 ["sinogram", "--config", cfg, "--outdir", d / "l0"]):
+        code, out = run(argv, capsys)
+        assert code == 0, (argv[0], out)
+    config = cli.load_config(cfg)
+    ctx = acousto.make_context(phantom.load_phantom(d / "l0" / "phantom.json"),
+                               config.grid, g=config.g_value, l=config.l)
+    assert ctx.l == 0.0
+    assert np.array_equal(fields.load_field(d / "l0" / "phi.aorf").values,
+                          ctx.solution.phi.values)
+    expected = acousto.sample_sinogram(ctx, config.acoustic, config.ny,
+                                       config.nr)
+    got = acousto.Sinogram.load_csv(d / "l0" / "sinogram.csv",
+                                    config.acoustic)
+    assert expected.values.any()
+    assert np.array_equal(got.values, expected.values)
+
+
 def test_missing_config_is_exit_code_2(tmp_path, capsys):
     code = cli.main(["forward", "--config", str(tmp_path / "none.json"),
                      "--outdir", str(tmp_path)])

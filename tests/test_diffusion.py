@@ -34,23 +34,34 @@ class TestSolveT:
 
     def test_dense_oracle_small_grid(self):
         g = Grid(9)
-        problem = robin(g, 1.0)
-        sol = solve_T(problem)
-        op = RobinOperator(g, problem.a.values, problem.l)
-        dense = np.linalg.solve(
-            op.sparse_matrix().toarray(), op.boundary_rhs(problem.g).ravel()
-        ).reshape(g.shape)
-        assert np.max(np.abs(dense - sol.phi.values)) <= 1e-10
+        for l in (0.1, 0.0):
+            problem = robin(g, 1.0, l=l)
+            sol = solve_T(problem)
+            op = RobinOperator(g, problem.a.values, problem.l)
+            dense = np.linalg.solve(
+                op.sparse_matrix().toarray(),
+                op.boundary_rhs(problem.g).ravel()).reshape(g.shape)
+            assert np.max(np.abs(dense - sol.phi.values)) <= 1e-10, l
 
     @pytest.mark.parametrize("n", [9, 33])
     def test_sparse_matrix_matches_apply(self, n):
         rng = np.random.default_rng(n)
-        op = RobinOperator(Grid(n), rng.uniform(0.0, 3.0, (n, n)), 0.1)
+        a = rng.uniform(0.0, 3.0, (n, n))
         x = rng.standard_normal((n, n))
-        expected = op.apply(x)
-        got = (op.sparse_matrix() @ x.ravel()).reshape(n, n)
-        err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
-        assert err <= 1e-12
+        # a second field, to map a stack of two
+        a2 = rng.uniform(0.0, 3.0, (n, n))
+        x2 = rng.standard_normal((n, n))
+        for l in (0.1, 0.0):
+            op = RobinOperator(Grid(n), a, l)
+            expected = op.apply(x)
+            got = (op.sparse_matrix() @ x.ravel()).reshape(n, n)
+            err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-12, l
+            stacked = RobinOperator(Grid(n), np.stack([a, a2]), l).apply(
+                np.stack([x, x2]))
+            assert np.array_equal(stacked[0], expected), l
+            assert np.array_equal(
+                stacked[1], RobinOperator(Grid(n), a2, l).apply(x2)), l
 
     def test_residual_contract(self, disk_phantom, grid65):
         sol = solve_T(RobinProblem(disk_phantom.sample(grid65),

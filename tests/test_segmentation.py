@@ -102,17 +102,20 @@ class TestExtract:
 
 
 class TestMaskExport:
-    def test_pgm_roundtrip(self, tmp_path, flat_disk_phantom):
+    def test_pgm_roundtrip(self, tmp_path):
         g = Grid(65)
-        psi = psi_of(flat_disk_phantom, g)
-        masks = seg.extract_inclusions(seg.detect_edges(psi), g)
+        x, y = g.meshgrid()
+        # off centre, so a transpose or a flip would move it
+        inside = (x - 0.3) ** 2 + (y - 0.7) ** 2 < 0.15 ** 2
         path = tmp_path / "mask.pgm"
-        seg.save_mask_pgm(path, masks[0])
+        seg.save_mask_pgm(path, seg.InclusionMask(g, inside, 1))
         data = path.read_bytes()
         assert data.startswith(b"P5\n65 65\n255\n")
         img = np.frombuffer(data.split(b"\n", 3)[3], dtype=np.uint8)
-        assert set(np.unique(img)) <= {0, 255}
-        assert (img == 255).sum() == masks[0].mask.sum()
+        # rows run from y = 1 down
+        assert np.array_equal(img.reshape(g.shape),
+                              np.where(inside.T[::-1, :], 255, 0))
+        assert np.array_equal(seg.load_pgm(path), np.where(inside, 255, 0))
 
     def test_field_pgm_normalization(self, tmp_path, grid33):
         f = ScalarField.from_function(grid33, lambda x, y: x)
