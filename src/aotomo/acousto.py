@@ -211,9 +211,10 @@ def displacement_v(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     return VectorField(grid, prof * ex, prof * ey)
 
 
-def _shell_displacement(config: AcousticConfig, y, r, grid: Grid, box=None):
+def _shell_displacement(config: AcousticConfig, y, r, c, box=None):
     """The nodes of the shell |d - r| <= eta + amp around y, outside which u
-    vanishes, and u on them.
+    vanishes, and u on them; ``c`` is the grid's node coordinates
+    (``Grid.coords``).
 
     Returns ``(i, j, ux, uy)``: the index arrays of the shell nodes, in C
     order, and the two components of u on them, solved per node by
@@ -221,8 +222,7 @@ def _shell_displacement(config: AcousticConfig, y, r, grid: Grid, box=None):
     j1)``, keeps only the shell nodes in ``[i0, i1) x [j0, j1)``.
     """
     _check_radius(r)
-    c = grid.coords()
-    i0, i1, j0, j1 = (0, grid.n, 0, grid.n) if box is None else box
+    i0, i1, j0, j1 = (0, c.size, 0, c.size) if box is None else box
     cx = c[i0:i1] - y[0]
     cy = c[j0:j1] - y[1]
     amp = config.eta * (config.r0 / r)
@@ -252,7 +252,8 @@ def _shell_displacement(config: AcousticConfig, y, r, grid: Grid, box=None):
 def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     """Displacement u with x + u(x) = P^{-1}(x) for the position map
     P(z) = z + v(z); zero off the wavefront shell."""
-    i, j, ux_shell, uy_shell = _shell_displacement(config, y, r, grid)
+    i, j, ux_shell, uy_shell = _shell_displacement(config, y, r,
+                                                   grid.coords())
     ux = np.zeros(grid.shape)
     uy = np.zeros(grid.shape)
     ux[i, j] = ux_shell
@@ -328,9 +329,10 @@ def _support_box(phantom: Phantom, grid: Grid, grow):
     return int(i0), int(i1), int(j0), int(j1)
 
 
-def _displaced_shell(ctx: ForwardContext, config: AcousticConfig, y, r):
-    """The nodes where a_u = a(x + u(x)) can differ from ``ctx.a``, and a_u
-    on them, as ``(i, j, values)``.
+def _displaced_shells(ctx: ForwardContext, config: AcousticConfig, ys, r):
+    """For each source in ``ys`` in turn, the nodes where a_u = a(x + u(x))
+    can differ from ``ctx.a`` at radius r, and a_u on them, as ``(i, j,
+    values)``; the box and the node coordinates are computed once.
 
     They are the shell nodes inside the box of the inclusions' bounding
     circles grown by amp (plus 1e-9 for rounding). The cull is exact: |u| <=
@@ -340,10 +342,17 @@ def _displaced_shell(ctx: ForwardContext, config: AcousticConfig, y, r):
     _check_radius(r)
     amp = config.eta * (config.r0 / r)
     box = _support_box(ctx.phantom, ctx.grid, amp + _NUDGE)
-    i, j, ux, uy = _shell_displacement(config, y, r, ctx.grid, box)
     c = ctx.grid.coords()
-    return i, j, ctx.phantom.eval(np.clip(c[i] + ux, 0.0, 1.0),
-                                  np.clip(c[j] + uy, 0.0, 1.0))
+    for y in ys:
+        i, j, ux, uy = _shell_displacement(config, y, r, c, box)
+        yield i, j, ctx.phantom.eval(np.clip(c[i] + ux, 0.0, 1.0),
+                                     np.clip(c[j] + uy, 0.0, 1.0))
+
+
+def _displaced_shell(ctx: ForwardContext, config: AcousticConfig, y, r):
+    """``_displaced_shells`` of the one source y."""
+    shell, = _displaced_shells(ctx, config, [y], r)
+    return shell
 
 
 def _moves(ctx: ForwardContext, shell):
@@ -981,9 +990,10 @@ def _M_eta_column(quad: _ShellQuadrature, q, sources, cells, out):
     """
     ctx = quad.ctx
     still, moving, shells = [], [], []
+    shell_of = _displaced_shells(ctx, quad.config, sources[cells], quad.r)
     for m in cells:
         with _sinogram_cells(q, [m]):
-            shell = _displaced_shell(ctx, quad.config, sources[m], quad.r)
+            shell = next(shell_of)
         if _moves(ctx, shell):
             moving.append(m)
             shells.append(shell)

@@ -72,11 +72,16 @@ def load_config(path) -> ExperimentConfig:
             if default is not None:
                 return default
             raise ConfigError(f"missing config field: {section_name}.{key}")
-        try:
-            return typ(src[key])
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"config field {section_name}.{key} must be {typ.__name__}")
+        value = src[key]
+        # int() would truncate 41.9 and read "41" or true, so an integer
+        # field takes a JSON integer only
+        if typ is not int or type(value) is int:
+            try:
+                return typ(value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigError(
+            f"config field {section_name}.{key} must be {typ.__name__}")
 
     n = need("grid", "n", int)
     if n < 17:
@@ -109,11 +114,27 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(phantom_file, str):
         raise ConfigError("config field phantom_file must be a string")
 
-    def optional(key):
+    def optional_positive(key):
         if recon.get(key) is None:
             return None
-        return need("reconstruction", key, float)
+        value = need("reconstruction", key, float)
+        if not value > 0:
+            raise ConfigError(
+                f"config field reconstruction.{key} must be positive")
+        return value
 
+    max_iter = need("reconstruction", "max_iter", int, 200)
+    if max_iter < 1:
+        raise ConfigError(
+            "config field reconstruction.max_iter must be at least 1")
+    stop_tol = need("reconstruction", "stop_tol", float, 1e-3)
+    if not stop_tol >= 0:
+        raise ConfigError(
+            "config field reconstruction.stop_tol must be nonnegative")
+    partition_step = need("reconstruction", "partition_step", float, 0.125)
+    if not partition_step > 0:
+        raise ConfigError(
+            "config field reconstruction.partition_step must be positive")
     return ExperimentConfig(
         n=n,
         acoustic=ac,
@@ -122,11 +143,11 @@ def load_config(path) -> ExperimentConfig:
         l=l,
         g_value=g_value,
         phantom_file=phantom_file,
-        theta=optional("theta"),
-        tau=optional("tau"),
-        max_iter=need("reconstruction", "max_iter", int, 200),
-        stop_tol=need("reconstruction", "stop_tol", float, 1e-3),
-        partition_step=need("reconstruction", "partition_step", float, 0.125),
+        theta=optional_positive("theta"),
+        tau=optional_positive("tau"),
+        max_iter=max_iter,
+        stop_tol=stop_tol,
+        partition_step=partition_step,
     )
 
 
@@ -322,7 +343,7 @@ def cmd_reconstruct(cfg, args):
             g=cfg.g_value, l=cfg.l, theta=cfg.theta,
         )
     except ValueError as exc:
-        # an empty mask, or a theta the config sets to zero or below
+        # an empty mask
         raise ConfigError(f"reconstruct: {exc}")
     guess = inversion.initial_guess_exhaustion(
         problem, flux, partition_step=cfg.partition_step,

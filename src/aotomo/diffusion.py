@@ -5,14 +5,15 @@ discretized by second-order ghost elimination. Rows are scaled by the
 trapezoid pattern so the assembled system is symmetric positive definite. At
 l = 0, the Dirichlet limit phi = g, the boundary rows are the identity and
 the interior rows the 5-point (-lap + a), whose boundary neighbours move to
-the right-hand side; that system is symmetric positive definite too. Solves
-are conjugate gradient, optionally preconditioned by the cached sparse
-factorization of a nearby operator. A measurement sweep preconditions its
-perturbed solves with the unperturbed operator; the reconstruction
-preconditions its forward, tangent and adjoint solves with the operator at
-the constant background coefficient, except the step-size estimate, whose
-tangent and adjoint solves all sit at one iterate and are preconditioned by
-that iterate's own factorization.
+the right-hand side; that system is symmetric positive definite too.
+
+Every solve follows one rule: a system is either solved once on its own
+operator's cached sparse factorization, or by conjugate gradient
+preconditioned by the one factorization its caller already holds, that of
+a nearby operator. A measurement sweep preconditions its perturbed solves
+with the unperturbed operator; the reconstruction preconditions its
+forward, tangent and adjoint solves with the operator at the constant
+background coefficient.
 
 A :class:`RobinOperator` built on a (k, n, n) stack of coefficients solves k
 independent systems at once: one stacked CG (see ``fields.cg``) whose
@@ -143,23 +144,28 @@ class RobinOperator:
         return self._splu
 
     def solve(self, b, x0=None, precond_with=None):
-        """CG solve of S x = b; optionally preconditioned by the factorization
-        of a nearby operator (PCG).
+        """Solve S x = b: once on this operator's factorization, or, given
+        ``precond_with``, by CG preconditioned by the factorization of that
+        nearby operator (PCG) and started from ``x0``.
 
-        On a stack of coefficients, ``b`` and ``x0`` are matching stacks and
-        the k systems are solved by one stacked CG; the preconditioner solves
+        Returns ``(x, residual, iterations)``; the direct solve reports its
+        true relative residual and 0 iterations. On a stack of coefficients,
+        which only PCG solves, ``b`` and ``x0`` are matching stacks and the
+        k systems are solved by one stacked CG; the preconditioner solves
         the residuals of the systems still iterating as one
         multi-right-hand-side LU solve.
         """
         n = self.grid.n
-        precond = None
-        if precond_with is not None:
-            lu = precond_with.factorized()
+        if precond_with is None:
+            x = self.factorized().solve(b.ravel()).reshape(b.shape)
+            miss = np.linalg.norm(self.apply(x) - b)
+            return x, float(miss / (np.linalg.norm(b) or 1.0)), 0
+        lu = precond_with.factorized()
 
-            def precond(r):
-                # one column per field; SuperLU returns Fortran order, so
-                # the transposes copy nothing
-                return lu.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
+        def precond(r):
+            # one column per field; SuperLU returns Fortran order, so the
+            # transposes copy nothing
+            return lu.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
 
         dot = stack_dot if self.a.ndim == 3 else None
         return cg(self.apply, b, max_iter=50 * n, x0=x0, precond=precond,
@@ -180,22 +186,14 @@ def _one_sided_flux(grid, phi_values):
     return out[ii, jj]
 
 
-def solve_T(problem: RobinProblem, x0: ScalarField | None = None,
+def solve_T(problem: RobinProblem,
             precond_with: RobinOperator | None = None) -> OpticalSolution:
     """Solve the diffusion problem and return the energy density and its
-    outgoing boundary flux. A lone l = 0 system given no preconditioner is
-    one solve on its own factorization, which keeps phi = g on the boundary
-    exactly; it reports 0 iterations and its true relative residual."""
+    outgoing boundary flux (see ``RobinOperator.solve``)."""
     grid = problem.a.grid
     op = RobinOperator(grid, problem.a.values, problem.l)
-    b = op.boundary_rhs(problem.g)
-    if problem.l == 0 and precond_with is None:
-        x = op.factorized().solve(b.ravel()).reshape(grid.shape)
-        miss = op.apply(x) - b
-        res, it = float(np.linalg.norm(miss) / (np.linalg.norm(b) or 1)), 0
-    else:
-        x0v = None if x0 is None else x0.values
-        x, res, it = op.solve(b, x0=x0v, precond_with=precond_with)
+    x, res, it = op.solve(op.boundary_rhs(problem.g),
+                          precond_with=precond_with)
     phi = ScalarField(grid, x)
     flux = BoundaryTrace(grid, op.boundary_flux(problem.g, x))
     return OpticalSolution(phi, flux, res, it)
@@ -210,17 +208,16 @@ def solve_adjoint(a: ScalarField, source: ScalarField, l: float,
     """
     grid = a.grid
     op = RobinOperator(grid, a.values, l)
-    b = op.source_rhs(source)
-    x, res, it = op.solve(b, precond_with=precond_with)
+    x, _, _ = op.solve(op.source_rhs(source), precond_with=precond_with)
     return ScalarField(grid, x)
 
 
-def solve_DT(a: ScalarField, phi: ScalarField, h: ScalarField,
-             l: float) -> ScalarField:
+def solve_DT(a: ScalarField, phi: ScalarField, h: ScalarField, l: float,
+             precond_with: RobinOperator | None = None) -> ScalarField:
     """Directional derivative of the coefficient-to-solution map.
 
     Solves (-lap + a) dphi = -h * phi with homogeneous Robin data, where phi
     is the solution at coefficient ``a``.
     """
     source = ScalarField(a.grid, -h.values * phi.values)
-    return solve_adjoint(a, source, l)
+    return solve_adjoint(a, source, l, precond_with=precond_with)

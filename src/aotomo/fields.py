@@ -191,11 +191,6 @@ class BoundaryTrace:
         return out
 
 
-def trace_from_grid(grid, arr):
-    ii, jj = grid.boundary_indices()
-    return BoundaryTrace(grid, arr[ii, jj])
-
-
 def boundary_integral(trace):
     """Integral over the boundary curve (uniform weights on the closed loop)."""
     return trace.grid.h * float(np.sum(trace.values))

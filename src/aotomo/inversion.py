@@ -16,13 +16,11 @@ budget per inclusion) is enforced by clamping and scale-back.
 Every coefficient either stage solves at equals the background a0 off the
 masks and lies in [lower, upper] on them, so it differs from the constant
 background operator only by a diagonal term on the inclusions. The problem
-factors that background operator once, and its LU preconditions the Robin
-solves here: the exhaustion's candidate solves, solved one stack of
+factors that background operator once, and its LU preconditions every Robin
+solve here: the exhaustion's candidate solves, solved one stack of
 candidates at a time, Landweber's forward solves and the tangent and
-adjoint solves of DF and DF*. The step-size estimate is the exception: its
-power iteration repeats the tangent and adjoint solves at one iterate, so
-it factors that iterate's operator, and each of those solves then takes one
-preconditioned CG iteration.
+adjoint solves of DF and DF*. At a zero correction, as in the step-size
+estimate, DF and DF* need no tangent or adjoint solve.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .diffusion import (
     OpticalSolution,
     RobinOperator,
     RobinProblem,
-    solve_adjoint,
+    solve_DT,
     solve_T,
 )
 from .fields import (
@@ -408,67 +406,57 @@ def delta_psi_functional(problem: ReconstructionProblem,
 
 
 def DF_apply(problem: ReconstructionProblem, alphas, correction: HElement,
-             h: HElement, solution: OpticalSolution | None = None,
-             tangent: ScalarField | None = None,
-             precond_with: RobinOperator | None = None) -> HFunctional:
-    """Directional derivative of F at the iterate in direction h.
-
-    The tangent solve is preconditioned by ``precond_with``, by default the
-    problem's background operator.
-    """
+             h: HElement,
+             solution: OpticalSolution | None = None) -> HFunctional:
+    """Directional derivative of F at the iterate in direction h."""
     return problem.functional(
-        _DF_raw(problem, alphas, correction, h, solution, tangent,
-                precond_with))
+        _DF_raw(problem, alphas, correction, h, solution))
 
 
-def _DF_raw(problem, alphas, correction, h, solution, tangent,
-            precond_with=None):
-    """Assembled vectors of DF[a](h), one per inclusion."""
+def _DF_raw(problem, alphas, correction, h, solution):
+    """Assembled vectors of DF[a](h), one per inclusion.
+
+    The tangent dphi enters only through the correction's edge
+    differences, so a zero correction solves nothing.
+    """
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
-    if tangent is None:
-        tangent = _tangent_solve(problem, alphas, correction, h, solution,
-                                 precond_with)
-    phi = solution.phi.values
-    phi2x, phi2y = edge_average(phi**2)
-    crossx, crossy = edge_average(2.0 * phi * tangent.values)
+    phi = solution.phi
+    phi2x, phi2y = edge_average(phi.values**2)
+    da = [space.diff(part)
+          for space, part in zip(problem.spaces, correction.parts)]
+    crossx = crossy = 0.0
+    if any(d.any() for pair in da for d in pair):
+        tangent = solve_DT(problem.coefficient_field(alphas, correction), phi,
+                           ScalarField(problem.grid, h.combined()), problem.l,
+                           precond_with=problem.reference)
+        crossx, crossy = edge_average(2.0 * phi.values * tangent.values)
     raw = []
-    for j, space in enumerate(problem.spaces):
-        dax, day = space.diff(correction.parts[j])
-        dhx, dhy = space.diff(h.parts[j])
+    for space, (dax, day), hp in zip(problem.spaces, da, h.parts):
+        dhx, dhy = space.diff(hp)
         raw.append(space.assemble(
             crossx * dax + phi2x * dhx, crossy * day + phi2y * dhy
         ))
     return raw
 
 
-def _tangent_solve(problem, alphas, correction, h: HElement,
-                   solution: OpticalSolution,
-                   precond_with=None) -> ScalarField:
-    a = problem.coefficient_field(alphas, correction)
-    source = -h.combined() * solution.phi.values
-    return solve_adjoint(a, ScalarField(problem.grid, source), problem.l,
-                         precond_with=precond_with or problem.reference)
-
-
 def DF_quadratic_form(problem, alphas, correction, h: HElement,
                       solution=None) -> float:
     """DF[a](h, h) without Riesz solves (used by the coercivity checks)."""
-    raw = _DF_raw(problem, alphas, correction, h, solution, None)
+    raw = _DF_raw(problem, alphas, correction, h, solution)
     return sum(float(np.sum(b * hp)) for b, hp in zip(raw, h.parts))
 
 
 def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
                rho: HFunctional,
-               solution: OpticalSolution | None = None,
-               precond_with: RobinOperator | None = None) -> HElement:
+               solution: OpticalSolution | None = None) -> HElement:
     """The element g with <g, h>_H = DF[a](h)(rep rho) for all h.
 
     The solution chain runs through one adjoint diffusion solve for the
-    tangent term, preconditioned by ``precond_with`` (by default the
-    problem's background operator), and one masked Riesz solve per
-    inclusion for both terms. At a zero correction the tangent term has no
-    source, and there is no diffusion solve.
+    tangent term, preconditioned by the problem's background operator, and
+    one masked Riesz solve per inclusion for both terms. At a zero
+    correction the tangent term has no source, and there is no diffusion
+    solve.
     """
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
@@ -491,8 +479,7 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
     if sigma.any():
         a = problem.coefficient_field(alphas, correction)
         op = RobinOperator(grid, a.values, problem.l)
-        z, _, _ = op.solve(sigma,
-                           precond_with=precond_with or problem.reference)
+        z, _, _ = op.solve(sigma, precond_with=problem.reference)
         b1 = -phi * z * op.row_weights
     else:
         # a zero correction has no tangent source, so z = 0; the signed
@@ -533,17 +520,9 @@ def estimate_step_size(problem: ReconstructionProblem, alphas,
                        correction: HElement, iterations=20,
                        seed=0) -> float:
     """tau = 0.9 / L^2 with L the operator norm of DF at the iterate,
-    estimated by power iterations on DF* DF.
-
-    Every tangent and adjoint solve of the power iteration sits at this one
-    iterate, so they are preconditioned by the factorization of its own
-    operator.
-    """
+    estimated by power iterations on DF* DF."""
     rng = np.random.default_rng(seed)
     solution = problem.solve_forward(alphas, correction)
-    at_iterate = RobinOperator(
-        problem.grid, problem.coefficient_field(alphas, correction).values,
-        problem.l)
     v = HElement([
         np.where(space.interior, rng.standard_normal(problem.grid.shape), 0.0)
         for space in problem.spaces
@@ -553,8 +532,8 @@ def estimate_step_size(problem: ReconstructionProblem, alphas,
     for _ in range(iterations):
         w = DF_adjoint(problem, alphas, correction,
                        DF_apply(problem, alphas, correction, v,
-                                solution=solution, precond_with=at_iterate),
-                       solution=solution, precond_with=at_iterate)
+                                solution=solution),
+                       solution=solution)
         lam = problem.h_inner(v, w)
         nrm = problem.h_norm(w)
         if nrm == 0:

@@ -52,7 +52,7 @@ BUMP_PRIME_SUP = (2.0 * 3.0**-0.25 / (1.0 - 3.0**-0.5)**2
                   * math.exp(1.0 - 1.0 / (1.0 - 3.0**-0.5)))
 
 
-def robin_apply(x, a, l, h, out=None):
+def robin_apply(x, a, l, h):
     """Apply the symmetrized Robin diffusion operator.
 
     Interior rows are (-lap + a) x with the 5-point stencil; boundary rows use
@@ -66,8 +66,7 @@ def robin_apply(x, a, l, h, out=None):
     """
     n = x.shape[-1]
     h2 = h * h
-    if out is None:
-        out = np.empty_like(x)
+    out = np.empty_like(x)
     xp = np.empty(x.shape[:-2] + (n + 2, n + 2), dtype=np.float64)
     xp[..., 1:-1, 1:-1] = x
     xp[..., 0, 1:-1] = x[..., 1, :]

@@ -650,7 +650,8 @@ class TestStackedSweep:
                         moves = not np.array_equal(full.values, ctx.a.values)
                         assert acousto._moves(ctx, shell) == moves
                         moved += moves
-                        every = acousto._shell_displacement(cfg, y, r, g)
+                        every = acousto._shell_displacement(cfg, y, r,
+                                                            g.coords())
                         culled += shell[0].size < every[0].size
         # grazing cells both touch and miss the inclusions, and the box
         # drops shell nodes

@@ -123,6 +123,22 @@ def _bad_inputs(d):
         doc = json.loads(cfg.read_text())
         doc["reconstruction"][key] = "abc"
         (d / f"recon_{key}.json").write_text(json.dumps(doc))
+    # values that int() or the solvers would silently reinterpret, or
+    # reject only with a traceback
+    out_of_range = [("grid", "n", 35.5), ("grid", "n", "35"),
+                    ("acoustic", "ny", 8.5), ("acoustic", "nr", True),
+                    ("reconstruction", "max_iter", -3),
+                    ("reconstruction", "max_iter", 0),
+                    ("reconstruction", "max_iter", 2.0),
+                    ("reconstruction", "partition_step", 0),
+                    ("reconstruction", "partition_step", -0.1),
+                    ("reconstruction", "stop_tol", -1e-3),
+                    ("reconstruction", "tau", 0),
+                    ("reconstruction", "theta", -1.0)]
+    for k, (sec, key, value) in enumerate(out_of_range):
+        doc = json.loads(cfg.read_text())
+        doc[sec][key] = value
+        (d / f"range_{k}.json").write_text(json.dumps(doc))
     (d / "config_list.json").write_text("[1]")
     not_objects = {"grid": 5, "acoustic": [1], "reconstruction": 5,
                    "phantom_file": 5}
@@ -207,6 +223,10 @@ def _bad_inputs(d):
         *((f"non-numeric reconstruction.{key}",
            ["phantom", "gen", "--config", d / f"recon_{key}.json",
             "--out", d / "bad_phantom.json"]) for key in bad_recon),
+        *((f"{sec}.{key} = {value!r}",
+           ["phantom", "gen", "--config", d / f"range_{k}.json",
+            "--out", d / "bad_phantom.json"])
+          for k, (sec, key, value) in enumerate(out_of_range)),
         ("missing log", evaluate("none.csv")),
         ("log without residual_Hstar", evaluate("log_no_residual.csv")),
         ("log without dist_to_truth_H", evaluate("log_no_dist.csv")),

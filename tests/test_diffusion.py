@@ -79,21 +79,39 @@ class TestSolveT:
         assert np.max(np.abs(sol.phi.values[ii, jj] - 1.0)) == 0.0
         assert 0 < sol.phi.values[grid33.n // 2, grid33.n // 2] < 1
 
-    def test_dirichlet_path_solves_to_rounding(self, grid33):
+    def test_dirichlet_path_solves_to_rounding(self, grid33, monkeypatch):
         g, h = grid33, grid33.h
         rng = np.random.default_rng(5)
         a = rng.uniform(0.0, 3.0, g.shape)
         bc = BoundaryTrace(g, rng.standard_normal(4 * (g.n - 1)))
+        source = ScalarField(g, rng.standard_normal(g.shape))
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return fields.cg(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "cg", counted)
         sol = solve_T(RobinProblem(ScalarField(g, a), bc, 0.0))
         ii, jj = g.boundary_indices()
         assert np.array_equal(sol.phi.values[ii, jj], bc.values)
-        assert sol.iterations == 0 and sol.residual <= 1e-12
         # the 5-point operator on the interior, with the boundary
         # neighbours moved to the right-hand side
         e = bc.as_grid_array()
         b = (e[:-2, 1:-1] + e[2:, 1:-1] + e[1:-1, :-2] + e[1:-1, 2:]) / h**2
         got = kernels.dirichlet_apply(sol.phi.values, a, h)[1:-1, 1:-1]
         assert np.linalg.norm(got - b) <= 1e-12 * np.linalg.norm(b)
+        # without a preconditioner, every solve at every l is one solve on
+        # the operator's own factorization
+        for l in (0.0, 0.1):
+            sol = solve_T(RobinProblem(ScalarField(g, a), bc, l))
+            assert sol.iterations == 0 and sol.residual <= 1e-12, l
+            op = RobinOperator(g, a, l)
+            z = solve_adjoint(ScalarField(g, a), source, l)
+            b = op.source_rhs(source)
+            miss = np.linalg.norm(op.apply(z.values) - b)
+            assert miss <= 1e-12 * np.linalg.norm(b), l
+        assert not solves
 
     def test_comparison_principle_family(self, phantom_family, grid65):
         for p in phantom_family:

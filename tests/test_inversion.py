@@ -38,6 +38,24 @@ def setup(disk_phantom):
     return g, problem, sol, psi
 
 
+def solved_DF(problem, alphas, correction, h, solution):
+    """DF[a](h) with its tangent solved at every correction, directly on
+    the iterate's own factorization."""
+    tangent = diffusion.solve_DT(
+        problem.coefficient_field(alphas, correction), solution.phi,
+        ScalarField(problem.grid, h.combined()), problem.l)
+    phi = solution.phi.values
+    phi2x, phi2y = fields.edge_average(phi**2)
+    crossx, crossy = fields.edge_average(2.0 * phi * tangent.values)
+    raw = []
+    for space, cp, hp in zip(problem.spaces, correction.parts, h.parts):
+        dax, day = space.diff(cp)
+        dhx, dhy = space.diff(hp)
+        raw.append(space.assemble(crossx * dax + phi2x * dhx,
+                                  crossy * day + phi2y * dhy))
+    return problem.functional(raw)
+
+
 def random_element(problem, rng, scale=0.05):
     return HElement([
         np.where(space.interior,
@@ -344,6 +362,28 @@ class TestDerivative:
         for g_part, r_part in zip(got.parts, reference.parts):
             assert g_part.tobytes() == r_part.tobytes()
 
+    def test_zero_correction_tangent_solves_nothing(self, setup,
+                                                    monkeypatch):
+        _, problem, _, _ = setup
+        zero = problem.zero_element()
+        h = random_element(problem, np.random.default_rng(6), scale=1.0)
+        solution = problem.solve_forward([1.5], zero)
+        reference = solved_DF(problem, [1.5], zero, h, solution)
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return fields.cg(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "cg", counted)
+        got = DF_apply(problem, [1.5], zero, h, solution=solution)
+        assert not solves
+        for g_part, r_part in zip(got.raw, reference.raw):
+            assert g_part.tobytes() == r_part.tobytes()
+        for g_part, r_part in zip(got.representer.parts,
+                                  reference.representer.parts):
+            assert g_part.tobytes() == r_part.tobytes()
+
     def test_taylor_order(self, setup):
         _, problem, sol, _ = setup
         rng = np.random.default_rng(2)
@@ -522,38 +562,53 @@ class TestProjection:
 
 
 class TestStepSize:
-    def test_iterate_preconditioner_keeps_tau(self, setup, monkeypatch):
-        _, problem, _, _ = setup
-        rng = np.random.default_rng(5)
-        corr = random_element(problem, rng, scale=0.02)
-        # reference: the same power iteration on background-preconditioned
-        # solves
-        ref_rng = np.random.default_rng(0)
-        solution = problem.solve_forward([1.5], corr)
+    @staticmethod
+    def power_tau(problem, correction):
+        """tau of the same power iteration, with the tangent of every DF
+        solved."""
+        rng = np.random.default_rng(0)
+        solution = problem.solve_forward([1.5], correction)
         v = HElement([np.where(space.interior,
-                               ref_rng.standard_normal(problem.grid.shape),
-                               0.0) for space in problem.spaces])
+                               rng.standard_normal(problem.grid.shape), 0.0)
+                      for space in problem.spaces])
         v = v.scaled(1.0 / problem.h_norm(v))
         for _ in range(20):
-            w = DF_adjoint(problem, [1.5], corr,
-                           DF_apply(problem, [1.5], corr, v,
-                                    solution=solution),
+            w = DF_adjoint(problem, [1.5], correction,
+                           solved_DF(problem, [1.5], correction, v, solution),
                            solution=solution)
             lam = problem.h_inner(v, w)
             v = w.scaled(1.0 / problem.h_norm(w))
-        solves = []
+        return 0.9 / lam
 
-        def counted(*args, **kwargs):
-            out = fields.cg(*args, **kwargs)
-            solves.append(out[2])
-            return out
+    def test_iterate_preconditioner_keeps_tau(self, setup, monkeypatch):
+        _, problem, _, _ = setup
+        zero = problem.zero_element()
+        corr = random_element(problem, np.random.default_rng(5), scale=0.02)
+        expected = {key: self.power_tau(problem, c)
+                    for key, c in (("zero", zero), ("corr", corr))}
+        solves, factorized = [], []
+        factorize = diffusion.RobinOperator.factorized
 
-        monkeypatch.setattr(diffusion, "cg", counted)
+        def counted_cg(*args, **kwargs):
+            solves.append(args)
+            return fields.cg(*args, **kwargs)
+
+        def counted_factorized(op):
+            factorized.append(op)
+            return factorize(op)
+
+        monkeypatch.setattr(diffusion, "cg", counted_cg)
+        monkeypatch.setattr(diffusion.RobinOperator, "factorized",
+                            counted_factorized)
+        tau = inv.estimate_step_size(problem, [1.5], zero)
+        # at the zero correction, as Landweber calls it, the estimate solves
+        # only the forward problem, on the background factorization
+        assert len(solves) == 1
+        assert factorized and all(op is problem.reference for op in factorized)
+        assert tau == expected["zero"]
         tau = inv.estimate_step_size(problem, [1.5], corr)
-        assert tau == pytest.approx(0.9 / lam, rel=1e-9)
-        # after the forward solve, each tangent and adjoint solve of the
-        # power iteration takes one preconditioned CG iteration
-        assert len(solves) == 41 and max(solves[1:]) == 1
+        assert tau == pytest.approx(expected["corr"], rel=1e-9)
+        assert all(op is problem.reference for op in factorized)
 
 
 class TestLandweber:
