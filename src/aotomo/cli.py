@@ -74,14 +74,16 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"missing config field: {section_name}.{key}")
         value = src[key]
         # int() would truncate 41.9 and read "41" or true, so an integer
-        # field takes a JSON integer only
+        # field takes a JSON integer only; no field takes nan or inf
         if typ is not int or type(value) is int:
             try:
-                return typ(value)
-            except (TypeError, ValueError):
+                value = typ(value)
+                if math.isfinite(value):
+                    return value
+            except (TypeError, ValueError, OverflowError):
                 pass
-        raise ConfigError(
-            f"config field {section_name}.{key} must be {typ.__name__}")
+        what = "an integer" if typ is int else "a finite number"
+        raise ConfigError(f"config field {section_name}.{key} must be {what}")
 
     n = need("grid", "n", int)
     if n < 17:

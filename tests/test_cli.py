@@ -127,6 +127,8 @@ def _bad_inputs(d):
     # reject only with a traceback
     out_of_range = [("grid", "n", 35.5), ("grid", "n", "35"),
                     ("acoustic", "ny", 8.5), ("acoustic", "nr", True),
+                    ("grid", "n", 10**400), ("optics", "g", "nan"),
+                    ("optics", "l", float("inf")),
                     ("reconstruction", "max_iter", -3),
                     ("reconstruction", "max_iter", 0),
                     ("reconstruction", "max_iter", 2.0),
