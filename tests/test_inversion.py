@@ -584,8 +584,8 @@ class TestStepSize:
         _, problem, _, _ = setup
         zero = problem.zero_element()
         corr = random_element(problem, np.random.default_rng(5), scale=0.02)
-        expected = {key: self.power_tau(problem, c)
-                    for key, c in (("zero", zero), ("corr", corr))}
+        tau_zero = self.power_tau(problem, zero)
+        tau_corr = self.power_tau(problem, corr)
         solves, factorized = [], []
         factorize = diffusion.RobinOperator.factorized
 
@@ -605,9 +605,9 @@ class TestStepSize:
         # only the forward problem, on the background factorization
         assert len(solves) == 1
         assert factorized and all(op is problem.reference for op in factorized)
-        assert tau == expected["zero"]
+        assert tau == tau_zero
         tau = inv.estimate_step_size(problem, [1.5], corr)
-        assert tau == pytest.approx(expected["corr"], rel=1e-9)
+        assert tau == pytest.approx(tau_corr, rel=1e-9)
         assert all(op is problem.reference for op in factorized)
 
 
