@@ -73,9 +73,10 @@ def load_config(path) -> ExperimentConfig:
                 return default
             raise ConfigError(f"missing config field: {section_name}.{key}")
         value = src[key]
-        # int() would truncate 41.9 and read "41" or true, so an integer
-        # field takes a JSON integer only; no field takes nan or inf
-        if typ is not int or type(value) is int:
+        # int() would truncate 41.9 and read "41" or true, and float() would
+        # read "0.12" or true, so an integer field takes a JSON integer only
+        # and a number field a JSON number only; no field takes nan or inf
+        if type(value) is int or (typ is float and type(value) is float):
             try:
                 value = typ(value)
                 if math.isfinite(value):

@@ -7,23 +7,26 @@ l = 0, the Dirichlet limit phi = g, the boundary rows are the identity and
 the interior rows the 5-point (-lap + a), whose boundary neighbours move to
 the right-hand side; that system is symmetric positive definite too.
 
-Every solve follows one rule: a system is either solved once on its own
-operator's cached sparse factorization, or by conjugate gradient
-preconditioned by the one factorization its caller already holds, that of
-a nearby operator. A measurement sweep preconditions its perturbed solves
-with the unperturbed operator; the reconstruction preconditions its
-forward, tangent and adjoint solves with the operator at the constant
-background coefficient.
+Every solve follows one rule: a system is either solved once by its own
+operator's cached direct solver, or by conjugate gradient preconditioned by
+the one direct solver its caller already holds, that of a nearby operator.
+The direct solver of an operator with one constant coefficient at l > 0 is
+fast diagonalisation (``fields.SeparableSolver``), since that operator is a
+Kronecker sum of 1-D forms; every other operator has a sparse LU. A
+measurement sweep preconditions its perturbed solves with the unperturbed
+operator's LU; the reconstruction preconditions its forward, tangent and
+adjoint solves with the diagonalised operator at the constant background
+coefficient.
 
 A :class:`RobinOperator` built on a (k, n, n) stack of coefficients solves k
 independent systems at once: one stacked CG (see ``fields.cg``) whose
 preconditioner solves the residuals of the systems still iterating in one
-multi-right-hand-side call on the nearby operator's LU. Two callers solve
-stacks this way: the exhaustion guess of ``inversion`` solves each stack of
-candidate coefficients on the background factorization, and the M_eta sweep
-of ``acousto`` solves the displaced media of one wave radius, over all
-sources, at most four at a time, on the unperturbed factorization. Every
-other solve is a single system.
+multi-right-hand-side call on the nearby operator's direct solver. Two
+callers solve stacks this way: the exhaustion guess of ``inversion`` solves
+each stack of candidate coefficients on the background solver, and the M_eta
+sweep of ``acousto`` solves the displaced media of one wave radius, over all
+sources, at most four at a time, on the unperturbed LU. Every other solve is
+a single system.
 """
 
 from __future__ import annotations
@@ -38,10 +41,12 @@ from .fields import (
     BoundaryTrace,
     Grid,
     ScalarField,
+    SeparableSolver,
     cg,
     edge_form_matrix,
     gradient,
     neumann_edge_coefficients,
+    second_difference,
     spd_lu,
     stack_dot,
 )
@@ -85,7 +90,7 @@ class RobinOperator:
         self.grid = grid
         self.a = np.ascontiguousarray(a_values, dtype=np.float64)
         self.l = float(l)
-        self._splu = None
+        self._solver = None
         # a source's share in each row; none in the identity rows of l = 0
         c = np.ones(grid.n)
         c[0] = c[-1] = 0.5 if self.l > 0 else 0.0
@@ -139,33 +144,50 @@ class RobinOperator:
         return (form / (h * h) + sp.diags(diag.ravel())).tocsr()
 
     def factorized(self):
-        if self._splu is None:
-            self._splu = spd_lu(self.sparse_matrix())
-        return self._splu
+        """The direct solver of this single operator, built once. At l > 0
+        with one constant coefficient a the operator is the Kronecker sum
+        P (x) C + C (x) P, where C holds the trapezoid factors and
+        P = D^T D / h^2 + C (a/2 + 2 E / (l h)) with E the indicator of the
+        two end nodes; a ``fields.SeparableSolver`` solves it. Any other
+        operator is factorized by sparse LU."""
+        if self._solver is None:
+            a = self.a.flat[0]
+            if self.l > 0 and self.a.ndim == 2 and np.all(self.a == a):
+                h = self.grid.h
+                c = self.grid.trapezoid_factors()
+                robin = np.zeros(self.grid.n)
+                robin[0] = robin[-1] = 1.0 / (self.l * h)
+                p = (second_difference(self.grid.n) / (h * h)
+                     + np.diag(0.5 * a * c + robin))
+                self._solver = SeparableSolver(p, c)
+            else:
+                self._solver = spd_lu(self.sparse_matrix())
+        return self._solver
 
     def solve(self, b, x0=None, precond_with=None):
-        """Solve S x = b: once on this operator's factorization, or, given
-        ``precond_with``, by CG preconditioned by the factorization of that
-        nearby operator (PCG) and started from ``x0``.
+        """Solve S x = b: once by this operator's direct solver (see
+        :meth:`factorized`), or, given ``precond_with``, by CG
+        preconditioned by the direct solver of that nearby operator (PCG)
+        and started from ``x0``.
 
         Returns ``(x, residual, iterations)``; the direct solve reports its
         true relative residual and 0 iterations. On a stack of coefficients,
         which only PCG solves, ``b`` and ``x0`` are matching stacks and the
         k systems are solved by one stacked CG; the preconditioner solves
         the residuals of the systems still iterating as one
-        multi-right-hand-side LU solve.
+        multi-right-hand-side direct solve.
         """
         n = self.grid.n
         if precond_with is None:
             x = self.factorized().solve(b.ravel()).reshape(b.shape)
             miss = np.linalg.norm(self.apply(x) - b)
             return x, float(miss / (np.linalg.norm(b) or 1.0)), 0
-        lu = precond_with.factorized()
+        direct = precond_with.factorized()
 
         def precond(r):
-            # one column per field; SuperLU returns Fortran order, so the
-            # transposes copy nothing
-            return lu.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
+            # one column per field; both direct solvers return Fortran
+            # order, so the transposes copy nothing
+            return direct.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
 
         dot = stack_dot if self.a.ndim == 3 else None
         return cg(self.apply, b, max_iter=50 * n, x0=x0, precond=precond,

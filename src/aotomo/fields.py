@@ -78,10 +78,15 @@ class Grid:
         c = self.coords()
         return np.meshgrid(c, c, indexing="ij")
 
-    def trapezoid_weights(self):
-        """Node quadrature weights h^2 * cx_i * cy_j (cx = 1/2 at ends)."""
+    def trapezoid_factors(self):
+        """1-D trapezoid factors: 1 inside, 1/2 at both ends."""
         c = np.ones(self.n)
         c[0] = c[-1] = 0.5
+        return c
+
+    def trapezoid_weights(self):
+        """Node quadrature weights h^2 * c_i * c_j of the trapezoid factors."""
+        c = self.trapezoid_factors()
         return (self.h * self.h) * np.outer(c, c)
 
     def boundary_indices(self):
@@ -256,6 +261,13 @@ def edge_average_transpose(ex, ey):
     out[:, 1:] += 0.5 * ey
     out[:, :-1] += 0.5 * ey
     return out
+
+
+def second_difference(n):
+    """Dense 1-D form D^T D of the undivided node-to-edge difference D on n
+    nodes: tridiagonal, diagonal (1, 2, ..., 2, 1), -1 beside it."""
+    d = np.diff(np.eye(n), axis=0)
+    return d.T @ d
 
 
 def edge_form_matrix(cx, cy):
@@ -456,6 +468,41 @@ def spd_lu(matrix):
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+class SeparableSolver:
+    """Direct solver of a Kronecker sum T = P (x) C + C (x) P on the
+    row-major node vector of an n-by-n grid, for a symmetric tridiagonal P
+    and a positive diagonal C given as its diagonal ``c``.
+
+    The generalised eigenvectors P V = C V diag(lam), with V^T C V = I,
+    diagonalise T (fast diagonalisation: Lynch, Rice and Thomas 1964), so
+    the node array X of the solution is V [(V^T B V) / (lam_i + lam_j)] V^T
+    for the node array B of the right-hand side. With ``singular``, P has
+    lam = 0 as its lowest eigenvalue and the (0, 0) mode spans the kernel of
+    T; that mode is dropped, so the solution has no component along it.
+
+    ``solve`` takes the shapes of SuperLU's: a vector of n*n values, or an
+    (n*n, k) array of k columns, returned Fortran-ordered. Each column is
+    transformed by its own matrix products, so its solution does not depend
+    on the columns beside it.
+    """
+
+    def __init__(self, p, c, singular=False):
+        s = 1.0 / np.sqrt(c)
+        lam, q = np.linalg.eigh(s[:, None] * p * s)
+        self._v = s[:, None] * q
+        denom = lam[:, None] + lam
+        if singular:
+            denom[0, 0] = np.inf
+        self._inv = 1.0 / denom
+
+    def solve(self, b):
+        v = self._v
+        n = v.shape[0]
+        stack = b.T.reshape(-1, n, n)
+        x = v @ ((v.T @ stack @ v) * self._inv) @ v.T
+        return x.reshape(len(x), -1).T.reshape(b.shape)
+
+
 def dirichlet_laplace_solve(b, h):
     """Solve -lap(u) = b with u = 0 on the boundary of a square grid of
     spacing ``h``, to rounding: the type-I sine transform diagonalises the
@@ -471,12 +518,6 @@ def dirichlet_laplace_solve(b, h):
     return u
 
 
-def poisson_dirichlet(rhs) -> ScalarField:
-    """Solve -lap(u) = rhs with u = 0 on the boundary (5-point stencil)."""
-    grid, b = _unwrap(rhs)
-    return ScalarField(grid, dirichlet_laplace_solve(b, grid.h))
-
-
 def neumann_edge_coefficients(grid):
     """FEM-style edge weights for the reflective Neumann form.
 
@@ -485,10 +526,9 @@ def neumann_edge_coefficients(grid):
     Neumann operator.
     """
     n = grid.n
-    cy_fac = np.ones(n)
-    cy_fac[0] = cy_fac[-1] = 0.5
-    cx = np.tile(cy_fac, (n - 1, 1))
-    cy = np.tile(cy_fac[:, None], (1, n - 1))
+    c = grid.trapezoid_factors()
+    cx = np.tile(c, (n - 1, 1))
+    cy = np.tile(c[:, None], (1, n - 1))
     return cx, cy
 
 
@@ -497,31 +537,17 @@ def neumann_solve_weighted(grid, b):
 
     ``b`` is a plain-dot assembled right-hand side (must have zero sum up to
     roundoff; the mean is projected out). Returns a zero-weighted-mean array.
+    E is the Kronecker sum of the 1-D form D^T D with the trapezoid factors,
+    and its kernel is the constants, so a :class:`SeparableSolver` with that
+    mode dropped solves it directly.
     """
-    # the edge-form matrix is symmetric with kernel = constants, so
-    # compatibility means plain zero sum of b; node 0's row then follows from
-    # the others, and pinning z there to zero leaves an SPD system
-    bproj = (b - b.sum() / b.size).ravel()
-    form = edge_form_matrix(*neumann_edge_coefficients(grid))
-    z = np.zeros(grid.shape)
-    z.flat[1:] = spd_lu(form[1:, 1:]).solve(bproj[1:])
+    bproj = b - b.sum() / b.size
+    solver = SeparableSolver(second_difference(grid.n),
+                             grid.trapezoid_factors(), singular=True)
+    z = solver.solve(bproj.ravel()).reshape(grid.shape)
+    # the dropped mode leaves a weighted mean of rounding size; remove it
     w = grid.trapezoid_weights()
     return z - np.sum(w * z) / w.sum()
-
-
-def poisson_neumann(rhs) -> ScalarField:
-    """Solve lap(f) = rhs with homogeneous Neumann data, zero-mean solution.
-
-    The compatibility condition is enforced by subtracting the weighted mean
-    of the right-hand side.
-    """
-    grid, r = _unwrap(rhs)
-    w = grid.trapezoid_weights()
-    r0 = r - np.sum(w * r) / w.sum()
-    # weak form: E f = -(W * rhs)
-    b = -(w * r0)
-    f = neumann_solve_weighted(grid, b)
-    return ScalarField(grid, f)
 
 
 # ---------------------------------------------------------------------------

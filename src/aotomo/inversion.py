@@ -16,11 +16,12 @@ budget per inclusion) is enforced by clamping and scale-back.
 Every coefficient either stage solves at equals the background a0 off the
 masks and lies in [lower, upper] on them, so it differs from the constant
 background operator only by a diagonal term on the inclusions. The problem
-factors that background operator once, and its LU preconditions every Robin
-solve here: the exhaustion's candidate solves, solved one stack of
-candidates at a time, Landweber's forward solves and the tangent and
-adjoint solves of DF and DF*. At a zero correction, as in the step-size
-estimate, DF and DF* need no tangent or adjoint solve.
+builds the direct solver of that background operator once, by fast
+diagonalisation (see ``diffusion``), and it preconditions every Robin solve
+here: the exhaustion's candidate solves, solved one stack of candidates at a
+time, Landweber's forward solves and the tangent and adjoint solves of DF
+and DF*. At a zero correction, as in the step-size estimate, DF and DF* need
+no tangent or adjoint solve.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ class ReconstructionProblem:
             grid, g)
         self._theta = theta
         self._phi_bounds = None
-        # its cached LU preconditions every Robin solve (see the module notes)
+        # its cached direct solver preconditions every Robin solve (see the
+        # module notes)
         self.reference = RobinOperator(grid, np.full(grid.shape, self.a0),
                                        self.l)
 
@@ -209,7 +211,7 @@ class ReconstructionProblem:
     def boundary_fluxes(self, candidates, x0=None):
         """Boundary fluxes of piecewise constant coefficients, one candidate
         (a sequence of per-inclusion constants) per row, solved as one stack
-        on the background factorization.
+        on the background solver.
 
         ``x0`` is an optional matching stack of starting fields. Returns
         ``(fluxes, fields)``: the (m, 4(n-1)) outgoing fluxes and the

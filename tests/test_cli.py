@@ -136,7 +136,10 @@ def _bad_inputs(d):
                     ("reconstruction", "partition_step", -0.1),
                     ("reconstruction", "stop_tol", -1e-3),
                     ("reconstruction", "tau", 0),
-                    ("reconstruction", "theta", -1.0)]
+                    ("reconstruction", "theta", -1.0),
+                    ("optics", "g", True),
+                    ("reconstruction", "stop_tol", False),
+                    ("acoustic", "eta", "0.12")]
     for k, (sec, key, value) in enumerate(out_of_range):
         doc = json.loads(cfg.read_text())
         doc[sec][key] = value

@@ -332,3 +332,36 @@ class TestStackedSolve:
         for k in range(len(coefs)):
             single = RobinOperator(g, coefs[k], 0.1)
             assert np.array_equal(flux[k], single.boundary_flux(gtrace, x[k]))
+
+
+class TestDirectSolver:
+    @pytest.mark.parametrize("n", [17, 33, 65])
+    def test_constant_coefficient_is_diagonalised(self, n):
+        b = np.random.default_rng(n).standard_normal((n * n, 2))
+        for a0 in (0.5, 1.0, 2.0):
+            for l in (0.01, 0.1, 10.0):
+                op = RobinOperator(Grid(n), np.full((n, n), a0), l)
+                solver = op.factorized()
+                assert isinstance(solver, fields.SeparableSolver)
+                miss = op.sparse_matrix() @ solver.solve(b) - b
+                assert np.linalg.norm(miss) <= 1e-12 * np.linalg.norm(b), (
+                    a0, l)
+
+    def test_stack_solves_each_system_as_alone(self):
+        g = Grid(33)
+        solver = RobinOperator(g, np.full(g.shape, 1.5), 0.1).factorized()
+        r = np.random.default_rng(5).standard_normal((5, g.n**2))
+        whole = solver.solve(r.T)
+        # a sub-stack, as when only some systems of a PCG are active
+        assert np.array_equal(whole[:, 1:3], solver.solve(r[1:3].T))
+        for k in range(len(r)):
+            assert np.array_equal(whole[:, k], solver.solve(r[k]))
+
+    def test_sparse_lu_otherwise(self):
+        import scipy.sparse.linalg as spla
+
+        g = Grid(17)
+        x, _ = g.meshgrid()
+        for a, l in ((1.0 + x, 0.1), (np.ones(g.shape), 0.0)):
+            assert isinstance(RobinOperator(g, a, l).factorized(),
+                              spla.SuperLU), l
