@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .fields import (
@@ -129,6 +128,8 @@ class RobinOperator:
         return self.row_weights * vals
 
     def sparse_matrix(self):
+        import scipy.sparse as sp
+
         n, h = self.grid.n, self.grid.h
         if self.l == 0:
             # the 5-point operator on the interior, the identity elsewhere

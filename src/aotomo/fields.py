@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 MAGIC = b"AORF"
 FORMAT_VERSION = 1
@@ -196,11 +195,6 @@ class BoundaryTrace:
         return out
 
 
-def boundary_integral(trace):
-    """Integral over the boundary curve (uniform weights on the closed loop)."""
-    return trace.grid.h * float(np.sum(trace.values))
-
-
 # ---------------------------------------------------------------------------
 # discrete calculus
 
@@ -274,6 +268,8 @@ def edge_form_matrix(cx, cy):
     """CSR matrix of v -> edge_diff_transpose(cx * dx v, cy * dy v) on the
     row-major node vector; the assembled form of ``kernels.edge_form_apply``.
     """
+    import scipy.sparse as sp
+
     n = cx.shape[1]
     ones = np.ones(n - 1)
     d = sp.diags([-ones, ones], [0, 1], shape=(n - 1, n))

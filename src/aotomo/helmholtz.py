@@ -119,20 +119,6 @@ def decompose(U: WeakVectorFunctional) -> PsiField:
     return PsiField(ScalarField(grid, psi), "ground_truth")
 
 
-def orthogonality_residual(U: WeakVectorFunctional, psi: PsiField,
-                           v: ScalarField) -> float:
-    """U(grad v) + <grad psi, grad v> in the edge pairing.
-
-    Zero (to rounding) for the decomposed potential; this is the
-    discrete statement that the remainder is divergence free.
-    """
-    dpx, dpy = edge_diff(psi.psi.values)
-    dvx, dvy = edge_diff(v.values)
-    cx, cy = neumann_edge_coefficients(U.grid)
-    pairing = float(np.sum(cx * dpx * dvx) + np.sum(cy * dpy * dvy))
-    return U.pair_gradient(v) + pairing
-
-
 def ground_truth_psi(phantom: Phantom, phi: ScalarField) -> PsiField:
     """Decompose the exact forward data of a known phantom."""
     return decompose(WeakVectorFunctional(phantom, phi))

@@ -52,7 +52,7 @@ from .fields import (
     spd_lu,
 )
 from .helmholtz import PsiField
-from .segmentation import InclusionMask
+from .segmentation import InclusionMask, erode_cross
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,12 @@ class MaskSpace:
     def __init__(self, grid: Grid, mask: np.ndarray):
         self.grid = grid
         self.mask = np.asarray(mask, dtype=bool)
-        inner = self.mask.copy()
-        inner[1:, :] &= self.mask[:-1, :]
-        inner[:-1, :] &= self.mask[1:, :]
-        inner[:, 1:] &= self.mask[:, :-1]
-        inner[:, :-1] &= self.mask[:, 1:]
-        inner[0, :] = inner[-1, :] = inner[:, 0] = inner[:, -1] = False
-        self.interior = inner
+        self.interior = erode_cross(self.mask)
         self.cx = (self.mask[1:, :] & self.mask[:-1, :]).astype(float)
         self.cy = (self.mask[:, 1:] & self.mask[:, :-1]).astype(float)
-        if not np.any(inner):
+        if not np.any(self.interior):
             raise ValueError("mask has no interior nodes")
-        self._nodes = np.flatnonzero(inner)
+        self._nodes = np.flatnonzero(self.interior)
         form = edge_form_matrix(self.cx, self.cy)[self._nodes][:, self._nodes]
         self._lu = spd_lu(form)
 

@@ -20,8 +20,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
 
 from . import kernels
 from .acousto import AcousticConfig, Sinogram, rays_meeting_support
@@ -78,6 +76,8 @@ def g_norm(s: Sinogram) -> float:
 def g_dual_norm(s: Sinogram) -> float:
     """Dual (Hilbertized G^-1) norm via per-source tridiagonal solves of
     (I - d^2/dr^2) z = u with zero endpoint values."""
+    from scipy.linalg import solve_banded
+
     nr = s.nr
     dr = radial_step(s.config, s.nr)
     m = nr - 2
@@ -119,6 +119,8 @@ class _SampleLayout:
     """
 
     def __init__(self, config, ny, nr, n, h, origin=0.0, extent=1.0):
+        import scipy.sparse as sp
+
         self.ny = ny
         self.nr = nr
         self.n = n

@@ -11,12 +11,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import FileFormatError, Grid, ScalarField, gradient
 from .helmholtz import PsiField
 
-_CROSS = ndimage.generate_binary_structure(2, 1)
+# the 4-neighbour structuring element, ndimage.generate_binary_structure(2, 1)
+_CROSS = np.array([[False, True, False],
+                   [True, True, True],
+                   [False, True, False]])
+
+
+def erode_cross(mask):
+    """Nodes of a boolean array whose four neighbours all lie in it; a node
+    on the array edge has a neighbour outside, so it is never kept. This is
+    ``ndimage.binary_erosion(mask, structure=_CROSS)``."""
+    mask = np.asarray(mask, dtype=bool)
+    inner = mask.copy()
+    inner[1:, :] &= mask[:-1, :]
+    inner[:-1, :] &= mask[1:, :]
+    inner[:, 1:] &= mask[:, :-1]
+    inner[:, :-1] &= mask[:, 1:]
+    inner[0, :] = inner[-1, :] = inner[:, 0] = inner[:, -1] = False
+    return inner
 
 
 def otsu_threshold(values, bins=256):
@@ -52,6 +68,8 @@ def detect_edges(psi: PsiField, threshold="auto",
     grid = psi.grid
     vals = psi.psi
     if smooth_sigma > 0:
+        from scipy import ndimage
+
         vals = ScalarField(grid, ndimage.gaussian_filter(vals.values,
                                                          smooth_sigma))
     g = gradient(vals)
@@ -80,7 +98,7 @@ class InclusionMask:
 
     def interior(self):
         """Nodes whose four neighbors are all inside the mask."""
-        return ndimage.binary_erosion(self.mask, structure=_CROSS)
+        return erode_cross(self.mask)
 
     def boundary_nodes(self):
         """(i, j) arrays of mask nodes with a 4-neighbor outside."""
@@ -101,6 +119,8 @@ def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,
     unclaimed so masks stay disjoint), holes are filled, small components are
     dropped, and anything outside the inclusion search region is clipped.
     """
+    from scipy import ndimage
+
     closed = ndimage.binary_closing(edge_map, structure=_CROSS)
     outside = np.zeros(grid.shape, dtype=bool)
     outside[0, :] = outside[-1, :] = True

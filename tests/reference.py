@@ -1,11 +1,14 @@
 """Oracles the tests check the package against; no stage of the pipeline
 runs them."""
 
+import math
+
 import numpy as np
 
 from aotomo.fields import (
     ScalarField,
     dirichlet_laplace_solve,
+    edge_diff,
     edge_form_matrix,
     neumann_edge_coefficients,
     neumann_solve_weighted,
@@ -43,3 +46,56 @@ def pinned_neumann_solve(grid, b):
     z.flat[1:] = spd_lu(form[1:, 1:]).solve(bproj[1:])
     w = grid.trapezoid_weights()
     return z - np.sum(w * z) / w.sum()
+
+
+def boundary_integral(trace):
+    """Integral over the boundary curve (uniform weights on the closed loop)."""
+    return trace.grid.h * float(np.sum(trace.values))
+
+
+def orthogonality_residual(U, psi, v) -> float:
+    """U(grad v) + <grad psi, grad v> in the edge pairing, for weak vector
+    data U, a potential psi and a test field v.
+
+    Zero (to rounding) for the decomposed potential; this is the
+    discrete statement that the remainder is divergence free.
+    """
+    dpx, dpy = edge_diff(psi.psi.values)
+    dvx, dvy = edge_diff(v.values)
+    cx, cy = neumann_edge_coefficients(U.grid)
+    pairing = float(np.sum(cx * dpx * dvx) + np.sum(cy * dpy * dvy))
+    return U.pair_gradient(v) + pairing
+
+
+def check_transversality(phantom, y, r, eta, min_angle_deg=5.0,
+                         curvature_tol=1e-3, samples=1440) -> bool:
+    """Check the wavefront/boundary transversality condition.
+
+    For every sampled rim point of every inclusion lying inside the spherical
+    shell of radius r (thickness 2*eta) around the source y, either the
+    ray-to-normal angle exceeds ``min_angle_deg`` or the rim curvature
+    differs from the wavefront curvature 1/|x - y| by more than
+    ``curvature_tol``.
+    """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    ysrc = np.asarray(y, dtype=float)
+    delta = math.radians(min_angle_deg)
+    for inc in phantom.inclusions:
+        t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+        pts = inc.boundary_points(samples)
+        d = np.hypot(pts[:, 0] - ysrc[0], pts[:, 1] - ysrc[1])
+        in_shell = (d > r - eta) & (d < r + eta)
+        if not np.any(in_shell):
+            continue
+        rays = (pts[in_shell] - ysrc) / d[in_shell, None]
+        normals = inc.boundary_normal(t[in_shell])
+        cosang = np.abs(np.sum(rays * normals, axis=1)).clip(0.0, 1.0)
+        angle = np.arccos(cosang)
+        kappa = inc.boundary_curvature(t[in_shell])
+        wavefront_kappa = 1.0 / d[in_shell]
+        tangential = angle <= delta
+        matched = np.abs(kappa - wavefront_kappa) <= curvature_tol
+        if np.any(tangential & matched):
+            return False
+    return True

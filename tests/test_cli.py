@@ -12,11 +12,9 @@ import aotomo
 from aotomo import acousto, cli, fields, phantom, segmentation
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
+def write_config(d):
     """A small config (n=35, eta=0.12, 8 x 16 sweep, 2 Landweber steps)
-    and the preset disk phantom it points to."""
-    d = tmp_path_factory.mktemp("cli")
+    in ``d``, pointing to the phantom file ``d / "phantom.json"``."""
     config = {
         "grid": {"n": 35},
         "acoustic": {"eta": 0.12, "ny": 8, "nr": 16},
@@ -25,6 +23,13 @@ def workdir(tmp_path_factory):
         "reconstruction": {"max_iter": 2},
     }
     (d / "config.json").write_text(json.dumps(config))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """The small config and the preset disk phantom it points to."""
+    d = tmp_path_factory.mktemp("cli")
+    write_config(d)
     return d
 
 
@@ -33,10 +38,11 @@ def run(argv, capsys):
     return code, capsys.readouterr().out
 
 
-def test_every_command_in_sequence(workdir, capsys):
-    d = workdir
+def pipeline_steps(d):
+    """(argv, files written) of every command in order, on the config in
+    ``d``."""
     cfg = d / "config.json"
-    steps = [
+    return [
         (["phantom", "gen", "--config", cfg, "--out", d / "phantom.json"],
          ["phantom.json"]),
         (["forward", "--config", cfg, "--outdir", d / "fwd"],
@@ -59,8 +65,12 @@ def test_every_command_in_sequence(workdir, capsys):
         (["export", "--pgm", d / "rec" / "recon.aorf", d / "recon.pgm"],
          ["recon.pgm"]),
     ]
+
+
+def test_every_command_in_sequence(workdir, capsys):
+    d = workdir
     outputs = {}
-    for argv, written in steps:
+    for argv, written in pipeline_steps(d):
         code, out = run(argv, capsys)
         assert code == 0, (argv[0], out)
         for name in written:
@@ -307,13 +317,50 @@ def test_version_is_the_package_version(capsys):
     assert f"aotomo {aotomo.__version__} " in capsys.readouterr().out
 
 
-def test_import_leaves_out_scipy_integrate_optimize_and_fft():
+def scipy_loaded(code, argv=()):
+    """Exit code and sorted SciPy modules of a fresh interpreter that has run
+    ``code`` with ``argv`` as ``sys.argv[1:]``."""
     src = os.path.dirname(os.path.dirname(aotomo.__file__))
-    code = ("import sys, aotomo.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.integrate', 'scipy.optimize', 'scipy.fft'))))")
+    script = ("import json, sys\n"
+              "try:\n"
+              f"    {code}\n"
+              "finally:\n"
+              "    print(json.dumps(sorted(m for m in sys.modules\n"
+              "                            if m.split('.')[0] == 'scipy')))\n")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert scipy_loaded("import aotomo.cli") == (0, [])
+
+
+# the SciPy packages each command, run as its own process, must not load
+SCIPY_LEFT_OUT = {
+    "--version": "scipy",
+    "phantom": "scipy",
+    "forward": "scipy.ndimage",
+    "sinogram": "scipy.ndimage",
+    "recover-psi": "scipy.ndimage",
+    "segment": "scipy.sparse",
+    "reconstruct": "scipy.ndimage",
+    "evaluate": "scipy",
+    "export": "scipy",
+}
+
+
+def test_each_command_loads_only_the_scipy_it_calls(tmp_path):
+    write_config(tmp_path)
+    runs = [["--version"]] + [argv for argv, _ in pipeline_steps(tmp_path)]
+    assert {argv[0] for argv in runs} == SCIPY_LEFT_OUT.keys()
+    for argv in runs:
+        code, loaded = scipy_loaded("from aotomo import cli; "
+                                    "sys.exit(cli.main(sys.argv[1:]))", argv)
+        assert code == 0, argv[0]
+        left_out = SCIPY_LEFT_OUT[argv[0]]
+        assert not [m for m in loaded
+                    if m == left_out or m.startswith(left_out + ".")], (
+            argv[0], loaded)

@@ -8,7 +8,6 @@ from aotomo.fields import (
     ScalarField,
     SolverError,
     VectorField,
-    boundary_integral,
     cg,
     divergence,
     edge_average,
@@ -25,7 +24,12 @@ from aotomo.fields import (
     norm_l4,
     norms,
 )
-from reference import pinned_neumann_solve, poisson_dirichlet, poisson_neumann
+from reference import (
+    boundary_integral,
+    pinned_neumann_solve,
+    poisson_dirichlet,
+    poisson_neumann,
+)
 
 # error constant of the Dirichlet solver on the manufactured sine solution,
 # measured by Richardson extrapolation on n in {33, 65, 129}

@@ -8,9 +8,9 @@ from aotomo.helmholtz import (
     decompose,
     free_space_potential,
     ground_truth_psi,
-    orthogonality_residual,
     psi_from_field,
 )
+from reference import orthogonality_residual
 
 
 @pytest.fixture(scope="module")

@@ -6,12 +6,12 @@ from aotomo.phantom import (
     Inclusion,
     Phantom,
     PhantomError,
-    check_transversality,
     from_dict,
     load_phantom,
     save_phantom,
     to_dict,
 )
+from reference import check_transversality
 
 
 class TestEval:

@@ -101,6 +101,27 @@ class TestExtract:
         assert masks == []
 
 
+class TestErosion:
+    def test_matches_ndimage(self):
+        from scipy import ndimage
+
+        cross = ndimage.generate_binary_structure(2, 1)
+        assert np.array_equal(seg._CROSS, cross)
+        rng = np.random.default_rng(3)
+        masks = [np.ones((5, 7), dtype=bool), np.zeros((4, 4), dtype=bool)]
+        for _ in range(200):
+            shape = rng.integers(1, 20, size=2)
+            masks.append(rng.random(shape) < rng.uniform(0.3, 0.97))
+        touching = 0
+        for m in masks:
+            touching += bool(m[0].any() or m[-1].any()
+                             or m[:, 0].any() or m[:, -1].any())
+            expected = ndimage.binary_erosion(m, structure=cross)
+            assert np.array_equal(seg.erode_cross(m), expected), m
+        # the array edge is eroded as ndimage's border_value=0 erodes it
+        assert touching > 150
+
+
 class TestMaskExport:
     def test_pgm_roundtrip(self, tmp_path):
         g = Grid(65)
