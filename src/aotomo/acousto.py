@@ -7,9 +7,13 @@ cross-correlation data M(y, r) collected over the measurement cylinder
 smooth bump with unit sup-norm.
 
 A sweep runs one radius at a time. The cells of one radius share everything
-that depends on r alone, and ``_ShellQuadrature`` measures several of them
-in one vectorised pass of the polar shell quadrature; a single measurement
-is a pass of one cell.
+that depends on r alone: their displaced shells are built together, and
+``_ShellQuadrature`` measures several of them in one vectorised pass of the
+polar shell quadrature; a single measurement is a pass of one cell. A
+perturbed medium is its displaced shell ``(i, j, values)``: the nodes where
+a_u can differ from the sampled coefficient, and a_u on them. The shells
+drive both the perturbed solves, which apply only the change of the
+coefficient on them, and the choice of which cells need a solve at all.
 """
 
 from __future__ import annotations
@@ -29,11 +33,9 @@ from .fields import (
     FileFormatError,
     Grid,
     ScalarField,
-    SolverError,
     VectorField,
     gradient,
     integrate,
-    stack_dot,
 )
 from .phantom import Phantom
 
@@ -217,36 +219,55 @@ def _shell_displacement(config: AcousticConfig, y, r, c, box=None):
     (``Grid.coords``).
 
     Returns ``(i, j, ux, uy)``: the index arrays of the shell nodes, in C
-    order, and the two components of u on them, solved per node by
-    ``kernels.radial_invert``. ``box``, node index ranges ``(i0, i1, j0,
-    j1)``, keeps only the shell nodes in ``[i0, i1) x [j0, j1)``.
+    order, and the two components of u on them. ``box`` is as for
+    ``_shell_displacements``, whose one source this is.
+    """
+    _, i, j, ux, uy = _shell_displacements(config, [y], r, c, box)
+    return i, j, ux, uy
+
+
+def _shell_displacements(config: AcousticConfig, ys, r, c, box=None):
+    """``_shell_displacement`` for the sources ``ys`` (k, 2) at once, from
+    one (k, ni, nj) distance array and one ``kernels.radial_invert`` call.
+
+    Returns ``(s, i, j, ux, uy)``: the source index (row of ``ys``) of each
+    shell node, in increasing order, then the node indices, in C order
+    within each source, and the two components of u. ``box``, node index
+    ranges ``(i0, i1, j0, j1)``, keeps only the shell nodes in
+    ``[i0, i1) x [j0, j1)``. Every step is elementwise and the radial
+    inverse stops each node on its own, so a source's nodes do not depend
+    on the other sources. A failed inverse raises RuntimeError, whose
+    ``system`` is the row of the source it failed for.
     """
     _check_radius(r)
+    ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     i0, i1, j0, j1 = (0, c.size, 0, c.size) if box is None else box
-    cx = c[i0:i1] - y[0]
-    cy = c[j0:j1] - y[1]
+    cx = c[i0:i1] - ys[:, :1]
+    cy = c[j0:j1] - ys[:, 1:]
     amp = config.eta * (config.r0 / r)
     width = config.eta + amp
     # squared distances pick the candidates, with a margin far above their
     # rounding; the test on d itself decides
-    dsq = cx[:, None] ** 2 + cy[None, :] ** 2
+    dsq = cx[:, :, None] ** 2 + cy[:, None, :] ** 2
     lo = max(r - width, 0.0) * (1.0 - 1e-9)
     hi = (r + width) * (1.0 + 1e-9)
-    i, j = np.nonzero((dsq >= lo * lo) & (dsq <= hi * hi))
-    d = np.hypot(cx[i], cy[j])
+    s, i, j = np.nonzero((dsq >= lo * lo) & (dsq <= hi * hi))
+    d = np.hypot(cx[s, i], cy[s, j])
     shell = np.abs(d - r) <= width
-    i, j, d = i[shell], j[shell], d[shell]
+    s, i, j, d = s[shell], i[shell], j[shell], d[shell]
     rho = kernels.radial_invert(d, r, amp, config.eta)
     residual = np.abs(rho + amp * kernels.bump((r - rho) / config.eta) - d)
     bad = residual > 1e-10
     if np.any(bad):
         k = int(np.argmax(residual))
-        raise RuntimeError(
-            f"radial inverse failed at source {tuple(y)}, radius {r}, "
+        exc = RuntimeError(
+            f"radial inverse failed at source {tuple(ys[s[k]])}, radius {r}, "
             f"node distance {d[k]:.6f} (residual {residual[k]:.2e})"
         )
+        exc.system = int(s[k])
+        raise exc
     scale = (rho - d) / d
-    return i + i0, j + j0, scale * cx[i], scale * cy[j]
+    return s, i + i0, j + j0, scale * cx[s, i], scale * cy[s, j]
 
 
 def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
@@ -273,9 +294,9 @@ class ForwardContext:
     measurement reads of them, computed on first use.
 
     An M_eta sweep solves the perturbed systems of one radius as stacks of
-    at most four on that factorization, each system warm-started from this
-    solution, and measures each stack in one quadrature pass that reads phi
-    from this solution."""
+    at most four on that factorization, each system given as its displaced
+    shell and warm-started from this solution, and measures each stack in
+    one quadrature pass that reads phi from this solution."""
 
     phantom: Phantom
     grid: Grid
@@ -330,9 +351,10 @@ def _support_box(phantom: Phantom, grid: Grid, grow):
 
 
 def _displaced_shells(ctx: ForwardContext, config: AcousticConfig, ys, r):
-    """For each source in ``ys`` in turn, the nodes where a_u = a(x + u(x))
-    can differ from ``ctx.a`` at radius r, and a_u on them, as ``(i, j,
-    values)``; the box and the node coordinates are computed once.
+    """For each source in ``ys``, the nodes where a_u = a(x + u(x)) can
+    differ from ``ctx.a`` at radius r, and a_u on them, as a list of ``(i,
+    j, values)``; all sources share one ``_shell_displacements`` call and
+    one Phantom.eval, and a failure names its source's row in ``system``.
 
     They are the shell nodes inside the box of the inclusions' bounding
     circles grown by amp (plus 1e-9 for rounding). The cull is exact: |u| <=
@@ -343,16 +365,17 @@ def _displaced_shells(ctx: ForwardContext, config: AcousticConfig, ys, r):
     amp = config.eta * (config.r0 / r)
     box = _support_box(ctx.phantom, ctx.grid, amp + _NUDGE)
     c = ctx.grid.coords()
-    for y in ys:
-        i, j, ux, uy = _shell_displacement(config, y, r, c, box)
-        yield i, j, ctx.phantom.eval(np.clip(c[i] + ux, 0.0, 1.0),
-                                     np.clip(c[j] + uy, 0.0, 1.0))
+    s, i, j, ux, uy = _shell_displacements(config, ys, r, c, box)
+    values = ctx.phantom.eval(np.clip(c[i] + ux, 0.0, 1.0),
+                              np.clip(c[j] + uy, 0.0, 1.0))
+    ends = np.searchsorted(s, np.arange(1, len(ys)))
+    return list(zip(np.split(i, ends), np.split(j, ends),
+                    np.split(values, ends)))
 
 
 def _displaced_shell(ctx: ForwardContext, config: AcousticConfig, y, r):
     """``_displaced_shells`` of the one source y."""
-    shell, = _displaced_shells(ctx, config, [y], r)
-    return shell
+    return _displaced_shells(ctx, config, [y], r)[0]
 
 
 def _moves(ctx: ForwardContext, shell):
@@ -361,13 +384,12 @@ def _moves(ctx: ForwardContext, shell):
     return not np.array_equal(values, ctx.a.values[i, j])
 
 
-def _coefficient_stack(ctx: ForwardContext, shells):
-    """The displaced coefficients of the shells ``(i, j, values)`` as one
-    (k, n, n) stack; every other node keeps its value in ``ctx.a``."""
-    a = np.repeat(ctx.a.values[None], len(shells), axis=0)
-    for s, (i, j, values) in enumerate(shells):
-        a[s, i, j] = values
-    return a
+def _with_shell(ctx: ForwardContext, shell) -> ScalarField:
+    """``ctx.a`` with the displaced shell ``(i, j, values)`` written in."""
+    i, j, values = shell
+    a = ctx.a.values.copy()
+    a[i, j] = values
+    return ScalarField(ctx.grid, a)
 
 
 def displaced_coefficient(ctx: ForwardContext, config: AcousticConfig,
@@ -380,8 +402,7 @@ def displaced_coefficient(ctx: ForwardContext, config: AcousticConfig,
     displacement_u(...))`` when ``ctx.a`` is the sampled phantom, as
     ``make_context`` builds it.
     """
-    shell = _displaced_shell(ctx, config, y, r)
-    return ScalarField(ctx.grid, _coefficient_stack(ctx, [shell])[0])
+    return _with_shell(ctx, _displaced_shell(ctx, config, y, r))
 
 
 # systems per stacked perturbed solve: at n=129 a multi-column LU solve
@@ -391,24 +412,22 @@ def displaced_coefficient(ctx: ForwardContext, config: AcousticConfig,
 _MAX_STACK = 4
 
 
-def _displaced_phis(ctx: ForwardContext, a):
-    """phi_u in each displaced medium of a (k, n, n) coefficient stack.
+def _displaced_phis(ctx: ForwardContext, shells):
+    """phi_u in the displaced medium of each shell ``(i, j, values)``, as a
+    (k, n, n) stack.
 
-    The k systems are one stacked CG preconditioned by the context's
-    factorization, each warm-started from phi. A SolverError of a stacked
-    solve names in ``system`` the index of the system whose final residual
-    is the largest.
+    The k systems are one stacked PCG on the context's operator and its
+    factorization, which applies only the shells' change of the
+    coefficient; each system starts from phi, whose residual is that change
+    applied to phi. A SolverError of the stacked solve names in ``system``
+    the index of the system whose final residual is the largest.
     """
-    op = RobinOperator(ctx.grid, a, ctx.l)
+    op = ctx.operator
     # every system has the same right-hand side and start: read-only views
-    b = np.broadcast_to(op.boundary_rhs(ctx.g), a.shape)
-    x0 = np.broadcast_to(ctx.solution.phi.values, a.shape)
-    try:
-        x, _, _ = op.solve(b, x0=x0, precond_with=ctx.operator)
-    except SolverError as exc:
-        miss = b - op.apply(exc.iterate)
-        exc.system = int(np.argmax(stack_dot(miss, miss)))
-        raise
+    b = np.broadcast_to(op.boundary_rhs(ctx.g),
+                        (len(shells),) + ctx.grid.shape)
+    x0 = np.broadcast_to(ctx.solution.phi.values, b.shape)
+    x, _, _ = op.solve(b, x0=x0, shells=shells, x0_unperturbed=True)
     return x
 
 
@@ -418,9 +437,8 @@ def perturbed_solution(ctx: ForwardContext, config: AcousticConfig, y, r):
     shell = _displaced_shell(ctx, config, y, r)
     if not _moves(ctx, shell):
         return ctx.a, ctx.solution.phi
-    a = _coefficient_stack(ctx, [shell])
-    return (ScalarField(ctx.grid, a[0]),
-            ScalarField(ctx.grid, _displaced_phis(ctx, a)[0]))
+    return (_with_shell(ctx, shell),
+            ScalarField(ctx.grid, _displaced_phis(ctx, [shell])[0]))
 
 
 
@@ -562,9 +580,9 @@ class _ShellQuadrature:
     ``measure_M_eta`` and ``measure_Mtilde`` measure several sources' cells
     in one pass. The pass's lattice rows are the kept rays of all its cells,
     evaluated in pieces of at most ``_PASS_POINTS`` points. Every value is
-    an elementwise operation, a row-wise sum or a root solved with the rest
-    of its cell's roots, so a cell's value does not depend on the cells that
-    share its pass, nor on the size of the pieces.
+    an elementwise operation, a row-wise sum or a root that stops on its
+    own, so a cell's value does not depend on the cells that share its
+    pass, nor on the size of the pieces.
     """
 
     def __init__(self, ctx, config, r):
@@ -808,13 +826,10 @@ class _ShellQuadrature:
         rays, rc, f_rc = rays[live], rc[live], f_rc[live]
         # direct jump: the undisplaced coefficient jumps at rc; the displaced
         # point sits strictly below rc, so keep its coefficient evaluation on
-        # that side. A batch of roots shares its Newton steps, so each cell's
-        # crossings are solved as one batch, whatever cells share the pass
-        rstar = np.empty_like(rc)
-        for c in np.unique(cell[rays]):
-            mine = cell[rays] == c
-            rstar[mine] = kernels.radial_invert(rc[mine], r, amp, eta)
-        rstar = np.minimum(rstar, rc - _NUDGE)
+        # that side. Each root stops on its own, so the pass's crossings are
+        # one batch, whatever cells share it
+        rstar = np.minimum(kernels.radial_invert(rc, r, amp, eta),
+                           rc - _NUDGE)
         # displaced jump: the displaced radius crosses rc at the image of rc
         # under the position map
         img = rc + f_rc
@@ -966,12 +981,12 @@ def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,
 @contextmanager
 def _sinogram_cells(q, sources):
     """Re-raise a failure at radius index ``q`` as the failure of one of the
-    source indices ``sources``: the system a stacked solve names, else the
-    first."""
+    source indices ``sources``: the one whose index the failure names in
+    ``system`` (a stacked solve or a shell build), else the first."""
     try:
         yield
     except Exception as exc:
-        m = sources[getattr(exc, "system", 0)]
+        m = sources[getattr(exc, "system", None) or 0]
         raise RuntimeError(
             f"sinogram cell (source {m}, radius index {q}) failed: {exc}"
         ) from exc
@@ -982,23 +997,20 @@ def _M_eta_column(quad: _ShellQuadrature, q, sources, cells, out):
     source indices ``cells`` (rows of ``sources``) into ``out``, indexed by
     source.
 
-    The cells whose displaced medium differs from ``ctx.a`` are solved in
-    near-equal stacks of at most ``_MAX_STACK`` systems, and each stack is
-    measured in one pass; the other cells are measured in one pass on
-    ``ctx.solution``. The values equal those of ``measure_M_eta`` cell by
-    cell up to the rounding of the stacked CG.
+    The displaced shells of all the cells are built together. The cells
+    whose shell changes ``ctx.a`` are solved in near-equal stacks of at most
+    ``_MAX_STACK`` systems, and each stack is measured in one pass; the
+    other cells are measured in one pass on ``ctx.solution``. The values
+    equal those of ``measure_M_eta`` cell by cell up to the rounding of the
+    stacked CG.
     """
     ctx = quad.ctx
-    still, moving, shells = [], [], []
-    shell_of = _displaced_shells(ctx, quad.config, sources[cells], quad.r)
-    for m in cells:
-        with _sinogram_cells(q, [m]):
-            shell = next(shell_of)
-        if _moves(ctx, shell):
-            moving.append(m)
-            shells.append(shell)
-        else:
-            still.append(m)
+    with _sinogram_cells(q, cells):
+        shells = _displaced_shells(ctx, quad.config, sources[cells], quad.r)
+    moves = [_moves(ctx, shell) for shell in shells]
+    still = [m for m, mv in zip(cells, moves) if not mv]
+    moving = [m for m, mv in zip(cells, moves) if mv]
+    shells = [shell for shell, mv in zip(shells, moves) if mv]
     if still:
         with _sinogram_cells(q, still):
             out[still] = quad.measure_M_eta(sources[still])
@@ -1008,8 +1020,7 @@ def _M_eta_column(quad: _ShellQuadrature, q, sources, cells, out):
                                math.ceil(len(moving) / _MAX_STACK)):
         stack = [moving[s] for s in part]
         with _sinogram_cells(q, stack):
-            phis = _displaced_phis(
-                ctx, _coefficient_stack(ctx, [shells[s] for s in part]))
+            phis = _displaced_phis(ctx, [shells[s] for s in part])
             out[stack] = quad.measure_M_eta(sources[stack], phis)
 
 
@@ -1020,14 +1031,15 @@ def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
 
     The sweep runs one radius at a time, in order, and calls
     ``progress(q + 1, nr)`` after radius index q. The cells of one radius
-    share one ``_ShellQuadrature``. An M_eta sweep solves the radius's
-    moving cells as stacks on the context's factorization and measures each
-    stack in one pass (see ``_M_eta_column``); an Mtilde sweep solves
-    nothing and measures the radius in one pass. Every cell's value is
-    computed by the same operations whatever cells share its pass, so
-    outputs are deterministic, and equal to ``measure_M_eta`` and
-    ``measure_Mtilde`` cell by cell (up to the rounding of the stacked CG
-    for M_eta).
+    share one ``_ShellQuadrature``. An M_eta sweep builds the displaced
+    shells of the radius's cells together, solves the cells whose shell
+    changes the medium as stacks on the context's operator and
+    factorization, and measures each stack in one pass (see
+    ``_M_eta_column``); an Mtilde sweep solves nothing and measures the
+    radius in one pass. Every cell's value is computed by the same
+    operations whatever cells share its pass, so outputs are deterministic,
+    and equal to ``measure_M_eta`` and ``measure_Mtilde`` cell by cell (up
+    to the rounding of the stacked CG for M_eta).
     """
     if ny < 8 or nr < 16:
         raise ValueError("need ny >= 8 and nr >= 16")

@@ -9,24 +9,30 @@ the right-hand side; that system is symmetric positive definite too.
 
 Every solve follows one rule: a system is either solved once by its own
 operator's cached direct solver, or by conjugate gradient preconditioned by
-the one direct solver its caller already holds, that of a nearby operator.
-The direct solver of an operator with one constant coefficient at l > 0 is
-fast diagonalisation (``fields.SeparableSolver``), since that operator is a
-Kronecker sum of 1-D forms; every other operator has a sparse LU. A
-measurement sweep preconditions its perturbed solves with the unperturbed
-operator's LU; the reconstruction preconditions its forward, tangent and
-adjoint solves with the diagonalised operator at the constant background
-coefficient.
+the one direct solver its caller already holds, that of an operator T that
+differs from the system's operator A only in its coefficient, on a set of
+nodes. There A = T + D for the diagonal D = row_weights * (a - a_T), and
+T's solver inverts T exactly, so CG keeps A p by a recurrence that applies
+only D: the stencil runs once per solve, to check the true residual at exit
+(see ``fields.cg``). The direct solver of an operator with
+one constant coefficient at l > 0 is fast diagonalisation
+(``fields.SeparableSolver``), since that operator is a Kronecker sum of 1-D
+forms; every other operator has a sparse LU. A measurement sweep
+preconditions its perturbed solves with the unperturbed operator's LU; the
+reconstruction preconditions its forward, tangent and adjoint solves with
+the diagonalised operator at the constant background coefficient.
 
-A :class:`RobinOperator` built on a (k, n, n) stack of coefficients solves k
-independent systems at once: one stacked CG (see ``fields.cg``) whose
-preconditioner solves the residuals of the systems still iterating in one
-multi-right-hand-side call on the nearby operator's direct solver. Two
-callers solve stacks this way: the exhaustion guess of ``inversion`` solves
-each stack of candidate coefficients on the background solver, and the M_eta
-sweep of ``acousto`` solves the displaced media of one wave radius, over all
-sources, at most four at a time, on the unperturbed LU. Every other solve is
-a single system.
+A perturbed system is given to T as a shell ``(i, j, values)``: the nodes
+where its coefficient differs from a_T, and the coefficient there. Given k
+shells and a (k, n, n) stack of right-hand sides, ``RobinOperator.solve``
+solves k independent systems at once: one stacked CG whose preconditioner
+solves the residuals of the systems still iterating in one
+multi-right-hand-side call. Two callers solve stacks this way: the
+exhaustion guess of ``inversion`` solves each stack of candidate
+coefficients on the background solver, and the M_eta sweep of ``acousto``
+solves the displaced media of one wave radius, over all sources, at most
+four at a time, on the unperturbed LU, each given as its displaced shell.
+Every other solve is a single system.
 """
 
 from __future__ import annotations
@@ -79,8 +85,9 @@ class RobinOperator:
     whose boundary neighbours ``boundary_rhs`` moves to the right-hand side.
 
     ``a_values`` is one (n, n) coefficient or a (k, n, n) stack of them; a
-    stack maps, and solves, k fields at once, one per coefficient. Only a
-    single operator can be assembled and factorized.
+    stack maps k fields at once, one per coefficient, and solves them given
+    ``precond_with``. Only a single operator can be assembled and
+    factorized.
     """
 
     def __init__(self, grid: Grid, a_values, l: float):
@@ -165,34 +172,83 @@ class RobinOperator:
                 self._solver = spd_lu(self.sparse_matrix())
         return self._solver
 
-    def solve(self, b, x0=None, precond_with=None):
-        """Solve S x = b: once by this operator's direct solver (see
-        :meth:`factorized`), or, given ``precond_with``, by CG
-        preconditioned by the direct solver of that nearby operator (PCG)
-        and started from ``x0``.
+    def solve(self, b, x0=None, precond_with=None, shells=None,
+              x0_unperturbed=False):
+        """Solve A x = b.
 
-        Returns ``(x, residual, iterations)``; the direct solve reports its
-        true relative residual and 0 iterations. On a stack of coefficients,
-        which only PCG solves, ``b`` and ``x0`` are matching stacks and the
-        k systems are solved by one stacked CG; the preconditioner solves
-        the residuals of the systems still iterating as one
-        multi-right-hand-side direct solve.
+        - Alone, A is this operator, solved once by its direct solver (see
+          :meth:`factorized`); the result reports its true relative residual
+          and 0 iterations.
+        - With ``shells``, one ``(i, j, values)`` per system, A is this
+          operator T with its coefficient replaced by ``values`` on the nodes
+          ``(i, j)``: A = T + D for the diagonal D = row_weights * (a - a_T).
+          ``b`` is one (n, n) field for one shell, or a (k, n, n) stack for
+          k, solved by one stacked CG preconditioned by T's direct solver
+          (see ``fields.cg``): each system stops on its own, and the
+          residuals of the systems still iterating are solved as one
+          multi-right-hand-side direct solve. Since that solver inverts T
+          exactly, CG applies only D in its loop, and the stencil once, to
+          check the true residual at exit. ``x0``, shaped like ``b``,
+          starts the systems; a start costs one more stencil apply, unless
+          ``x0_unperturbed`` says it is T's own solution for b, whose
+          residual is -D x0.
+        - With ``precond_with``, A is this operator and T is
+          ``precond_with``: the same as ``precond_with.solve`` with the
+          shells where the two coefficients differ.
         """
-        n = self.grid.n
-        if precond_with is None:
+        if precond_with is not None:
+            shells = []
+            for a in self.a.reshape((-1,) + self.grid.shape):
+                i, j = np.nonzero(a != precond_with.a)
+                shells.append((i, j, a[i, j]))
+            return precond_with._pcg(b, shells, x0, x0_unperturbed)
+        if shells is None:
             x = self.factorized().solve(b.ravel()).reshape(b.shape)
             miss = np.linalg.norm(self.apply(x) - b)
             return x, float(miss / (np.linalg.norm(b) or 1.0)), 0
-        direct = precond_with.factorized()
+        return self._pcg(b, shells, x0, x0_unperturbed)
+
+    def _pcg(self, b, shells, x0, x0_unperturbed):
+        """:meth:`solve` with ``shells``."""
+        n = self.grid.n
+        direct = self.factorized()
+        # the nonzero entries of D: their flat index into the stack, and
+        # their values
+        index, weight = [], []
+        for s, (i, j, values) in enumerate(shells):
+            flat = i * n + j
+            d = (self.row_weights.ravel()[flat]
+                 * (values - self.a.ravel()[flat]))
+            keep = d != 0.0
+            index.append(flat[keep] + s * n * n)
+            weight.append(d[keep])
+        index = np.concatenate(index)
+        weight = np.concatenate(weight)
+
+        def shift(p, out):
+            # out is C-ordered, as every array CG passes here is, so its flat
+            # view is out itself
+            out.reshape(-1)[index] += weight * p.reshape(-1)[index]
+
+        def apply(x):
+            out = self.apply(x)
+            shift(x, out)
+            return out
 
         def precond(r):
             # one column per field; both direct solvers return Fortran
             # order, so the transposes copy nothing
             return direct.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
 
-        dot = stack_dot if self.a.ndim == 3 else None
-        return cg(self.apply, b, max_iter=50 * n, x0=x0, precond=precond,
-                  dot=dot)
+        r0 = None
+        if x0_unperturbed:
+            # b - A x0 = (b - T x0) - D x0, and T x0 = b
+            r0 = np.zeros(b.shape)
+            shift(x0, r0)
+            np.negative(r0, out=r0)
+        dot = stack_dot if b.ndim == 3 else None
+        return cg(apply, b, max_iter=50 * n, x0=x0, precond=precond, dot=dot,
+                  shift=shift, r0=r0)
 
 
 def _one_sided_flux(grid, phi_values):

@@ -29,11 +29,14 @@ class SolverError(RuntimeError):
     """Raised when an iterative solve misses its residual target; carries
     the last iterate next to its residual and iteration count."""
 
-    def __init__(self, message, residual=None, iterations=None, iterate=None):
+    def __init__(self, message, residual=None, iterations=None, iterate=None,
+                 system=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.iterate = iterate
+        # on a stack, the index of the system with the largest residual
+        self.system = system
 
 
 def _frozen(values, shape):
@@ -351,7 +354,8 @@ def stack_dot(u, v):
     return d.reshape((k,) + (1,) * (u.ndim - 1))
 
 
-def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
+def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None,
+       shift=None, r0=None):
     """Conjugate gradient for an SPD operator given as a callable.
 
     Stops at relative residual ||b - Ax|| / ||b|| <= tol. Raises SolverError
@@ -363,12 +367,24 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
     whole. Each system has its own step lengths and stopping test, and
     stops updating once it converges; ``max_iter`` bounds the iterations of
     each. ``precond`` sees only the systems that are still active, so each
-    system costs one preconditioner solve per iteration it takes, while
-    ``apply_op`` keeps mapping the whole stack. A system with a zero
-    right-hand side gets the zero solution. The
-    call returns the stacked solution, the worst system's relative residual
-    as a float and the summed iteration count of the systems as an int;
-    SolverError carries the same three.
+    system costs one preconditioner solve per iteration it takes. A system
+    with a zero right-hand side gets the zero solution. The call returns the
+    stacked solution, the worst system's relative residual as a float and
+    the summed iteration count of the systems as an int; SolverError
+    carries the same three, and names the worst system in ``system``.
+
+    Split operators: ``shift`` says that ``precond`` solves T z = r exactly
+    for an operator T that differs from A only by D = A - T; ``shift(p,
+    out)`` adds D p to ``out``, a C-ordered array, in place. Then
+    T z_k = r_k, so A p_k = r_k + D z_k + beta_k A p_(k-1) follows from
+    what CG already holds, and the loop never calls ``apply_op``. That
+    recurrence can drift from the true product by rounding, so the true
+    residual b - A x of each system is checked once at exit, with one call
+    of ``apply_op``; it is the residual returned and tested against
+    ``tol``.
+
+    ``r0`` is the start's residual b - A x0, when the caller has it;
+    otherwise a start ``x0`` costs one call of ``apply_op``.
     """
     if dot is None:
         dot = lambda u, v: float(np.sum(u * v))
@@ -381,28 +397,37 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
     # is dead, divides by one below and never moves
     dead = bnorm == 0.0
     bnorm = bnorm + dead
+    # b and x0 may be broadcast views; the iterates are C-ordered arrays of
+    # their own, as ``shift`` may assume of its ``out``
     if x0 is None:
-        # a cold start needs no operator application: A(0) = 0; b may be a
-        # broadcast view, the iterates are C-ordered arrays of their own
+        # a cold start needs no operator application: A(0) = 0
         x, r = np.zeros(b.shape), np.array(b, dtype=np.float64, order="C")
     else:
-        x = x0.astype(np.float64, copy=True)
+        x = np.array(x0, dtype=np.float64, order="C")
+        r = (b - apply_op(x) if r0 is None
+             else np.array(r0, dtype=np.float64, order="C"))
         if dead.any():
             x *= ~dead
-        r = b - apply_op(x)
+            r *= ~dead
     res = np.sqrt(dot(r, r)) / bnorm
     active = res > tol
     z = _precondition(precond, r, active)
     p = z.copy()
+    if shift is not None:
+        # A p for p = z, where T z = r
+        ap = r.copy()
+        shift(z, ap)
     rz = dot(r, z)
     its = 0
     for _ in range(max_iter):
         if not active.any():
             break
-        ap = apply_op(p)
-        # a system that has stopped takes zero steps; in place, since on a
-        # stack every array is k fields large
-        alpha = active * rz / (dot(p, ap) + dead)
+        if shift is None:
+            ap = apply_op(p)
+        # a system that has stopped takes zero steps, and divides by one in
+        # case its p is zero; in place, since on a stack every array is k
+        # fields large
+        alpha = active * rz / (dot(p, ap) + ~active)
         x += alpha * p
         r -= alpha * ap
         its += active
@@ -412,17 +437,30 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None):
             break
         z = _precondition(precond, r, active, z)
         rz_new = dot(r, z)
-        p *= active * rz_new / (rz + dead)
+        beta = active * rz_new / (rz + ~active)
+        p *= beta
         p += z
+        if shift is not None:
+            ap *= beta
+            ap += r
+            shift(z, ap)
         rz = rz_new
+    if shift is not None:
+        miss = apply_op(x)
+        np.subtract(b, miss, out=miss)
+        res = np.sqrt(dot(miss, miss)) / bnorm
     worst, it = float(np.max(res)), int(np.sum(its))
     if worst > tol:
+        # the loop ran out of steps, or its recurrence drifted off the
+        # true residual
+        stop = "stalled at" if np.any(active) else "drifted to true"
         raise SolverError(
-            f"CG stalled at relative residual {worst:.3e} after {it} "
+            f"CG {stop} relative residual {worst:.3e} after {it} "
             "iterations",
             residual=worst,
             iterations=it,
             iterate=x,
+            system=int(np.argmax(res)) if np.ndim(res) else None,
         )
     return x, worst, it
 

@@ -20,8 +20,10 @@ builds the direct solver of that background operator once, by fast
 diagonalisation (see ``diffusion``), and it preconditions every Robin solve
 here: the exhaustion's candidate solves, solved one stack of candidates at a
 time, Landweber's forward solves and the tangent and adjoint solves of DF
-and DF*. At a zero correction, as in the step-size estimate, DF and DF* need
-no tangent or adjoint solve.
+and DF*. Each is passed as its coefficient on the nodes where it differs
+from the background, so CG applies only that difference. At a zero
+correction, as in the step-size estimate, DF and DF* need no tangent or
+adjoint solve.
 """
 
 from __future__ import annotations
@@ -211,11 +213,16 @@ class ReconstructionProblem:
         ``(fluxes, fields)``: the (m, 4(n-1)) outgoing fluxes and the
         (m, n, n) solved fields of the m candidates.
         """
-        a = np.stack([self.coefficient_field(c).values for c in candidates])
-        op = RobinOperator(self.grid, a, self.l)
+        op = self.reference
+        # a candidate differs from the background only on the masks
+        i, j = np.nonzero(np.any([space.mask for space in self.spaces],
+                                 axis=0))
+        shells = [(i, j, self.coefficient_field(c).values[i, j])
+                  for c in candidates]
         # every candidate has the same right-hand side: a read-only view
-        b = np.broadcast_to(op.boundary_rhs(self.g), a.shape)
-        x, _, _ = op.solve(b, x0=x0, precond_with=self.reference)
+        b = np.broadcast_to(op.boundary_rhs(self.g),
+                            (len(candidates),) + self.grid.shape)
+        x, _, _ = op.solve(b, x0=x0, shells=shells)
         return op.boundary_flux(self.g, x), x
 
     # -- H space operations --------------------------------------------------

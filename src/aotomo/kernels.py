@@ -250,12 +250,15 @@ def radial_invert(dist, r, amp, eta):
     - If alpha*sup|w'| < 1, F is strictly increasing and the root is unique.
       Where |t| >= 1 the root is rho = d exactly, since w vanishes there.
       Elsewhere s is seeded by linear interpolation in a table of F on
-      [-1, 1] and polished by Newton steps until every step is below 1e-14.
-      Points still moving after 8 steps, which happens only where F' nearly
-      vanishes next to the fold at alpha*sup|w'| = 1, are solved by
-      bisection.
+      [-1, 1] and polished by Newton steps; each point stops after its own
+      first step below 1e-14. Points still moving after 8 steps, which
+      happens only where F' nearly vanishes next to the fold at
+      alpha*sup|w'| = 1, are solved by bisection.
     - Otherwise the map folds, and bisection on the bracket
       [d - amp, d + amp] picks the branch; see :func:`_bisect`.
+
+    Every step is elementwise and every point stops on its own test, so a
+    root does not depend on the other entries of ``dist``.
 
     Returns the root array rho, shaped like ``dist``.
     """
@@ -268,33 +271,42 @@ def radial_invert(dist, r, amp, eta):
     shell = np.abs(t) < 1.0
     ts = t[shell]
     s = np.interp(ts, _SEED_NODES - alpha * _SEED_BUMP, _SEED_NODES)
+    # the points still stepping
+    live = np.arange(s.size)
     for _ in range(_NEWTON_MAX_STEPS):
-        step = (s - alpha * bump(s) - ts) / (1.0 - alpha * bump_prime(s))
-        s -= step
-        slow = np.abs(step) > _NEWTON_TOL
-        if not slow.any():
+        sl, tl = s[live], ts[live]
+        step = (sl - alpha * bump(sl) - tl) / (1.0 - alpha * bump_prime(sl))
+        s[live] = sl - step
+        live = live[np.abs(step) > _NEWTON_TOL]
+        if not live.size:
             break
     rho_shell = r - eta * s
-    if slow.any():
-        rho_shell[slow] = _bisect(d[shell][slow], r, amp, eta)
+    if live.size:
+        rho_shell[live] = _bisect(d[shell][live], r, amp, eta)
     rho[shell] = rho_shell
     return rho
 
 
 def _bisect(d, r, amp, eta):
     """Vectorized bisection for :func:`radial_invert` on the bracket
-    [d - amp, d + amp], at most 60 halvings, stopping once every bracket is
-    narrower than 1e-13. Where the map folds it returns the root that this
-    sequence of halvings selects."""
-    lo = d - amp
-    hi = d + amp
+    [d - amp, d + amp]: at most 60 halvings, each point stopping once its
+    own bracket is narrower than 1e-13. Where the map folds it returns the
+    root that this sequence of halvings selects."""
+    lo = (d - amp).ravel()
+    hi = (d + amp).ravel()
+    dl = d.ravel()
+    # the points whose bracket is still wide
+    live = np.arange(lo.size)
     # g(rho) = rho + amp*w((r-rho)/eta) - d is <= 0 at lo and >= 0 at hi
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        g = mid + amp * bump((r - mid) / eta) - d
-        neg = g < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-        if np.max(hi - lo, initial=0.0) < 1e-13:
+        if not live.size:
             break
-    return 0.5 * (lo + hi)
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        neg = mid + amp * bump((r - mid) / eta) - dl[live] < 0.0
+        a = np.where(neg, mid, a)
+        b = np.where(neg, b, mid)
+        lo[live] = a
+        hi[live] = b
+        live = live[b - a >= 1e-13]
+    return (0.5 * (lo + hi)).reshape(d.shape)

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -568,6 +569,83 @@ class TestStackedSweep:
             and acousto._moves(ctx, acousto._displaced_shell(ctx, cfg, y, r))
             for y in sources for r in radii)
         assert sum(sizes) == moving
+
+    def test_work_counts_per_radius_and_pass(self, two_disk_phantom,
+                                             monkeypatch):
+        ctx = make_context(two_disk_phantom, Grid(65))
+        cfg = AcousticConfig(eta=0.0625)
+        roots, passes, applies, solves = [], [0], [0], [0]
+        radial_invert, robin_apply = kernels.radial_invert, kernels.robin_apply
+        measure, cg = acousto._ShellQuadrature.measure_M_eta, diffusion.cg
+
+        def counted_invert(dist, r, amp, eta):
+            roots.append((sys._getframe(1).f_code.co_name, r))
+            return radial_invert(dist, r, amp, eta)
+
+        def counted_apply(*args):
+            applies[0] += 1
+            return robin_apply(*args)
+
+        def counted_pass(*args, **kwargs):
+            passes[0] += 1
+            return measure(*args, **kwargs)
+
+        def counted_cg(*args, **kwargs):
+            solves[0] += 1
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "radial_invert", counted_invert)
+        monkeypatch.setattr(kernels, "robin_apply", counted_apply)
+        monkeypatch.setattr(acousto._ShellQuadrature, "measure_M_eta",
+                            counted_pass)
+        monkeypatch.setattr(diffusion, "cg", counted_cg)
+        sample_sinogram(ctx, cfg, 8, 16)
+        sources = cfg.sources(8)
+        live = [r for r in cfg.radii(16) if any(
+            not acousto._ShellQuadrature.misses_support(ctx.phantom, cfg, y, r)
+            for y in sources)]
+        callers = [name for name, _ in roots]
+        # one shell build per live radius, one root batch per pass, and the
+        # lattice's displaced radii once per radius
+        assert [r for name, r in roots
+                if name == "_shell_displacements"] == live
+        assert callers.count("measure_M_eta") == passes[0] > len(live)
+        assert callers.count("rho_star") == len(live)
+        assert len(callers) == 2 * len(live) + passes[0]
+        # the stacked solves apply the stencil only to check their result
+        assert 0 < applies[0] <= solves[0]
+
+    def test_failing_shell_names_its_cell(self, two_disk_phantom,
+                                          monkeypatch):
+        ctx = make_context(two_disk_phantom, Grid(65))
+        cfg = AcousticConfig(eta=0.0625)
+        sources, radii = cfg.sources(8), cfg.radii(16)
+        q, cells = next(
+            (q, cells) for q, r in enumerate(radii)
+            for cells in [[m for m in range(8) if not acousto._ShellQuadrature
+                           .misses_support(ctx.phantom, cfg, sources[m], r)]]
+            if len(cells) >= 3)
+        # the nodes of the middle cell in the radius's one shell build
+        sizes = [acousto._displaced_shell(ctx, cfg, sources[m], radii[q])[0]
+                 .size for m in cells]
+        target = len(cells) // 2
+        start = sum(sizes[:target])
+        assert sizes[target] > 0
+        radial_invert = kernels.radial_invert
+
+        def corrupted(dist, r, amp, eta):
+            rho = radial_invert(dist, r, amp, eta)
+            if (r == radii[q]
+                    and sys._getframe(1).f_code.co_name
+                    == "_shell_displacements"):
+                rho[start:start + sizes[target]] += 1e-3
+            return rho
+
+        monkeypatch.setattr(kernels, "radial_invert", corrupted)
+        with pytest.raises(RuntimeError, match=(
+                rf"sinogram cell \(source {cells[target]}, radius index "
+                rf"{q}\) failed: radial inverse failed")):
+            sample_sinogram(ctx, cfg, 8, 16)
 
     def test_failing_stack_names_its_cell(self, two_disk_phantom,
                                           monkeypatch):

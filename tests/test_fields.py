@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aotomo import fields, kernels
+from aotomo.diffusion import RobinOperator
 from aotomo.fields import (
     BoundaryTrace,
     Grid,
@@ -185,6 +186,76 @@ class TestCg:
         true_res = np.linalg.norm(b - mat @ exc.iterate) / np.linalg.norm(b)
         assert true_res == pytest.approx(exc.residual, rel=1e-8)
         assert np.any(exc.iterate)
+
+
+    @staticmethod
+    def split_systems():
+        """A stack A = T + D of three systems: T is the Robin operator at a
+        constant coefficient, solved by fast diagonalisation, and D a
+        random nonnegative diagonal on about a third of the nodes."""
+        g = Grid(33)
+        t = RobinOperator(g, np.ones(g.shape), 0.1)
+        direct = t.factorized()
+        assert isinstance(direct, fields.SeparableSolver)
+        rng = np.random.default_rng(11)
+        shape = (3,) + g.shape
+        d = rng.uniform(0.0, 50.0, shape) * (rng.random(shape) < 0.3)
+        b = rng.standard_normal(shape)
+        applies = [0]
+
+        def apply_a(x):
+            applies[0] += 1
+            return t.apply(x) + d * x
+
+        def precond(r):
+            return direct.solve(r.reshape(-1, g.n**2).T).T.reshape(r.shape)
+
+        def shift(p, out):
+            out += d * p
+
+        return apply_a, b, precond, shift, applies
+
+    def test_split_operator_matches_full_apply(self):
+        apply_a, b, precond, shift, applies = self.split_systems()
+        full = cg(apply_a, b, precond=precond, dot=fields.stack_dot)
+        applies[0] = 0
+        split = cg(apply_a, b, precond=precond, dot=fields.stack_dot,
+                   shift=shift)
+        # the loop applies only D; A runs once, for the exit check
+        assert applies[0] == 1
+        assert split[2] == full[2] > 3
+        tol = 1e-10
+        for xs, xf in zip(split[0], full[0]):
+            assert np.linalg.norm(xs - xf) <= tol * np.linalg.norm(xf)
+        # the reported residual is the worst true one
+        miss = b - apply_a(split[0])
+        true_res = np.sqrt(fields.stack_dot(miss, miss)
+                           / fields.stack_dot(b, b))
+        assert split[1] == pytest.approx(np.max(true_res), rel=1e-12)
+        assert split[1] <= tol
+
+    def test_split_exit_check_catches_an_inexact_preconditioner(self):
+        apply_a, b, precond, shift, _ = self.split_systems()
+
+        def scaled(r):
+            # the exact inverse of 1.01 T, not of T
+            return precond(r) / 1.01
+
+        # as a plain preconditioner it is fine
+        x, res, _ = cg(apply_a, b, precond=scaled, dot=fields.stack_dot)
+        assert res <= 1e-10
+        with pytest.raises(SolverError, match="drifted") as info:
+            cg(apply_a, b, precond=scaled, dot=fields.stack_dot, shift=shift,
+               max_iter=200)
+        exc = info.value
+        # the recurrence converged early; the true residual did not
+        assert exc.iterations < 200
+        miss = b - apply_a(exc.iterate)
+        true_res = np.sqrt(fields.stack_dot(miss, miss)
+                           / fields.stack_dot(b, b)).ravel()
+        assert exc.residual == pytest.approx(np.max(true_res), rel=1e-12)
+        assert exc.residual > 1e-4
+        assert exc.system == int(np.argmax(true_res))
 
 
 class TestNorms:
