@@ -355,7 +355,7 @@ def cmd_reconstruct(cfg, args):
             g=cfg.g_value, l=cfg.l, theta=cfg.theta,
         )
     except ValueError as exc:
-        # an empty mask
+        # a mask with no interior, or two masks that overlap
         raise ConfigError(f"reconstruct: {exc}")
     guess = inversion.initial_guess_exhaustion(
         problem, flux, partition_step=cfg.partition_step,

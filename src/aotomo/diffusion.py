@@ -84,10 +84,8 @@ class RobinOperator:
     boundary and the 5-point (-lap + a) of ``kernels.dirichlet_apply`` inside,
     whose boundary neighbours ``boundary_rhs`` moves to the right-hand side.
 
-    ``a_values`` is one (n, n) coefficient or a (k, n, n) stack of them; a
-    stack maps k fields at once, one per coefficient, and solves them given
-    ``precond_with``. Only a single operator can be assembled and
-    factorized.
+    ``a_values`` is one (n, n) coefficient. ``apply`` maps one field or a
+    (k, n, n) stack of them, each by this operator.
     """
 
     def __init__(self, grid: Grid, a_values, l: float):
@@ -160,7 +158,7 @@ class RobinOperator:
         operator is factorized by sparse LU."""
         if self._solver is None:
             a = self.a.flat[0]
-            if self.l > 0 and self.a.ndim == 2 and np.all(self.a == a):
+            if self.l > 0 and np.all(self.a == a):
                 h = self.grid.h
                 c = self.grid.trapezoid_factors()
                 robin = np.zeros(self.grid.n)
@@ -197,11 +195,9 @@ class RobinOperator:
           shells where the two coefficients differ.
         """
         if precond_with is not None:
-            shells = []
-            for a in self.a.reshape((-1,) + self.grid.shape):
-                i, j = np.nonzero(a != precond_with.a)
-                shells.append((i, j, a[i, j]))
-            return precond_with._pcg(b, shells, x0, x0_unperturbed)
+            i, j = np.nonzero(self.a != precond_with.a)
+            return precond_with._pcg(b, [(i, j, self.a[i, j])], x0,
+                                     x0_unperturbed)
         if shells is None:
             x = self.factorized().solve(b.ravel()).reshape(b.shape)
             miss = np.linalg.norm(self.apply(x) - b)

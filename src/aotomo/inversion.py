@@ -8,10 +8,13 @@ by matching the internal data functional
     F[a](v) = sum_j int_{A_j} phi(a)^2 grad(a_j) . grad(v_j)
 
 against the Laplacian functional of the Helmholtz potential. Iterates are
-stored as base constants plus zero-trace corrections; every functional is
-handled through its Riesz representer (one masked Dirichlet solve per
-inclusion), and the constraint set (coefficient bounds plus an L4 gradient
-budget per inclusion) is enforced by clamping and scale-back.
+stored as base constants plus a zero-trace correction in
+H = H^1_0(A_1) + ... + H^1_0(A_k). The masks are disjoint, so an element of
+H is one field on their union, zero off their interiors (see
+``MaskSpace``). Every functional is handled through its Riesz representer
+(one masked Dirichlet solve on the union, whose form is block diagonal over
+the inclusions), and the constraint set (coefficient bounds plus an L4
+gradient budget per inclusion) is enforced by clamping and scale-back.
 
 Every coefficient either stage solves at equals the background a0 off the
 masks and lies in [lower, upper] on them, so it differs from the constant
@@ -54,7 +57,7 @@ from .fields import (
     spd_lu,
 )
 from .helmholtz import PsiField
-from .segmentation import InclusionMask, erode_cross
+from .segmentation import erode_cross
 
 
 @dataclass(frozen=True)
@@ -69,17 +72,34 @@ class KProjectionConfig:
 
 
 class MaskSpace:
-    """Per-inclusion discrete space: in-mask edges and the Dirichlet form,
-    factored once on the interior nodes."""
+    """The discrete space H of zero-trace corrections on disjoint masks.
 
-    def __init__(self, grid: Grid, mask: np.ndarray):
+    ``labels`` is 0 off the masks and j + 1 on mask j, and ``interior`` is
+    the union of the masks' cross-eroded interiors. An edge is in-mask when
+    both its ends carry the same nonzero label, so no edge joins two masks
+    and the Dirichlet form, factored once on the interior nodes, is block
+    diagonal. One field on the union, zero off the interior, is thus an
+    element of the direct sum of the per-mask spaces, and every form and
+    solve below is the per-mask sum.
+    """
+
+    def __init__(self, grid: Grid, masks):
         self.grid = grid
-        self.mask = np.asarray(mask, dtype=bool)
-        self.interior = erode_cross(self.mask)
-        self.cx = (self.mask[1:, :] & self.mask[:-1, :]).astype(float)
-        self.cy = (self.mask[:, 1:] & self.mask[:, :-1]).astype(float)
-        if not np.any(self.interior):
-            raise ValueError("mask has no interior nodes")
+        self.labels = np.zeros(grid.shape, dtype=np.intp)
+        self.interior = np.zeros(grid.shape, dtype=bool)
+        for j, mask in enumerate(masks):
+            mask = np.asarray(mask, dtype=bool)
+            if np.any(self.labels[mask]):
+                raise ValueError(f"masks {self.labels[mask].max() - 1} and "
+                                 f"{j} overlap")
+            inner = erode_cross(mask)
+            if not np.any(inner):
+                raise ValueError(f"mask {j} has no interior nodes")
+            self.labels[mask] = j + 1
+            self.interior |= inner
+        lab = self.labels
+        self.cx = ((lab[1:, :] == lab[:-1, :]) & (lab[1:, :] > 0)) * 1.0
+        self.cy = ((lab[:, 1:] == lab[:, :-1]) & (lab[:, 1:] > 0)) * 1.0
         self._nodes = np.flatnonzero(self.interior)
         form = edge_form_matrix(self.cx, self.cy)[self._nodes][:, self._nodes]
         self._lu = spd_lu(form)
@@ -109,33 +129,12 @@ class MaskSpace:
 
 
 @dataclass
-class HElement:
-    """One zero-trace field per inclusion mask."""
-
-    parts: list
-
-    def __add__(self, other):
-        return HElement([a + b for a, b in zip(self.parts, other.parts)])
-
-    def __sub__(self, other):
-        return HElement([a - b for a, b in zip(self.parts, other.parts)])
-
-    def scaled(self, c):
-        return HElement([c * a for a in self.parts])
-
-    def combined(self):
-        out = np.zeros_like(self.parts[0])
-        for a in self.parts:
-            out += a
-        return out
-
-
-@dataclass
 class HFunctional:
-    """Functional on H stored as assembled vectors plus Riesz representer."""
+    """Functional on H: its assembled vector ``raw`` (f(v) = raw . v) and its
+    Riesz representer, each one (n, n) array."""
 
-    raw: list
-    representer: HElement
+    raw: np.ndarray
+    representer: np.ndarray
 
 
 @dataclass
@@ -147,7 +146,7 @@ class PiecewiseConstantGuess:
 @dataclass
 class ReconstructionState:
     alphas: list
-    correction: HElement
+    correction: np.ndarray
     tau: float
     residuals: list = field(default_factory=list)
     distances: list = field(default_factory=list)
@@ -169,7 +168,7 @@ class ReconstructionProblem:
                              "l > 0")
         self.grid = grid
         self.masks = masks
-        self.spaces = [MaskSpace(grid, m.mask) for m in masks]
+        self.space = MaskSpace(grid, [m.mask for m in masks])
         self.a0 = float(a0)
         self.lower = float(lower)
         self.upper = float(upper)
@@ -187,16 +186,20 @@ class ReconstructionProblem:
     def k(self):
         return len(self.masks)
 
-    def zero_element(self) -> HElement:
-        return HElement([np.zeros(self.grid.shape) for _ in self.masks])
+    def zero_element(self) -> np.ndarray:
+        return np.zeros(self.grid.shape)
 
-    def coefficient_field(self, alphas, correction: HElement | None = None
+    def levels(self, alphas) -> np.ndarray:
+        """The base level of each node: a0 off the masks, alphas[j] on
+        mask j."""
+        return np.concatenate([[self.a0], alphas])[self.space.labels]
+
+    def coefficient_field(self, alphas, correction: np.ndarray | None = None
                           ) -> ScalarField:
-        vals = np.full(self.grid.shape, self.a0)
-        for j, space in enumerate(self.spaces):
-            vals[space.mask] = alphas[j]
-            if correction is not None:
-                vals[space.interior] += correction.parts[j][space.interior]
+        vals = self.levels(alphas)
+        if correction is not None:
+            interior = self.space.interior
+            vals[interior] += correction[interior]
         return ScalarField(self.grid, vals)
 
     def solve_forward(self, alphas, correction=None) -> OpticalSolution:
@@ -215,10 +218,8 @@ class ReconstructionProblem:
         """
         op = self.reference
         # a candidate differs from the background only on the masks
-        i, j = np.nonzero(np.any([space.mask for space in self.spaces],
-                                 axis=0))
-        shells = [(i, j, self.coefficient_field(c).values[i, j])
-                  for c in candidates]
+        i, j = np.nonzero(self.space.labels)
+        shells = [(i, j, self.levels(c)[i, j]) for c in candidates]
         # every candidate has the same right-hand side: a read-only view
         b = np.broadcast_to(op.boundary_rhs(self.g),
                             (len(candidates),) + self.grid.shape)
@@ -227,35 +228,24 @@ class ReconstructionProblem:
 
     # -- H space operations --------------------------------------------------
 
-    def h_inner(self, u: HElement, v: HElement) -> float:
-        return sum(
-            space.bilinear(up, vp)
-            for space, up, vp in zip(self.spaces, u.parts, v.parts)
-        )
+    def h_inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        return self.space.bilinear(u, v)
 
-    def h_norm(self, u: HElement) -> float:
+    def h_norm(self, u: np.ndarray) -> float:
         return math.sqrt(max(self.h_inner(u, u), 0.0))
 
-    def riesz(self, raw: list) -> HElement:
-        return HElement([
-            space.riesz_solve(b) for space, b in zip(self.spaces, raw)
-        ])
-
-    def functional(self, raw: list) -> HFunctional:
-        return HFunctional(raw, self.riesz(raw))
+    def functional(self, raw: np.ndarray) -> HFunctional:
+        return HFunctional(raw, self.space.riesz_solve(raw))
 
     def dual_inner(self, f1: HFunctional, f2: HFunctional) -> float:
         """H* inner product via representers: <rep1, rep2>_H = raw1 . rep2."""
-        return sum(
-            float(np.sum(b * rep))
-            for b, rep in zip(f1.raw, f2.representer.parts)
-        )
+        return float(np.sum(f1.raw * f2.representer))
 
     def dual_norm(self, f: HFunctional) -> float:
         return math.sqrt(max(self.dual_inner(f, f), 0.0))
 
-    def apply_functional(self, f: HFunctional, h: HElement) -> float:
-        return sum(float(np.sum(b * hp)) for b, hp in zip(f.raw, h.parts))
+    def apply_functional(self, f: HFunctional, h: np.ndarray) -> float:
+        return float(np.sum(f.raw * h))
 
     # -- phi bounds and the gradient budget ----------------------------------
 
@@ -268,14 +258,17 @@ class ReconstructionProblem:
     def embedding_constant(self, iterations=20) -> float:
         """Estimate of sup ||v||_L4 / ||v||_H over the largest mask by a
         normalized fixed-point iteration on the L4 stationarity condition."""
-        space = max(self.spaces, key=lambda s: s.interior.sum())
+        space = self.space
+        sizes = np.bincount(space.labels[space.interior],
+                            minlength=self.k + 1)
+        inner = space.interior & (space.labels == np.argmax(sizes[1:]) + 1)
         w = self.grid.trapezoid_weights()
         rng = np.random.default_rng(1234)
-        v = np.where(space.interior, rng.standard_normal(self.grid.shape), 0.0)
+        v = np.where(inner, rng.standard_normal(self.grid.shape), 0.0)
         v /= math.sqrt(space.bilinear(v, v))
         best = 0.0
         for _ in range(iterations):
-            rhs = np.where(space.interior, w * v**3, 0.0)
+            rhs = np.where(inner, w * v**3, 0.0)
             v = space.riesz_solve(rhs)
             nrm = math.sqrt(space.bilinear(v, v))
             if nrm == 0:
@@ -299,11 +292,17 @@ class ReconstructionProblem:
             self._theta = self.default_theta(solution)
         return KProjectionConfig(self.lower, self.upper, self._theta)
 
-    def grad_l4(self, part, space) -> float:
-        g = gradient(ScalarField(self.grid, part))
+    def grad_l4(self, correction) -> np.ndarray:
+        """The L4 norm of the nodal gradient of ``correction`` over each
+        mask, one value per mask. At a grid-boundary node the one-sided
+        stencil reaches two nodes in, which may lie in another mask's
+        interior; everywhere else a mask sees only its own part."""
+        g = gradient(ScalarField(self.grid, correction))
         mag4 = (g.vx**2 + g.vy**2) ** 2
         w = self.grid.trapezoid_weights()
-        return float(np.sum(w[space.mask] * mag4[space.mask])) ** 0.25
+        sums = np.bincount(self.space.labels.ravel(),
+                           weights=(w * mag4).ravel(), minlength=self.k + 1)
+        return sums[1:] ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +383,15 @@ def initial_guess_exhaustion(problem: ReconstructionProblem,
 # the internal data map and its derivative
 
 
-def F_apply(problem: ReconstructionProblem, alphas, correction: HElement,
+def F_apply(problem: ReconstructionProblem, alphas, correction: np.ndarray,
             solution: OpticalSolution | None = None) -> HFunctional:
     """F[a](v) = sum_j int phi^2 grad(a_j) . grad(v_j) as a functional."""
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
+    space = problem.space
     phi2x, phi2y = edge_average(solution.phi.values**2)
-    raw = []
-    for j, space in enumerate(problem.spaces):
-        dax, day = space.diff(correction.parts[j])
-        raw.append(space.assemble(phi2x * dax, phi2y * day))
-    return problem.functional(raw)
+    dax, day = space.diff(correction)
+    return problem.functional(space.assemble(phi2x * dax, phi2y * day))
 
 
 def delta_psi_functional(problem: ReconstructionProblem,
@@ -404,12 +401,11 @@ def delta_psi_functional(problem: ReconstructionProblem,
     dpx, dpy = edge_diff(psi.psi.values)
     # the potential follows the divergence-of-the-vector-solve orientation,
     # so its weak Laplacian functional carries a minus sign
-    raw = [space.assemble(-dpx, -dpy) for space in problem.spaces]
-    return problem.functional(raw)
+    return problem.functional(problem.space.assemble(-dpx, -dpy))
 
 
-def DF_apply(problem: ReconstructionProblem, alphas, correction: HElement,
-             h: HElement,
+def DF_apply(problem: ReconstructionProblem, alphas, correction: np.ndarray,
+             h: np.ndarray,
              solution: OpticalSolution | None = None) -> HFunctional:
     """Directional derivative of F at the iterate in direction h."""
     return problem.functional(
@@ -417,102 +413,92 @@ def DF_apply(problem: ReconstructionProblem, alphas, correction: HElement,
 
 
 def _DF_raw(problem, alphas, correction, h, solution):
-    """Assembled vectors of DF[a](h), one per inclusion.
+    """Assembled vector of DF[a](h).
 
     The tangent dphi enters only through the correction's edge
     differences, so a zero correction solves nothing.
     """
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
+    space = problem.space
     phi = solution.phi
     phi2x, phi2y = edge_average(phi.values**2)
-    da = [space.diff(part)
-          for space, part in zip(problem.spaces, correction.parts)]
+    dax, day = space.diff(correction)
     crossx = crossy = 0.0
-    if any(d.any() for pair in da for d in pair):
+    if dax.any() or day.any():
         tangent = solve_DT(problem.coefficient_field(alphas, correction), phi,
-                           ScalarField(problem.grid, h.combined()), problem.l,
+                           ScalarField(problem.grid, h), problem.l,
                            precond_with=problem.reference)
         crossx, crossy = edge_average(2.0 * phi.values * tangent.values)
-    raw = []
-    for space, (dax, day), hp in zip(problem.spaces, da, h.parts):
-        dhx, dhy = space.diff(hp)
-        raw.append(space.assemble(
-            crossx * dax + phi2x * dhx, crossy * day + phi2y * dhy
-        ))
-    return raw
+    dhx, dhy = space.diff(h)
+    return space.assemble(crossx * dax + phi2x * dhx,
+                          crossy * day + phi2y * dhy)
 
 
-def DF_quadratic_form(problem, alphas, correction, h: HElement,
+def DF_quadratic_form(problem, alphas, correction, h: np.ndarray,
                       solution=None) -> float:
     """DF[a](h, h) without Riesz solves (used by the coercivity checks)."""
     raw = _DF_raw(problem, alphas, correction, h, solution)
-    return sum(float(np.sum(b * hp)) for b, hp in zip(raw, h.parts))
+    return float(np.sum(raw * h))
 
 
-def DF_adjoint(problem: ReconstructionProblem, alphas, correction: HElement,
+def DF_adjoint(problem: ReconstructionProblem, alphas, correction: np.ndarray,
                rho: HFunctional,
-               solution: OpticalSolution | None = None) -> HElement:
+               solution: OpticalSolution | None = None) -> np.ndarray:
     """The element g with <g, h>_H = DF[a](h)(rep rho) for all h.
 
     The solution chain runs through one adjoint diffusion solve for the
     tangent term, preconditioned by the problem's background operator, and
-    one masked Riesz solve per inclusion for both terms. At a zero
-    correction the tangent term has no source, and there is no diffusion
-    solve.
+    one masked Riesz solve for both terms. At a zero correction the tangent
+    term has no source, and there is no diffusion solve.
     """
     if solution is None:
         solution = problem.solve_forward(alphas, correction)
     phi = solution.phi.values
-    grid = problem.grid
+    space = problem.space
     phi2x, phi2y = edge_average(phi**2)
 
     # nodal source of the tangent chain: sigma_p = phi_p * sum of
     # c_e (da)_e (drho)_e over edges at p, doubled edge averages folded in
-    sigma = np.zeros(grid.shape)
-    raw = []
-    for j, space in enumerate(problem.spaces):
-        dax, day = space.diff(correction.parts[j])
-        drx, dry = space.diff(rho.representer.parts[j])
-        acc = 2.0 * edge_average_transpose(space.cx * dax * drx,
-                                           space.cy * day * dry)
-        sigma += phi * acc
-        raw.append(space.assemble(phi2x * drx, phi2y * dry))
+    dax, day = space.diff(correction)
+    drx, dry = space.diff(rho.representer)
+    sigma = phi * (2.0 * edge_average_transpose(space.cx * dax * drx,
+                                                space.cy * day * dry))
+    raw = space.assemble(phi2x * drx, phi2y * dry)
 
     if sigma.any():
         a = problem.coefficient_field(alphas, correction)
-        op = RobinOperator(grid, a.values, problem.l)
+        op = RobinOperator(problem.grid, a.values, problem.l)
         z, _, _ = op.solve(sigma, precond_with=problem.reference)
         b1 = -phi * z * op.row_weights
     else:
         # a zero correction has no tangent source, so z = 0; the signed
         # zeros of -phi * 0 keep the sums below bit-identical to a solve
         b1 = phi * -0.0
-    for j, space in enumerate(problem.spaces):
-        raw[j] = raw[j] + np.where(space.interior, b1, 0.0)
-    return problem.riesz(raw)
+    return space.riesz_solve(raw + np.where(space.interior, b1, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # projection onto the constraint set
 
 
-def project_K(problem: ReconstructionProblem, alphas, correction: HElement,
-              config: KProjectionConfig) -> HElement:
-    """Clamp the coefficient into its bounds nodewise, then scale any
-    correction whose gradient exceeds the L4 budget. Idempotent."""
-    parts = []
-    for j, space in enumerate(problem.spaces):
-        cj = np.where(space.interior, correction.parts[j], 0.0)
-        vals = alphas[j] + cj
-        # additive form keeps untouched nodes bit-identical
-        clamped = cj + (np.clip(vals, config.lower, config.upper) - vals)
-        clamped = np.where(space.interior, clamped, 0.0)
-        nrm = problem.grad_l4(clamped, space)
-        if nrm > config.theta * (1.0 + 1e-12):
-            clamped = clamped * (config.theta / nrm)
-        parts.append(clamped)
-    return HElement(parts)
+def project_K(problem: ReconstructionProblem, alphas, correction: np.ndarray,
+              config: KProjectionConfig) -> np.ndarray:
+    """Clamp the coefficient into its bounds nodewise, then scale the
+    correction on each mask whose gradient exceeds the L4 budget by that
+    mask's own factor. Idempotent."""
+    space = problem.space
+    c = np.where(space.interior, correction, 0.0)
+    vals = problem.levels(alphas) + c
+    # additive form keeps untouched nodes bit-identical
+    clamped = c + (np.clip(vals, config.lower, config.upper) - vals)
+    clamped = np.where(space.interior, clamped, 0.0)
+    nrm = problem.grad_l4(clamped)
+    over = nrm > config.theta * (1.0 + 1e-12)
+    # one factor per label, 1 off the masks and on the masks within budget
+    scale = np.ones(problem.k + 1)
+    scale[1:][over] = config.theta / nrm[over]
+    return clamped * scale[space.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +506,19 @@ def project_K(problem: ReconstructionProblem, alphas, correction: HElement,
 
 
 def estimate_step_size(problem: ReconstructionProblem, alphas,
-                       correction: HElement, iterations=20,
+                       correction: np.ndarray, iterations=20,
                        seed=0) -> float:
     """tau = 0.9 / L^2 with L the operator norm of DF at the iterate,
     estimated by power iterations on DF* DF."""
     rng = np.random.default_rng(seed)
     solution = problem.solve_forward(alphas, correction)
-    v = HElement([
-        np.where(space.interior, rng.standard_normal(problem.grid.shape), 0.0)
-        for space in problem.spaces
-    ])
-    v = v.scaled(1.0 / max(problem.h_norm(v), 1e-300))
+    # one draw of the grid per mask, in mask order, each kept on its mask
+    labels = problem.space.labels
+    draws = rng.standard_normal((problem.k,) + problem.grid.shape)
+    i, j = np.nonzero(problem.space.interior)
+    v = problem.zero_element()
+    v[i, j] = draws[labels[i, j] - 1, i, j]
+    v = v * (1.0 / max(problem.h_norm(v), 1e-300))
     lam = 0.0
     for _ in range(iterations):
         w = DF_adjoint(problem, alphas, correction,
@@ -541,7 +529,7 @@ def estimate_step_size(problem: ReconstructionProblem, alphas,
         nrm = problem.h_norm(w)
         if nrm == 0:
             break
-        v = w.scaled(1.0 / nrm)
+        v = w * (1.0 / nrm)
     lam = max(lam, 1e-300)
     return 0.9 / lam
 
@@ -552,7 +540,7 @@ STAGNATION_TOL = 1e-9
 
 def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
                   max_iter=200, stop_tol=1e-3, tau=None,
-                  truth: HElement | None = None,
+                  truth: np.ndarray | None = None,
                   progress=None) -> ReconstructionState:
     """Projected Landweber iteration from the piecewise constant guess.
 
@@ -576,10 +564,8 @@ def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
         projected = project_K(problem, state.alphas, state.correction, kcfg)
         solution = problem.solve_forward(state.alphas, projected)
         fval = F_apply(problem, state.alphas, projected, solution=solution)
-        residual_fn = HFunctional(
-            [fr - tr for fr, tr in zip(fval.raw, target.raw)],
-            fval.representer - target.representer,
-        )
+        residual_fn = HFunctional(fval.raw - target.raw,
+                                  fval.representer - target.representer)
         res = problem.dual_norm(residual_fn)
         state.residuals.append(res)
         state.taus.append(state.tau)
@@ -610,7 +596,7 @@ def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
             rising = 0
         grad = DF_adjoint(problem, state.alphas, projected, residual_fn,
                           solution=solution)
-        state.correction = projected - grad.scaled(state.tau)
+        state.correction = projected - state.tau * grad
         if progress is not None:
             progress(it + 1, max_iter, res)
     else:
@@ -621,16 +607,13 @@ def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
 
 
 def truth_correction(problem: ReconstructionProblem, phantom,
-                     alphas) -> HElement:
+                     alphas) -> np.ndarray:
     """Zero-trace corrections of the true coefficient relative to the given
     base constants, for distance-to-truth audits."""
     x, y = problem.grid.meshgrid()
     true_vals = phantom.eval(x, y)
-    parts = []
-    for j, space in enumerate(problem.spaces):
-        part = np.where(space.interior, true_vals - alphas[j], 0.0)
-        parts.append(part)
-    return HElement(parts)
+    return np.where(problem.space.interior,
+                    true_vals - problem.levels(alphas), 0.0)
 
 
 def save_log_csv(path, state: ReconstructionState):

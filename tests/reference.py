@@ -14,6 +14,7 @@ from aotomo.fields import (
     neumann_solve_weighted,
     spd_lu,
 )
+from aotomo.segmentation import erode_cross
 
 
 def poisson_dirichlet(rhs) -> ScalarField:
@@ -46,6 +47,31 @@ def pinned_neumann_solve(grid, b):
     z.flat[1:] = spd_lu(form[1:, 1:]).solve(bproj[1:])
     w = grid.trapezoid_weights()
     return z - np.sum(w * z) / w.sum()
+
+
+def _mask_edges(mask):
+    """Weights of the edges with both ends in one mask."""
+    return ((mask[1:, :] & mask[:-1, :]).astype(float),
+            (mask[:, 1:] & mask[:, :-1]).astype(float))
+
+
+def mask_bilinear(mask, u, v) -> float:
+    """The Dirichlet form of one mask alone: the sum over its edges of
+    du dv (undivided differences)."""
+    cx, cy = _mask_edges(mask)
+    du_x, du_y = edge_diff(u)
+    dv_x, dv_y = edge_diff(v)
+    return float(np.sum(cx * du_x * dv_x) + np.sum(cy * du_y * dv_y))
+
+
+def mask_riesz_solve(mask, b):
+    """Solve one mask's Dirichlet form L rho = b by its own sparse LU on the
+    mask's cross-eroded interior; rho is zero elsewhere."""
+    nodes = np.flatnonzero(erode_cross(mask))
+    form = edge_form_matrix(*_mask_edges(mask))[nodes][:, nodes]
+    rho = np.zeros(mask.shape)
+    rho.flat[nodes] = spd_lu(form).solve(b.ravel()[nodes])
+    return rho
 
 
 def boundary_integral(trace):

@@ -201,6 +201,10 @@ def _bad_inputs(d):
         (d / f"masks_{key}.json").write_text(json.dumps(
             {"masks": [{"file": name, "label": 1, "clipped": False}]}))
     (d / "masks_nokey.json").write_text(json.dumps({"files": []}))
+    # one mask listed twice: the two copies overlap everywhere
+    (d / "masks_twice.json").write_text(json.dumps({"masks": [
+        {"file": "mask_ok.pgm", "label": label, "clipped": False}
+        for label in (1, 2)]}))
     phantom.save_phantom(d / "truth_ok.json", phantom.from_dict(
         dict(cli.PRESETS["disk"], D_margin=0.1)))
     (d / "truth_bad.json").write_text(json.dumps({"a0": 1.0}))
@@ -268,6 +272,7 @@ def _bad_inputs(d):
         ("PGM maxval not 255", reconstruct(masks="masks_maxval.json")),
         ("mask on another grid", reconstruct(masks="masks_grid33.json")),
         ("empty mask", reconstruct(masks="masks_empty.json")),
+        ("one mask listed twice", reconstruct(masks="masks_twice.json")),
         ("l = 0", ["reconstruct", "--config", d / "dirichlet.json",
                    "--psi", d / "none.aorf", "--masks", d / "none.json",
                    "--flux", d / "none.aorf", "--outdir", d / "bad_rec"]),
@@ -288,6 +293,14 @@ def test_bad_inputs_are_exit_code_2(workdir, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2, name
         assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+
+
+def test_overlapping_masks_are_named(workdir, capsys):
+    bad = dict(_bad_inputs(workdir))
+    code = cli.main([str(a) for a in bad["one mask listed twice"]])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: reconstruct: masks 0 and 1 overlap")
 
 
 def test_out_makes_missing_parent_dirs(workdir, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from reference import mask_bilinear, mask_riesz_solve
+
 from aotomo import diffusion, fields, helmholtz, inversion as inv
 from aotomo import segmentation as seg
 from aotomo.fields import BoundaryTrace, Grid, ScalarField
@@ -12,8 +14,8 @@ from aotomo.inversion import (
     DF_apply,
     DF_quadratic_form,
     F_apply,
-    HElement,
     HFunctional,
+    MaskSpace,
     ReconstructionProblem,
     delta_psi_functional,
     initial_guess_exhaustion,
@@ -38,45 +40,114 @@ def setup(disk_phantom):
     return g, problem, sol, psi
 
 
+# base levels of the two-mask problem
+PAIR_ALPHAS = [1.5, 0.8]
+
+
+def touching_masks(grid):
+    """Two rectangles joined by exactly one edge, from node (14, 14) of the
+    first to node (15, 14) of the second."""
+    first = np.zeros(grid.shape, dtype=bool)
+    first[6:15, 6:15] = True
+    second = np.zeros(grid.shape, dtype=bool)
+    second[15:25, 14:24] = True
+    return [first, second]
+
+
+@pytest.fixture(scope="module")
+def pair():
+    """A two-mask problem on touching masks and its forward solution."""
+    g = Grid(33)
+    masks = [seg.InclusionMask(g, m, j + 1)
+             for j, m in enumerate(touching_masks(g))]
+    problem = ReconstructionProblem(g, masks, a0=1.0, lower=0.5, upper=2.0)
+    return problem, problem.solve_forward(PAIR_ALPHAS)
+
+
 def solved_DF(problem, alphas, correction, h, solution):
     """DF[a](h) with its tangent solved at every correction, directly on
     the iterate's own factorization."""
     tangent = diffusion.solve_DT(
         problem.coefficient_field(alphas, correction), solution.phi,
-        ScalarField(problem.grid, h.combined()), problem.l)
+        ScalarField(problem.grid, h), problem.l)
     phi = solution.phi.values
     phi2x, phi2y = fields.edge_average(phi**2)
     crossx, crossy = fields.edge_average(2.0 * phi * tangent.values)
-    raw = []
-    for space, cp, hp in zip(problem.spaces, correction.parts, h.parts):
-        dax, day = space.diff(cp)
-        dhx, dhy = space.diff(hp)
-        raw.append(space.assemble(crossx * dax + phi2x * dhx,
-                                  crossy * day + phi2y * dhy))
-    return problem.functional(raw)
+    space = problem.space
+    dax, day = space.diff(correction)
+    dhx, dhy = space.diff(h)
+    return problem.functional(space.assemble(crossx * dax + phi2x * dhx,
+                                             crossy * day + phi2y * dhy))
 
 
 def random_element(problem, rng, scale=0.05):
-    return HElement([
-        np.where(space.interior,
-                 scale * rng.standard_normal(problem.grid.shape), 0.0)
-        for space in problem.spaces
-    ])
+    """One draw of the grid per mask, in mask order, each kept on its
+    mask's interior."""
+    space = problem.space
+    draws = scale * rng.standard_normal((problem.k,) + problem.grid.shape)
+    i, j = np.indices(problem.grid.shape)
+    return np.where(space.interior, draws[space.labels - 1, i, j], 0.0)
+
+
+def mask_interior(problem, j):
+    """The interior nodes of mask j."""
+    return problem.space.interior & (problem.space.labels == j + 1)
+
+
+def assert_riesz_represents(space, rng):
+    b = rng.standard_normal(space.grid.shape)
+    rho = space.riesz_solve(b)
+    assert not np.any(rho[~space.interior])
+    for _ in range(3):
+        v = np.where(space.interior, rng.standard_normal(space.grid.shape),
+                     0.0)
+        lhs = space.bilinear(rho, v)
+        rhs = float(np.sum(b * v))
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 class TestMaskSpace:
     def test_riesz_solve_represents_the_functional(self, setup):
-        g, problem, _, _ = setup
-        rng = np.random.default_rng(11)
-        for space in problem.spaces:
-            b = rng.standard_normal(g.shape)
-            rho = space.riesz_solve(b)
-            assert not np.any(rho[~space.interior])
-            for _ in range(3):
-                v = np.where(space.interior, rng.standard_normal(g.shape), 0.0)
-                lhs = space.bilinear(rho, v)
-                rhs = float(np.sum(b * v))
-                assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+        _, problem, _, _ = setup
+        assert_riesz_represents(problem.space, np.random.default_rng(11))
+
+    def test_riesz_solve_represents_the_functional_on_two_masks(self, pair):
+        problem, _ = pair
+        assert_riesz_represents(problem.space, np.random.default_rng(11))
+
+    def test_union_is_the_direct_sum_of_the_masks(self, pair):
+        problem, _ = pair
+        space = problem.space
+        masks = touching_masks(problem.grid)
+        union = masks[0] | masks[1]
+        # the one edge joining the masks is not in the form
+        union_edges = (np.sum(union[1:, :] & union[:-1, :])
+                       + np.sum(union[:, 1:] & union[:, :-1]))
+        assert union_edges == space.cx.sum() + space.cy.sum() + 1
+        interiors = seg.erode_cross(masks[0]) | seg.erode_cross(masks[1])
+        np.testing.assert_array_equal(space.interior, interiors)
+        rng = np.random.default_rng(12)
+        b = rng.standard_normal(problem.grid.shape)
+        oracle = sum(mask_riesz_solve(m, b) for m in masks)
+        got = space.riesz_solve(b)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        u = random_element(problem, rng, scale=1.0)
+        v = random_element(problem, rng, scale=1.0)
+        oracle = sum(mask_bilinear(m, u, v) for m in masks)
+        assert space.bilinear(u, v) == pytest.approx(oracle, rel=1e-12)
+
+    def test_rejects_overlapping_masks(self, grid33):
+        first, second = touching_masks(grid33)
+        second[14, 14] = True
+        with pytest.raises(ValueError, match="masks 0 and 1 overlap"):
+            MaskSpace(grid33, [first, second])
+
+    def test_rejects_a_mask_without_interior(self, grid33):
+        first, _ = touching_masks(grid33)
+        line = np.zeros(grid33.shape, dtype=bool)
+        line[28, 5:20] = True
+        with pytest.raises(ValueError, match="mask 1 has no interior"):
+            MaskSpace(grid33, [first, line])
 
 
 class TestForwardSolve:
@@ -286,19 +357,16 @@ class TestInternalDataMap:
             ScalarField(g, 2.0 * sol.phi.values), sol.flux, sol.residual,
             sol.iterations)
         f2 = F_apply(problem, [1.5], corr, solution=scaled)
-        for a, b in zip(f1.raw, f2.raw):
-            assert np.max(np.abs(b - 4.0 * a)) <= 1e-9 * max(
-                np.max(np.abs(a)), 1.0)
+        assert np.max(np.abs(f2.raw - 4.0 * f1.raw)) <= 1e-9 * max(
+            np.max(np.abs(f1.raw)), 1.0)
 
     def test_consistency_with_potential(self, setup, disk_phantom):
         _, problem, sol, psi = setup
         truth = truth_correction(problem, disk_phantom, [1.5])
         fstar = F_apply(problem, [1.5], truth)
         dpsi = delta_psi_functional(problem, psi)
-        diff = HFunctional(
-            [a - b for a, b in zip(fstar.raw, dpsi.raw)],
-            fstar.representer - dpsi.representer,
-        )
+        diff = HFunctional(fstar.raw - dpsi.raw,
+                           fstar.representer - dpsi.representer)
         assert problem.dual_norm(diff) <= 5e-2 * problem.dual_norm(dpsi)
 
     def test_delta_psi_linear(self, setup):
@@ -307,9 +375,8 @@ class TestInternalDataMap:
         doubled = helmholtz.PsiField(
             ScalarField(g, 2.0 * psi.psi.values), psi.provenance)
         f2 = delta_psi_functional(problem, doubled)
-        for a, b in zip(f1.raw, f2.raw):
-            assert np.max(np.abs(b - 2 * a)) <= 1e-12 * max(
-                np.max(np.abs(a)), 1.0)
+        assert np.max(np.abs(f2.raw - 2 * f1.raw)) <= 1e-12 * max(
+            np.max(np.abs(f1.raw)), 1.0)
 
     def test_constant_psi_gives_zero(self, setup, grid65):
         _, problem, _, _ = setup
@@ -331,9 +398,7 @@ class TestDerivative:
         _, problem, _, _ = setup
         rng = np.random.default_rng(4)
         zero = problem.zero_element()
-        rho = problem.functional(
-            [np.where(space.interior, rng.standard_normal(problem.grid.shape),
-                      0.0) for space in problem.spaces])
+        rho = problem.functional(random_element(problem, rng, scale=1.0))
         solution = problem.solve_forward([1.5], zero)
         phi = solution.phi.values
         # reference: the tangent source is zero, and so is its solve
@@ -343,13 +408,11 @@ class TestDerivative:
         z, _, _ = op.solve(np.zeros(problem.grid.shape),
                            precond_with=problem.reference)
         phi2x, phi2y = fields.edge_average(phi**2)
-        raw = []
-        for space, rep in zip(problem.spaces, rho.representer.parts):
-            drx, dry = space.diff(rep)
-            raw.append(space.assemble(phi2x * drx, phi2y * dry)
-                       + np.where(space.interior, -phi * z * op.row_weights,
-                                  0.0))
-        reference = problem.riesz(raw)
+        space = problem.space
+        drx, dry = space.diff(rho.representer)
+        raw = (space.assemble(phi2x * drx, phi2y * dry)
+               + np.where(space.interior, -phi * z * op.row_weights, 0.0))
+        reference = space.riesz_solve(raw)
         solves = []
 
         def counted(*args, **kwargs):
@@ -359,8 +422,7 @@ class TestDerivative:
         monkeypatch.setattr(diffusion, "cg", counted)
         got = DF_adjoint(problem, [1.5], zero, rho, solution=solution)
         assert not solves
-        for g_part, r_part in zip(got.parts, reference.parts):
-            assert g_part.tobytes() == r_part.tobytes()
+        assert got.tobytes() == reference.tobytes()
 
     def test_zero_correction_tangent_solves_nothing(self, setup,
                                                     monkeypatch):
@@ -378,11 +440,8 @@ class TestDerivative:
         monkeypatch.setattr(diffusion, "cg", counted)
         got = DF_apply(problem, [1.5], zero, h, solution=solution)
         assert not solves
-        for g_part, r_part in zip(got.raw, reference.raw):
-            assert g_part.tobytes() == r_part.tobytes()
-        for g_part, r_part in zip(got.representer.parts,
-                                  reference.representer.parts):
-            assert g_part.tobytes() == r_part.tobytes()
+        assert got.raw.tobytes() == reference.raw.tobytes()
+        assert got.representer.tobytes() == reference.representer.tobytes()
 
     def test_taylor_order(self, setup):
         _, problem, sol, _ = setup
@@ -393,31 +452,34 @@ class TestDerivative:
         df = DF_apply(problem, [1.5], corr, h)
         errs = []
         for eps in (1e-2, 5e-3, 2.5e-3):
-            stepped = HElement([c + eps * hp
-                                for c, hp in zip(corr.parts, h.parts)])
-            f1 = F_apply(problem, [1.5], stepped)
-            lin_raw = [a + eps * b for a, b in zip(f0.raw, df.raw)]
+            f1 = F_apply(problem, [1.5], corr + eps * h)
             diff = HFunctional(
-                [a - b for a, b in zip(f1.raw, lin_raw)],
-                f1.representer - (f0.representer + df.representer.scaled(eps)),
+                f1.raw - (f0.raw + eps * df.raw),
+                f1.representer - (f0.representer + eps * df.representer),
             )
             errs.append(problem.dual_norm(diff))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
 
-    def test_adjoint_identity(self, setup):
-        _, problem, sol, _ = setup
+    @staticmethod
+    def assert_adjoint_identity(problem, alphas):
         rng = np.random.default_rng(3)
         corr = random_element(problem, rng, scale=0.1)
         h = random_element(problem, rng)
-        rho = problem.functional(
-            [np.where(space.interior, rng.standard_normal(problem.grid.shape),
-                      0.0) for space in problem.spaces])
-        dfh = DF_apply(problem, [1.5], corr, h)
+        rho = problem.functional(random_element(problem, rng, scale=1.0))
+        dfh = DF_apply(problem, alphas, corr, h)
         lhs = problem.apply_functional(dfh, rho.representer)
-        g = DF_adjoint(problem, [1.5], corr, rho)
+        g = DF_adjoint(problem, alphas, corr, rho)
         rhs = problem.h_inner(h, g)
         assert abs(lhs - rhs) <= 1e-7 * max(abs(lhs), abs(rhs))
+
+    def test_adjoint_identity(self, setup):
+        _, problem, _, _ = setup
+        self.assert_adjoint_identity(problem, [1.5])
+
+    def test_adjoint_identity_on_two_masks(self, pair):
+        problem, _ = pair
+        self.assert_adjoint_identity(problem, PAIR_ALPHAS)
 
     def test_gradient_check(self, setup, disk_phantom):
         _, problem, _, psi = setup
@@ -427,24 +489,18 @@ class TestDerivative:
 
         def objective(c):
             f = F_apply(problem, [1.5], c)
-            diff = HFunctional(
-                [a - b for a, b in zip(f.raw, target.raw)],
-                f.representer - target.representer,
-            )
+            diff = HFunctional(f.raw - target.raw,
+                               f.representer - target.representer)
             return 0.5 * problem.dual_norm(diff) ** 2
 
         f = F_apply(problem, [1.5], corr)
-        residual = HFunctional(
-            [a - b for a, b in zip(f.raw, target.raw)],
-            f.representer - target.representer,
-        )
+        residual = HFunctional(f.raw - target.raw,
+                               f.representer - target.representer)
         grad = DF_adjoint(problem, [1.5], corr, residual)
         direction = random_element(problem, rng, scale=1.0)
         eps = 1e-5
-        plus = objective(HElement([c + eps * d for c, d in
-                                   zip(corr.parts, direction.parts)]))
-        minus = objective(HElement([c - eps * d for c, d in
-                                    zip(corr.parts, direction.parts)]))
+        plus = objective(corr + eps * direction)
+        minus = objective(corr - eps * direction)
         fd = (plus - minus) / (2 * eps)
         an = problem.h_inner(grad, direction)
         assert fd == pytest.approx(an, rel=1e-4)
@@ -472,21 +528,17 @@ class TestLocalConditions:
         for _ in range(5):
             step = random_element(problem, rng, scale=1.0)
             nrm = problem.h_norm(step)
-            step = step.scaled(0.05 / nrm)
+            step = (0.05 / nrm) * step
             other = base + step
             fa = F_apply(problem, [1.5], base)
             fb = F_apply(problem, [1.5], other)
-            df = DF_apply(problem, [1.5], base,
-                          HElement([b - a for a, b in
-                                    zip(base.parts, other.parts)]))
+            df = DF_apply(problem, [1.5], base, other - base)
             lin = HFunctional(
-                [b - a - d for a, b, d in zip(fa.raw, fb.raw, df.raw)],
+                fb.raw - fa.raw - df.raw,
                 fb.representer - fa.representer - df.representer,
             )
-            gap = HFunctional(
-                [b - a for a, b in zip(fa.raw, fb.raw)],
-                fb.representer - fa.representer,
-            )
+            gap = HFunctional(fb.raw - fa.raw,
+                              fb.representer - fa.representer)
             assert problem.dual_norm(lin) <= 0.5 * problem.dual_norm(gap)
 
     def test_mean_value_stability(self, setup):
@@ -501,10 +553,8 @@ class TestLocalConditions:
                           random_element(problem, rng, scale=0.2), kcfg)
             fa = F_apply(problem, [1.5], a)
             fb = F_apply(problem, [1.5], b)
-            gap = HFunctional(
-                [y - x for x, y in zip(fa.raw, fb.raw)],
-                fb.representer - fa.representer,
-            )
+            gap = HFunctional(fb.raw - fa.raw,
+                              fb.representer - fa.representer)
             dist = problem.h_norm(a - b)
             if dist > 0:
                 ratios.append(problem.dual_norm(gap) / dist)
@@ -518,24 +568,31 @@ class TestProjection:
         rng = np.random.default_rng(8)
         h = random_element(problem, rng, scale=1e-3)
         out = project_K(problem, [1.5], h, kcfg)
-        for a, b in zip(h.parts, out.parts):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(h, out)
 
     def test_clamp_is_nodewise(self, setup):
         g, problem, sol, _ = setup
         kcfg = problem.projection_config(sol)
-        space = problem.spaces[0]
+        space = problem.space
         # smooth wide bump peaking past the upper bound: the clamp flattens
         # its top without waking the gradient budget
         x, y = g.meshgrid()
         s = np.clip(np.hypot(x - 0.5, y - 0.5) / 0.2, 0.0, 1.0)
         bump = 0.7 * (1 - s**2) ** 3
         vals = np.where(space.interior, bump, 0.0)
-        out = project_K(problem, [1.5], HElement([vals]), kcfg)
+        out = project_K(problem, [1.5], vals, kcfg)
         over = vals > kcfg.upper - 1.5
         under = ~over & space.interior
-        assert np.max(np.abs(out.parts[0][over] - (kcfg.upper - 1.5))) <= 1e-12
-        np.testing.assert_array_equal(out.parts[0][under], vals[under])
+        assert np.max(np.abs(out[over] - (kcfg.upper - 1.5))) <= 1e-12
+        np.testing.assert_array_equal(out[under], vals[under])
+
+    @staticmethod
+    def assert_within_k(problem, alphas, out, kcfg):
+        for j in range(problem.k):
+            vals = alphas[j] + out[mask_interior(problem, j)]
+            assert vals.min() >= kcfg.lower - 1e-12
+            assert vals.max() <= kcfg.upper + 1e-12
+        assert np.all(problem.grad_l4(out) <= kcfg.theta * (1 + 1e-10))
 
     def test_constraints_hold_after_projection(self, setup):
         _, problem, sol, _ = setup
@@ -543,22 +600,40 @@ class TestProjection:
         rng = np.random.default_rng(9)
         h = random_element(problem, rng, scale=5.0)
         out = project_K(problem, [1.5], h, kcfg)
-        for j, space in enumerate(problem.spaces):
-            vals = 1.5 + out.parts[j][space.interior]
-            assert vals.min() >= kcfg.lower - 1e-12
-            assert vals.max() <= kcfg.upper + 1e-12
-            assert problem.grad_l4(out.parts[j], space) <= kcfg.theta * (
-                1 + 1e-10)
+        self.assert_within_k(problem, [1.5], out, kcfg)
+
+    def test_constraints_hold_after_projection_on_two_masks(self, pair):
+        problem, sol = pair
+        kcfg = problem.projection_config(sol)
+        rng = np.random.default_rng(9)
+        h = random_element(problem, rng, scale=5.0)
+        # the first mask's part is inside K, the second's far outside
+        small = mask_interior(problem, 0)
+        h[small] *= 2e-4
+        out = project_K(problem, PAIR_ALPHAS, h, kcfg)
+        self.assert_within_k(problem, PAIR_ALPHAS, out, kcfg)
+        # each mask is scaled by its own factor: the first not at all
+        np.testing.assert_array_equal(out[small], h[small])
+        assert problem.grad_l4(out)[1] == pytest.approx(kcfg.theta,
+                                                        rel=1e-10)
+
+    @staticmethod
+    def assert_idempotent(problem, alphas, kcfg):
+        rng = np.random.default_rng(10)
+        h = random_element(problem, rng, scale=5.0)
+        once = project_K(problem, alphas, h, kcfg)
+        twice = project_K(problem, alphas, once, kcfg)
+        assert np.max(np.abs(once - twice)) <= 1e-10
 
     def test_idempotent(self, setup):
         _, problem, sol, _ = setup
-        kcfg = problem.projection_config(sol)
-        rng = np.random.default_rng(10)
-        h = random_element(problem, rng, scale=5.0)
-        once = project_K(problem, [1.5], h, kcfg)
-        twice = project_K(problem, [1.5], once, kcfg)
-        for a, b in zip(once.parts, twice.parts):
-            assert np.max(np.abs(a - b)) <= 1e-10
+        self.assert_idempotent(problem, [1.5],
+                               problem.projection_config(sol))
+
+    def test_idempotent_on_two_masks(self, pair):
+        problem, sol = pair
+        self.assert_idempotent(problem, PAIR_ALPHAS,
+                               problem.projection_config(sol))
 
 
 class TestStepSize:
@@ -568,16 +643,14 @@ class TestStepSize:
         solved."""
         rng = np.random.default_rng(0)
         solution = problem.solve_forward([1.5], correction)
-        v = HElement([np.where(space.interior,
-                               rng.standard_normal(problem.grid.shape), 0.0)
-                      for space in problem.spaces])
-        v = v.scaled(1.0 / problem.h_norm(v))
+        v = random_element(problem, rng, scale=1.0)
+        v = (1.0 / problem.h_norm(v)) * v
         for _ in range(20):
             w = DF_adjoint(problem, [1.5], correction,
                            solved_DF(problem, [1.5], correction, v, solution),
                            solution=solution)
             lam = problem.h_inner(v, w)
-            v = w.scaled(1.0 / problem.h_norm(w))
+            v = (1.0 / problem.h_norm(w)) * w
         return 0.9 / lam
 
     def test_iterate_preconditioner_keeps_tau(self, setup, monkeypatch):
