@@ -157,15 +157,26 @@ class Sinogram:
     def load_csv(cls, path, config):
         """Read a file written by ``save_csv``. The rows must be y-major and
         rectangular and the r column must match ``config.radii(nr)``; any
-        other file raises FileFormatError."""
+        other file, one that is not UTF-8 text among them, raises
+        FileFormatError."""
+
+        def text(line, lineno):
+            try:
+                return line.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(
+                    f"{path}:{lineno}: byte {line[exc.start]:#04x} is not "
+                    "UTF-8 text") from None
+
         rows = []
-        with open(path) as fh:
-            header = fh.readline().strip()
+        with open(path, "rb") as fh:
+            header = text(fh.readline(), 1)
             if header != "y_index,r,value":
                 raise FileFormatError(f"{path}: unexpected header {header!r}")
             for lineno, line in enumerate(fh, start=2):
+                line = text(line, lineno)
                 try:
-                    m_s, r_s, v_s = line.strip().split(",")
+                    m_s, r_s, v_s = line.split(",")
                     rows.append((int(m_s), float(r_s), float(v_s)))
                 except ValueError:
                     raise FileFormatError(
@@ -289,14 +300,16 @@ def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
 @dataclass
 class ForwardContext:
     """Cached unperturbed forward solve shared across a measurement sweep,
-    with the factorization of its operator that preconditions both that
-    solve and the sweep's perturbed solves, and what the linearized
-    measurement reads of them, computed on first use.
+    its operator, and what the linearized measurement reads of them,
+    computed on first use.
 
-    An M_eta sweep solves the perturbed systems of one radius as stacks of
-    at most four on that factorization, each system given as its displaced
-    shell and warm-started from this solution, and measures each stack in
-    one quadrature pass that reads phi from this solution."""
+    The forward solve is a lone solve (see ``RobinOperator.solve``), CG
+    preconditioned by fast diagonalisation, so building a context factors
+    nothing. An M_eta sweep is the first to ask for the operator's sparse
+    LU: it solves the perturbed systems of one radius as stacks of at most
+    four on that factorization, each system given as its displaced shell
+    and warm-started from this solution, and measures each stack in one
+    quadrature pass that reads phi from this solution."""
 
     phantom: Phantom
     grid: Grid
@@ -312,8 +325,7 @@ class ForwardContext:
         if self.operator is None:
             self.operator = RobinOperator(self.grid, self.a.values, self.l)
         if self.solution is None:
-            self.solution = solve_T(RobinProblem(self.a, self.g, self.l),
-                                    precond_with=self.operator)
+            self.solution = solve_T(RobinProblem(self.a, self.g, self.l))
 
     @cached_property
     def phi_and_gradient(self):

@@ -7,20 +7,30 @@ l = 0, the Dirichlet limit phi = g, the boundary rows are the identity and
 the interior rows the 5-point (-lap + a), whose boundary neighbours move to
 the right-hand side; that system is symmetric positive definite too.
 
-Every solve follows one rule: a system is either solved once by its own
-operator's cached direct solver, or by conjugate gradient preconditioned by
-the one direct solver its caller already holds, that of an operator T that
-differs from the system's operator A only in its coefficient, on a set of
-nodes. There A = T + D for the diagonal D = row_weights * (a - a_T), and
-T's solver inverts T exactly, so CG keeps A p by a recurrence that applies
-only D: the stencil runs once per solve, to check the true residual at exit
-(see ``fields.cg``). The direct solver of an operator with
-one constant coefficient at l > 0 is fast diagonalisation
+Every solve follows one rule: it is conjugate gradient preconditioned by the
+direct solver of an operator T that differs from the system's operator A
+only in its coefficient, or, when A is T, that one direct solve. The direct
+solver of an operator with one constant coefficient is fast diagonalisation
 (``fields.SeparableSolver``), since that operator is a Kronecker sum of 1-D
-forms; every other operator has a sparse LU. A measurement sweep
-preconditions its perturbed solves with the unperturbed operator's LU; the
-reconstruction preconditions its forward, tangent and adjoint solves with
-the diagonalised operator at the constant background coefficient.
+forms at every l; any other operator has a sparse LU.
+
+- A lone system, whose caller holds no solver, takes for T the operator at
+  the constant coefficient mean(a) (Concus and Golub 1973). CG applies the
+  stencil once per iteration and runs to relative residual 1e-12: 4 or 5
+  iterations on the test phantoms, more as the coefficient's contrast
+  grows. A constant coefficient is one direct solve. A lone solve thus
+  factors nothing: the forward solve of ``acousto.ForwardContext`` and
+  every ``solve_T`` or ``solve_adjoint`` without ``precond_with`` is NumPy
+  work only.
+- A caller that holds T's solver passes T, and A = T + D for the diagonal
+  D = row_weights * (a - a_T) on a set of nodes. T's solver inverts T
+  exactly, so CG keeps A p by a recurrence that applies only D: the stencil
+  runs once per solve, to check the true residual at exit (see
+  ``fields.cg``). A measurement sweep preconditions its perturbed solves
+  with the unperturbed operator's sparse LU, built when the sweep first
+  asks for it; the reconstruction preconditions its forward, tangent and
+  adjoint solves with the diagonalised operator at the constant background
+  coefficient.
 
 A perturbed system is given to T as a shell ``(i, j, values)``: the nodes
 where its coefficient differs from a_T, and the coefficient there. Given k
@@ -150,33 +160,52 @@ class RobinOperator:
         return (form / (h * h) + sp.diags(diag.ravel())).tocsr()
 
     def factorized(self):
-        """The direct solver of this single operator, built once. At l > 0
-        with one constant coefficient a the operator is the Kronecker sum
+        """The direct solver of this single operator, built once.
+
+        With one constant coefficient a the operator is a Kronecker sum, and
+        a ``fields.SeparableSolver`` solves it. At l > 0 it is
         P (x) C + C (x) P, where C holds the trapezoid factors and
         P = D^T D / h^2 + C (a/2 + 2 E / (l h)) with E the indicator of the
-        two end nodes; a ``fields.SeparableSolver`` solves it. Any other
-        operator is factorized by sparse LU."""
+        two end nodes. At l = 0 it is the identity on the boundary rows and
+        P (x) I + I (x) P on the interior nodes, with P the (n-2)-point
+        Dirichlet form / h^2 + a/2. Any other operator is factorized by
+        sparse LU; only a caller that preconditions by it asks for that.
+        """
         if self._solver is None:
             a = self.a.flat[0]
-            if self.l > 0 and np.all(self.a == a):
-                h = self.grid.h
+            n, h = self.grid.n, self.grid.h
+            if not self._uniform:
+                self._solver = spd_lu(self.sparse_matrix())
+            elif self.l > 0:
                 c = self.grid.trapezoid_factors()
-                robin = np.zeros(self.grid.n)
+                robin = np.zeros(n)
                 robin[0] = robin[-1] = 1.0 / (self.l * h)
-                p = (second_difference(self.grid.n) / (h * h)
-                     + np.diag(0.5 * a * c + robin))
+                p = second_difference(n) / (h * h) + np.diag(0.5 * a * c
+                                                             + robin)
                 self._solver = SeparableSolver(p, c)
             else:
-                self._solver = spd_lu(self.sparse_matrix())
+                p = (second_difference(n)[1:-1, 1:-1] / (h * h)
+                     + 0.5 * a * np.eye(n - 2))
+                self._solver = SeparableSolver(p, np.ones(n - 2),
+                                               border=True)
         return self._solver
+
+    @property
+    def _uniform(self):
+        """Whether the coefficient is one constant."""
+        return bool(np.all(self.a == self.a.flat[0]))
 
     def solve(self, b, x0=None, precond_with=None, shells=None,
               x0_unperturbed=False):
         """Solve A x = b.
 
-        - Alone, A is this operator, solved once by its direct solver (see
-          :meth:`factorized`); the result reports its true relative residual
-          and 0 iterations.
+        - Alone, A is this operator. With a constant coefficient it is
+          solved once by its direct solver (see :meth:`factorized`), in 0
+          iterations. Otherwise it is solved by CG to relative residual
+          1e-12, one stencil apply per iteration, preconditioned by the
+          direct solver of the operator at the constant coefficient
+          mean(a) (Concus and Golub 1973): no sparse LU is built. Either
+          way the result reports its true relative residual.
         - With ``shells``, one ``(i, j, values)`` per system, A is this
           operator T with its coefficient replaced by ``values`` on the nodes
           ``(i, j)``: A = T + D for the diagonal D = row_weights * (a - a_T).
@@ -198,11 +227,28 @@ class RobinOperator:
             i, j = np.nonzero(self.a != precond_with.a)
             return precond_with._pcg(b, [(i, j, self.a[i, j])], x0,
                                      x0_unperturbed)
-        if shells is None:
+        if shells is not None:
+            return self._pcg(b, shells, x0, x0_unperturbed)
+        if self._uniform:
             x = self.factorized().solve(b.ravel()).reshape(b.shape)
-            miss = np.linalg.norm(self.apply(x) - b)
-            return x, float(miss / (np.linalg.norm(b) or 1.0)), 0
-        return self._pcg(b, shells, x0, x0_unperturbed)
+            its = 0
+        else:
+            mean = RobinOperator(self.grid, np.full(self.grid.shape,
+                                                    np.mean(self.a)), self.l)
+            direct = mean.factorized()
+
+            def precond(r):
+                return direct.solve(r.ravel()).reshape(r.shape)
+
+            x, _, its = cg(self.apply, b, tol=1e-12,
+                           max_iter=50 * self.grid.n, precond=precond)
+            if self.l == 0:
+                # the identity rows, solved exactly; no interior row reads
+                # a boundary entry
+                rows = self.row_weights == 0
+                x[rows] = b[rows]
+        miss = np.linalg.norm(self.apply(x) - b)
+        return x, float(miss / (np.linalg.norm(b) or 1.0)), its
 
     def _pcg(self, b, shells, x0, x0_unperturbed):
         """:meth:`solve` with ``shells``."""

@@ -512,7 +512,9 @@ class SeparableSolver:
     the node array X of the solution is V [(V^T B V) / (lam_i + lam_j)] V^T
     for the node array B of the right-hand side. With ``singular``, P has
     lam = 0 as its lowest eigenvalue and the (0, 0) mode spans the kernel of
-    T; that mode is dropped, so the solution has no component along it.
+    T; that mode is dropped, so the solution has no component along it. With
+    ``border``, P and C are of size n - 2 and T acts on the interior nodes of
+    the n-by-n grid, whose boundary rows are the identity.
 
     ``solve`` takes the shapes of SuperLU's: a vector of n*n values, or an
     (n*n, k) array of k columns, returned Fortran-ordered. Each column is
@@ -520,7 +522,7 @@ class SeparableSolver:
     on the columns beside it.
     """
 
-    def __init__(self, p, c, singular=False):
+    def __init__(self, p, c, singular=False, border=False):
         s = 1.0 / np.sqrt(c)
         lam, q = np.linalg.eigh(s[:, None] * p * s)
         self._v = s[:, None] * q
@@ -528,12 +530,18 @@ class SeparableSolver:
         if singular:
             denom[0, 0] = np.inf
         self._inv = 1.0 / denom
+        self._border = border
 
     def solve(self, b):
         v = self._v
-        n = v.shape[0]
+        n = v.shape[0] + 2 * self._border
         stack = b.T.reshape(-1, n, n)
-        x = v @ ((v.T @ stack @ v) * self._inv) @ v.T
+        if self._border:
+            x = stack.copy()
+            inner = stack[:, 1:-1, 1:-1]
+            x[:, 1:-1, 1:-1] = v @ ((v.T @ inner @ v) * self._inv) @ v.T
+        else:
+            x = v @ ((v.T @ stack @ v) * self._inv) @ v.T
         return x.reshape(len(x), -1).T.reshape(b.shape)
 
 

@@ -549,7 +549,15 @@ def landweber_run(problem: ReconstructionProblem, psi: PsiField, alphas,
     in a row the step is halved (three halvings stop the run). A residual
     that moves by at most ``STAGNATION_TOL`` relative to the previous one
     stops the run as ``stagnated``.
+
+    Without masks, H = {0}: the run returns its only element, the zero
+    correction, as ``no masks``, and estimates no step size.
     """
+    if problem.k == 0:
+        return ReconstructionState(alphas=list(alphas),
+                                   correction=problem.zero_element(),
+                                   tau=0.0 if tau is None else tau,
+                                   stopped_reason="no masks")
     kcfg = problem.projection_config()
     target = delta_psi_functional(problem, psi)
     state = ReconstructionState(

@@ -115,9 +115,17 @@ def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,
                        min_area_nodes=9) -> list:
     """Close the edge map and return the enclosed regions as labeled masks.
 
-    Regions are grown by one node into the edge band (with ties left
-    unclaimed so masks stay disjoint), holes are filled, small components are
-    dropped, and anything outside the inclusion search region is clipped.
+    Regions are grown into the edge band by half its thickness, holes are
+    filled, small components are dropped, and anything outside the inclusion
+    search region is clipped.
+
+    The masks are disjoint. A node that two regions grow into is a tie and
+    belongs to neither. A region nested in the hole of another, a disk
+    inside an annulus say, is a hole of the outer one, so filling would let
+    the outer region swallow it. The rule: a node that a region gains only
+    by hole filling stays with the region that held it before filling (or
+    with none, for a tie), and a node that no region held but several gain
+    goes to the one whose filled extent is smallest, the innermost.
     """
     from scipy import ndimage
 
@@ -130,9 +138,7 @@ def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,
     )
     enclosed = ~closed & ~outside
     labels, count = ndimage.label(enclosed, structure=_CROSS)
-    masks = []
-    region = grid.interior_margin_mask(d_margin)
-    next_label = 1
+    grown = []
     for lab in range(1, count + 1):
         comp = labels == lab
         if comp.sum() < min_area_nodes:
@@ -144,8 +150,8 @@ def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,
         layers = []
         ring = comp
         for _ in range(16):
-            grown = ndimage.binary_dilation(ring, structure=_CROSS)
-            new = grown & closed & ~near_others & ~ring
+            grown_ring = ndimage.binary_dilation(ring, structure=_CROSS)
+            new = grown_ring & closed & ~near_others & ~ring
             if not new.any():
                 break
             layers.append(new)
@@ -153,13 +159,28 @@ def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,
         comp_full = comp.copy()
         for layer in layers[: max(1, len(layers) // 2)]:
             comp_full |= layer
-        comp_full = ndimage.binary_fill_holes(comp_full)
+        grown.append(comp_full)
+    claims = np.zeros(grid.shape, dtype=int)
+    for comp_full in grown:
+        claims += comp_full
+    # a node that two regions grow into is a tie and stays unclaimed
+    held = claims > 0
+    grown = [comp_full & (claims == 1) for comp_full in grown]
+    filled = [ndimage.binary_fill_holes(comp_full) for comp_full in grown]
+    # the owner of each node gained by filling alone: larger fills first,
+    # so the smallest fill that gains a node writes it last
+    gainer = np.full(grid.shape, -1)
+    for k in sorted(range(len(filled)), key=lambda k: -filled[k].sum()):
+        gainer[filled[k] & ~held] = k
+    masks = []
+    region = grid.interior_margin_mask(d_margin)
+    for k, comp_full in enumerate(grown):
+        comp_full = comp_full | (gainer == k)
         clipped = bool(np.any(comp_full & ~region))
         comp_full &= region
         if comp_full.sum() < min_area_nodes:
             continue
-        masks.append(InclusionMask(grid, comp_full, next_label, clipped))
-        next_label += 1
+        masks.append(InclusionMask(grid, comp_full, len(masks) + 1, clipped))
     return masks
 
 

@@ -169,11 +169,28 @@ class TestMeasurements:
         assert measure_M_eta(ctx, config, source_at(0.1), 0.9) == 0.0
         assert measure_Mtilde(ctx, config, source_at(0.1), 0.9) == 0.0
 
-    def test_context_solve_is_preconditioned_by_its_factorization(
-            self, disk_context65):
-        sol = disk_context65.solution
-        assert sol.iterations <= 2
+    def test_context_factors_nothing(self, disk_phantom, grid65,
+                                     monkeypatch):
+        factorizations = []
+        spd_lu = diffusion.spd_lu
+
+        def counted(matrix):
+            factorizations.append(matrix.shape)
+            return spd_lu(matrix)
+
+        monkeypatch.setattr(diffusion, "spd_lu", counted)
+        cfg = AcousticConfig(eta=0.0625)
+        ctx = make_context(disk_phantom, grid65)
+        sol = ctx.solution
+        assert 0 < sol.iterations <= 10
         assert sol.residual <= 1e-10
+        # neither a linearized sweep nor a lone solve factors anything
+        sample_sinogram(ctx, cfg, 8, 16, which="Mtilde")
+        acousto.solve_T(diffusion.RobinProblem(ctx.a, ctx.g, 0.0))
+        assert factorizations == []
+        # the M_eta sweep is the first to ask for the operator's LU
+        sample_sinogram(ctx, cfg, 8, 16)
+        assert factorizations == [(grid65.n ** 2,) * 2]
 
     def test_disjoint_wavefront_zero(self, disk_context65, config):
         # wavefront radius too small to reach the inclusion

@@ -177,6 +177,10 @@ def _bad_inputs(d):
     m, r, v = rows[5].split(",")
     rows[5] = f"{m},{float(r) + 1e-6!r},{v}"
     (d / "sino_r.csv").write_text("\n".join(rows) + "\n")
+    # one byte that no UTF-8 text holds, in a row and in the header
+    raw = bytearray((d / "sino_ok.csv").read_bytes())
+    for name, at in (("sino_byte.csv", len(raw) // 2), ("sino_head.csv", 3)):
+        (d / name).write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
 
     # well-formed reconstruct inputs on the config's n=35 grid
     grid = fields.Grid(35)
@@ -284,6 +288,11 @@ def _bad_inputs(d):
          segment + [d / "psi_ok.aorf", "--threshold", "abc"]),
         ("edited r column", ["recover-psi", "--config", cfg, "--sinogram",
                              d / "sino_r.csv", "--out", d / "bad_psi.aorf"]),
+        *((f"non-UTF-8 byte in {where}",
+           ["recover-psi", "--config", cfg, "--sinogram", d / name,
+            "--out", d / "bad_psi.aorf"])
+          for where, name in (("a sinogram row", "sino_byte.csv"),
+                              ("the sinogram header", "sino_head.csv"))),
     ]
 
 
@@ -301,6 +310,17 @@ def test_overlapping_masks_are_named(workdir, capsys):
     assert code == 2
     assert capsys.readouterr().err.strip() == (
         "error: reconstruct: masks 0 and 1 overlap")
+
+
+def test_non_utf8_sinogram_names_its_line(workdir, capsys):
+    bad = dict(_bad_inputs(workdir))
+    code = cli.main([str(a) for a in bad["non-UTF-8 byte in a sinogram row"]])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    raw = (workdir / "sino_byte.csv").read_bytes()
+    line = raw[:raw.index(b"\xff")].count(b"\n") + 1
+    assert err == (f"error: {workdir / 'sino_byte.csv'}:{line}: "
+                   "byte 0xff is not UTF-8 text")
 
 
 def test_out_makes_missing_parent_dirs(workdir, capsys):
@@ -355,7 +375,7 @@ def test_import_loads_no_scipy():
 SCIPY_LEFT_OUT = {
     "--version": "scipy",
     "phantom": "scipy",
-    "forward": "scipy.ndimage",
+    "forward": "scipy",
     "sinogram": "scipy.ndimage",
     "recover-psi": "scipy.ndimage",
     "segment": "scipy.sparse",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aotomo import diffusion, fields, kernels
+from aotomo import fields, kernels
 from aotomo.diffusion import RobinOperator, RobinProblem, solve_DT, solve_T, solve_adjoint
 from aotomo.fields import BoundaryTrace, Grid, ScalarField, inner, norm_l2
 
@@ -76,19 +76,12 @@ class TestSolveT:
         assert np.max(np.abs(sol.phi.values[ii, jj] - 1.0)) == 0.0
         assert 0 < sol.phi.values[grid33.n // 2, grid33.n // 2] < 1
 
-    def test_dirichlet_path_solves_to_rounding(self, grid33, monkeypatch):
+    def test_dirichlet_path_solves_to_rounding(self, grid33):
         g, h = grid33, grid33.h
         rng = np.random.default_rng(5)
         a = rng.uniform(0.0, 3.0, g.shape)
         bc = BoundaryTrace(g, rng.standard_normal(4 * (g.n - 1)))
         source = ScalarField(g, rng.standard_normal(g.shape))
-        solves = []
-
-        def counted(*args, **kwargs):
-            solves.append(args)
-            return fields.cg(*args, **kwargs)
-
-        monkeypatch.setattr(diffusion, "cg", counted)
         sol = solve_T(RobinProblem(ScalarField(g, a), bc, 0.0))
         ii, jj = g.boundary_indices()
         assert np.array_equal(sol.phi.values[ii, jj], bc.values)
@@ -98,17 +91,16 @@ class TestSolveT:
         b = (e[:-2, 1:-1] + e[2:, 1:-1] + e[1:-1, :-2] + e[1:-1, 2:]) / h**2
         got = kernels.dirichlet_apply(sol.phi.values, a, h)[1:-1, 1:-1]
         assert np.linalg.norm(got - b) <= 1e-12 * np.linalg.norm(b)
-        # without a preconditioner, every solve at every l is one solve on
-        # the operator's own factorization
+        # without a preconditioner, a solve at any l is CG preconditioned by
+        # the operator at the mean coefficient, a few iterations to rounding
         for l in (0.0, 0.1):
             sol = solve_T(RobinProblem(ScalarField(g, a), bc, l))
-            assert sol.iterations == 0 and sol.residual <= 1e-12, l
+            assert 0 < sol.iterations <= 10 and sol.residual <= 1e-12, l
             op = RobinOperator(g, a, l)
             z = solve_adjoint(ScalarField(g, a), source, l)
             b = op.source_rhs(source)
             miss = np.linalg.norm(op.apply(z.values) - b)
             assert miss <= 1e-12 * np.linalg.norm(b), l
-        assert not solves
 
     def test_comparison_principle_family(self, phantom_family, grid65):
         for p in phantom_family:
@@ -342,7 +334,7 @@ class TestDirectSolver:
     def test_constant_coefficient_is_diagonalised(self, n):
         b = np.random.default_rng(n).standard_normal((n * n, 2))
         for a0 in (0.5, 1.0, 2.0):
-            for l in (0.01, 0.1, 10.0):
+            for l in (0.0, 0.01, 0.1, 10.0):
                 op = RobinOperator(Grid(n), np.full((n, n), a0), l)
                 solver = op.factorized()
                 assert isinstance(solver, fields.SeparableSolver)
@@ -360,11 +352,31 @@ class TestDirectSolver:
         for k in range(len(r)):
             assert np.array_equal(whole[:, k], solver.solve(r[k]))
 
+    def test_lone_solve_of_a_high_contrast_box(self, grid33):
+        # CG on the mean-coefficient operator needs more iterations as the
+        # coefficient's jump grows, but still converges at a jump of 1e4;
+        # the residual it reports is the true one, which may sit a little
+        # above the 1e-12 that CG's recurrence stops at
+        g = grid33
+        x, y = g.meshgrid()
+        box = (np.abs(x - 0.4) < 0.2) & (np.abs(y - 0.55) < 0.25)
+        bc = BoundaryTrace.constant(g, 1.0)
+        for contrast, most in ((1e2, 20), (1e4, 200)):
+            a = np.where(box, contrast, 1.0)
+            for l in (0.0, 0.1):
+                sol = solve_T(RobinProblem(ScalarField(g, a), bc, l))
+                assert sol.iterations <= most, (contrast, l)
+                op = RobinOperator(g, a, l)
+                b = op.boundary_rhs(bc)
+                miss = np.linalg.norm(op.apply(sol.phi.values) - b)
+                assert sol.residual == miss / np.linalg.norm(b)
+                assert sol.residual <= 2e-12, (contrast, l)
+
     def test_sparse_lu_otherwise(self):
         import scipy.sparse.linalg as spla
 
         g = Grid(17)
         x, _ = g.meshgrid()
-        for a, l in ((1.0 + x, 0.1), (np.ones(g.shape), 0.0)):
-            assert isinstance(RobinOperator(g, a, l).factorized(),
+        for l in (0.1, 0.0):
+            assert isinstance(RobinOperator(g, 1.0 + x, l).factorized(),
                               spla.SuperLU), l

@@ -206,6 +206,17 @@ class TestExhaustion:
         assert guess.alphas == []
         assert guess.misfit == 0.0
 
+    def test_landweber_without_masks_returns_zero(self):
+        g = Grid(17)
+        problem = ReconstructionProblem(g, [], a0=1.0, lower=0.5, upper=2.0)
+        psi = helmholtz.PsiField(ScalarField.constant(g, 0.0), "ground_truth")
+        state = inv.landweber_run(problem, psi, [])
+        assert state.stopped_reason == "no masks"
+        assert state.alphas == [] and state.residuals == []
+        assert np.array_equal(state.correction, np.zeros(g.shape))
+        assert np.array_equal(state.coefficient(problem).values,
+                              np.ones(g.shape))
+
     def test_too_many_inclusions_guard(self, grid33):
         from aotomo import phantom
         incs = [phantom.Inclusion("disk", c, radius=0.05, base=1.25)

@@ -92,6 +92,48 @@ class TestExtract:
         for m in masks:
             assert not np.any(m.mask & ~region)
 
+    def test_nested_region_keeps_its_nodes(self, grid65):
+        # an annulus around a disk: filling the annulus's hole must not take
+        # the disk, so the masks stay disjoint and reconstruct accepts them
+        from aotomo.inversion import MaskSpace
+
+        g = grid65
+        x, y = g.meshgrid()
+        d = np.hypot(x - 0.5, y - 0.5)
+        edges = (np.abs(d - 0.1) < 0.75 * g.h) | (np.abs(d - 0.25)
+                                                  < 0.75 * g.h)
+        masks = seg.extract_inclusions(edges, g)
+        assert len(masks) == 2
+        outer, inner = sorted(masks, key=lambda m: -m.mask.sum())
+        assert not np.any(outer.mask & inner.mask)
+        # the disk and its half of the band, inside the inner circle's band
+        assert inner.mask.sum() == 121
+        assert np.all(d[inner.mask] < 0.1 + g.h)
+        # the annulus holds every node between the disk and the outer band
+        assert np.all((outer.mask | inner.mask)[d < 0.25 - g.h])
+        MaskSpace(g, [m.mask for m in masks])
+
+    def test_regions_growing_into_one_band_stay_disjoint(self, grid65):
+        # two 5 x 5 holes six nodes apart in a thick edge disk: each region
+        # grows half the band's depth, past the midpoint between them, and
+        # the nodes both reach belong to neither
+        from aotomo.inversion import MaskSpace
+
+        g = grid65
+        x, y = g.meshgrid()
+        edges = np.hypot(x - 0.5, y - 0.5) < 0.3
+        i, j = np.indices(g.shape)
+        holes = [(np.abs(i - ci) <= 2) & (np.abs(j - 32) <= 2)
+                 for ci in (26, 38)]
+        for hole in holes:
+            edges[hole] = False
+        masks = seg.extract_inclusions(edges, g)
+        assert len(masks) == 2
+        assert not np.any(masks[0].mask & masks[1].mask)
+        for mask, hole in zip(masks, holes):
+            assert np.all(mask.mask[hole])
+        MaskSpace(g, [m.mask for m in masks])
+
     def test_small_components_dropped(self, grid65):
         edge = np.zeros(grid65.shape, dtype=bool)
         # a tiny 2x2 ring encloses a single node
