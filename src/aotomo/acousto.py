@@ -12,8 +12,11 @@ that depends on r alone: their displaced shells are built together, and
 polar shell quadrature; a single measurement is a pass of one cell. A
 perturbed medium is its displaced shell ``(i, j, values)``: the nodes where
 a_u can differ from the sampled coefficient, and a_u on them. The shells
-drive both the perturbed solves, which apply only the change of the
-coefficient on them, and the choice of which cells need a solve at all.
+drive both the perturbed solves and the choice of which cells need a solve
+at all. A perturbed solve is CG preconditioned by the fast-diagonalised
+operator at the median coefficient, which is the background a0 unless the
+inclusions cover half the grid, and it applies only the coefficient's
+difference from that level, which lives on the inclusions and the shell.
 """
 
 from __future__ import annotations
@@ -305,11 +308,13 @@ class ForwardContext:
 
     The forward solve is a lone solve (see ``RobinOperator.solve``), CG
     preconditioned by fast diagonalisation, so building a context factors
-    nothing. An M_eta sweep is the first to ask for the operator's sparse
-    LU: it solves the perturbed systems of one radius as stacks of at most
-    four on that factorization, each system given as its displaced shell
-    and warm-started from this solution, and measures each stack in one
-    quadrature pass that reads phi from this solution."""
+    nothing, and neither does a sweep. An M_eta sweep solves the perturbed
+    systems of one radius as stacks of at most ``_MAX_STACK`` on the
+    operator, preconditioned by its background, the diagonalised operator
+    at the median coefficient (see ``RobinOperator.background``). Each
+    system is given as its displaced shell and warm-started from this
+    solution, and each stack is measured in one quadrature pass that reads
+    phi from this solution."""
 
     phantom: Phantom
     grid: Grid
@@ -417,10 +422,14 @@ def displaced_coefficient(ctx: ForwardContext, config: AcousticConfig,
     return _with_shell(ctx, _displaced_shell(ctx, config, y, r))
 
 
-# systems per stacked perturbed solve: at n=129 a multi-column LU solve
-# costs about 1.44, 1.15 and 1.07 ms per column at 1, 2 and 4 columns on one
-# core and gains little beyond; every system adds the CG work arrays to the
-# peak memory
+# systems per stacked perturbed solve. The background's direct solve costs
+# the same per column at any stack size (about 0.06, 0.5 and 1.7 ms at
+# n = 65, 129 and 201, one core), so a stack saves only the CG loop's
+# per-call work, and every system adds the CG work arrays to the peak
+# memory. A 16 x 32 sweep took 0.47, 0.37, 0.33 and 0.33 s of CPU at 1, 2, 4
+# and 8 systems at n = 65; 0.65, 0.56, 0.57 and 0.56 s at n = 129, peaking
+# at 44, 45, 47 and 52 MB; and 1.24, 1.14, 1.43 and 1.37 s at n = 201,
+# where a stack's arrays outgrow the cache
 _MAX_STACK = 4
 
 
@@ -428,9 +437,10 @@ def _displaced_phis(ctx: ForwardContext, shells):
     """phi_u in the displaced medium of each shell ``(i, j, values)``, as a
     (k, n, n) stack.
 
-    The k systems are one stacked PCG on the context's operator and its
-    factorization, which applies only the shells' change of the
-    coefficient; each system starts from phi, whose residual is that change
+    The k systems are one stacked PCG on the context's operator,
+    preconditioned by the direct solver of its background, which applies
+    only each medium's difference from the background; each system starts
+    from phi, whose residual is the shell's change of the coefficient
     applied to phi. A SolverError of the stacked solve names in ``system``
     the index of the system whose final residual is the largest.
     """
@@ -983,9 +993,11 @@ def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,
     if r <= config.r0:
         return 0.0
     grid = ctx.grid
-    sol_f = solve_T(RobinProblem(ctx.a, f, ctx.l), precond_with=ctx.operator)
+    # lone solves, to relative residual 1e-12: M is a small difference of
+    # two fluxes
+    sol_f = solve_T(RobinProblem(ctx.a, f, ctx.l))
     a_u = displaced_coefficient(ctx, config, y, r)
-    sol_g_u = solve_T(RobinProblem(a_u, g, ctx.l), precond_with=ctx.operator)
+    sol_g_u = solve_T(RobinProblem(a_u, g, ctx.l))
     boundary = f.values * sol_g_u.flux.values - g.values * sol_f.flux.values
     return grid.h * float(np.sum(boundary)) / config.eta**2
 
@@ -1045,8 +1057,8 @@ def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
     ``progress(q + 1, nr)`` after radius index q. The cells of one radius
     share one ``_ShellQuadrature``. An M_eta sweep builds the displaced
     shells of the radius's cells together, solves the cells whose shell
-    changes the medium as stacks on the context's operator and
-    factorization, and measures each stack in one pass (see
+    changes the medium as stacks on the context's operator, preconditioned
+    by fast diagonalisation, and measures each stack in one pass (see
     ``_M_eta_column``); an Mtilde sweep solves nothing and measures the
     radius in one pass. Every cell's value is computed by the same
     operations whatever cells share its pass, so outputs are deterministic,

@@ -6,10 +6,11 @@ codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 
 Start-up: each command runs as its own process, so no module of the package
 imports SciPy at its top; each function that calls SciPy imports the
-subpackage it calls. ``--version``, ``phantom gen``, ``evaluate`` and
-``export`` load NumPy only. ``forward``, ``sinogram`` and ``reconstruct``
-load ``scipy.sparse`` for their sparse LU factors, which brings in
-``scipy.linalg``; ``recover-psi`` loads ``scipy.sparse`` for the circle
+subpackage it calls. ``--version``, ``phantom gen``, ``forward``,
+``sinogram``, ``evaluate`` and ``export`` load NumPy only: every Robin solve
+is fast diagonalisation or CG on it. ``reconstruct`` loads ``scipy.sparse``
+for the sparse LU of its mask space, which brings in ``scipy.linalg``;
+``recover-psi`` loads ``scipy.sparse`` for the circle
 quadrature matrix; ``segment`` loads ``scipy.ndimage``, which brings in
 ``scipy.special``, and no ``scipy.sparse``.
 """

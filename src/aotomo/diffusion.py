@@ -9,40 +9,44 @@ the right-hand side; that system is symmetric positive definite too.
 
 Every solve follows one rule: it is conjugate gradient preconditioned by the
 direct solver of an operator T that differs from the system's operator A
-only in its coefficient, or, when A is T, that one direct solve. The direct
-solver of an operator with one constant coefficient is fast diagonalisation
-(``fields.SeparableSolver``), since that operator is a Kronecker sum of 1-D
-forms at every l; any other operator has a sparse LU.
+only in its coefficient, or, when A is T, that one direct solve. T is an
+operator with one constant coefficient, whose direct solver is fast
+diagonalisation (``fields.SeparableSolver``), since that operator is a
+Kronecker sum of 1-D forms at every l. No solve builds a sparse LU.
 
-- A lone system, whose caller holds no solver, takes for T the operator at
-  the constant coefficient mean(a) (Concus and Golub 1973). CG applies the
-  stencil once per iteration and runs to relative residual 1e-12: 4 or 5
-  iterations on the test phantoms, more as the coefficient's contrast
-  grows. A constant coefficient is one direct solve. A lone solve thus
-  factors nothing: the forward solve of ``acousto.ForwardContext`` and
-  every ``solve_T`` or ``solve_adjoint`` without ``precond_with`` is NumPy
-  work only.
-- A caller that holds T's solver passes T, and A = T + D for the diagonal
-  D = row_weights * (a - a_T) on a set of nodes. T's solver inverts T
-  exactly, so CG keeps A p by a recurrence that applies only D: the stencil
-  runs once per solve, to check the true residual at exit (see
-  ``fields.cg``). A measurement sweep preconditions its perturbed solves
-  with the unperturbed operator's sparse LU, built when the sweep first
-  asks for it; the reconstruction preconditions its forward, tangent and
-  adjoint solves with the diagonalised operator at the constant background
-  coefficient.
+Each ``RobinOperator`` has one such T, its background: the operator at the
+constant coefficient c = median(a) (Concus and Golub 1973). With a constant
+coefficient the background is the operator itself; for a phantom whose
+inclusions cover less than half the grid, c is the background level a0, and
+A - T lives on the inclusions only.
 
-A perturbed system is given to T as a shell ``(i, j, values)``: the nodes
-where its coefficient differs from a_T, and the coefficient there. Given k
-shells and a (k, n, n) stack of right-hand sides, ``RobinOperator.solve``
-solves k independent systems at once: one stacked CG whose preconditioner
-solves the residuals of the systems still iterating in one
-multi-right-hand-side call. Two callers solve stacks this way: the
-exhaustion guess of ``inversion`` solves each stack of candidate
-coefficients on the background solver, and the M_eta sweep of ``acousto``
-solves the displaced media of one wave radius, over all sources, at most
-four at a time, on the unperturbed LU, each given as its displaced shell.
-Every other solve is a single system.
+- A lone system, whose caller holds no solver, is solved by CG on its
+  background's solver. CG applies the stencil once per iteration and runs
+  to relative residual 1e-12: 4 or 5 iterations on the test phantoms, more
+  as the coefficient's contrast grows. CG stops on its recurrence's
+  residual; if the true residual is above 1e-12, CG runs once more from
+  the iterate. A constant coefficient is one direct solve.
+- A caller that holds an operator passes its shells, or passes the
+  operator as ``precond_with``, and A = T + D for the diagonal
+  D = row_weights * (a - c) on the nodes where A's coefficient differs from
+  c. T's solver inverts T exactly, so CG keeps A p by a recurrence that
+  applies only D: the stencil runs once per solve, to check the true
+  residual at exit (see ``fields.cg``). A measurement sweep solves its
+  perturbed media on the context's operator, whose background is at the
+  phantom's a0; the reconstruction solves its forward, tangent and adjoint
+  systems on the operator at the constant background coefficient.
+
+A perturbed system is given as a shell ``(i, j, values)`` of the operator
+that solves it: the nodes where its coefficient differs from the
+operator's own, and the coefficient there. Given k shells and a (k, n, n)
+stack of right-hand sides, ``RobinOperator.solve`` solves k independent
+systems at once: one stacked CG whose preconditioner solves the residuals
+of the systems still iterating in one multi-right-hand-side call. Two
+callers solve stacks this way: the exhaustion guess of ``inversion`` solves
+each stack of candidate coefficients on the background operator, and the
+M_eta sweep of ``acousto`` solves the displaced media of one wave radius,
+over all sources, a few at a time, on the context's operator, each given as
+its displaced shell. Every other solve is a single system.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .fields import (
     gradient,
     neumann_edge_coefficients,
     second_difference,
-    spd_lu,
     stack_dot,
 )
 
@@ -105,6 +108,7 @@ class RobinOperator:
         self.a = np.ascontiguousarray(a_values, dtype=np.float64)
         self.l = float(l)
         self._solver = None
+        self._background = None
         # a source's share in each row; none in the identity rows of l = 0
         c = np.ones(grid.n)
         c[0] = c[-1] = 0.5 if self.l > 0 else 0.0
@@ -159,23 +163,39 @@ class RobinOperator:
         form = edge_form_matrix(*neumann_edge_coefficients(self.grid))
         return (form / (h * h) + sp.diags(diag.ravel())).tocsr()
 
-    def factorized(self):
-        """The direct solver of this single operator, built once.
+    @property
+    def background(self):
+        """The operator at the constant coefficient median(a), built once:
+        this operator itself when its coefficient is one constant. With an
+        even node count the median is the upper of the two middle values."""
+        if self._uniform:
+            return self
+        if self._background is None:
+            # np.partition, not np.median, which imports numpy.ma (15 ms)
+            middle = self.a.size // 2
+            c = np.partition(self.a.ravel(), middle)[middle]
+            self._background = RobinOperator(
+                self.grid, np.full(self.grid.shape, c), self.l)
+        return self._background
 
-        With one constant coefficient a the operator is a Kronecker sum, and
-        a ``fields.SeparableSolver`` solves it. At l > 0 it is
+    def factorized(self):
+        """The direct solver of this operator's background, built once.
+
+        The background has one constant coefficient a, so it is a Kronecker
+        sum, and a ``fields.SeparableSolver`` solves it. At l > 0 it is
         P (x) C + C (x) P, where C holds the trapezoid factors and
         P = D^T D / h^2 + C (a/2 + 2 E / (l h)) with E the indicator of the
         two end nodes. At l = 0 it is the identity on the boundary rows and
         P (x) I + I (x) P on the interior nodes, with P the (n-2)-point
-        Dirichlet form / h^2 + a/2. Any other operator is factorized by
-        sparse LU; only a caller that preconditions by it asks for that.
+        Dirichlet form / h^2 + a/2. With a constant coefficient that solver
+        inverts this operator; otherwise it is what :meth:`solve`
+        preconditions by.
         """
         if self._solver is None:
             a = self.a.flat[0]
             n, h = self.grid.n, self.grid.h
             if not self._uniform:
-                self._solver = spd_lu(self.sparse_matrix())
+                self._solver = self.background.factorized()
             elif self.l > 0:
                 c = self.grid.trapezoid_factors()
                 robin = np.zeros(n)
@@ -203,23 +223,27 @@ class RobinOperator:
           solved once by its direct solver (see :meth:`factorized`), in 0
           iterations. Otherwise it is solved by CG to relative residual
           1e-12, one stencil apply per iteration, preconditioned by the
-          direct solver of the operator at the constant coefficient
-          mean(a) (Concus and Golub 1973): no sparse LU is built. Either
-          way the result reports its true relative residual.
+          direct solver of the background (Concus and Golub 1973): no
+          sparse LU is built. CG stops on its recurrence's residual, so if
+          the true residual is above 1e-12 CG runs once more from the
+          iterate. Either way the result reports its true relative
+          residual.
         - With ``shells``, one ``(i, j, values)`` per system, A is this
-          operator T with its coefficient replaced by ``values`` on the nodes
-          ``(i, j)``: A = T + D for the diagonal D = row_weights * (a - a_T).
-          ``b`` is one (n, n) field for one shell, or a (k, n, n) stack for
-          k, solved by one stacked CG preconditioned by T's direct solver
-          (see ``fields.cg``): each system stops on its own, and the
-          residuals of the systems still iterating are solved as one
+          operator S with its coefficient replaced by ``values`` on the
+          nodes ``(i, j)``, and T is S's background at the constant c: A =
+          T + D for the diagonal D = row_weights * (a_A - c), nonzero where
+          S's own coefficient differs from c or on the shell. ``b`` is one
+          (n, n) field for one shell, or a (k, n, n) stack for k, solved by
+          one stacked CG preconditioned by T's direct solver (see
+          ``fields.cg``): each system stops on its own, and the residuals
+          of the systems still iterating are solved as one
           multi-right-hand-side direct solve. Since that solver inverts T
           exactly, CG applies only D in its loop, and the stencil once, to
           check the true residual at exit. ``x0``, shaped like ``b``,
           starts the systems; a start costs one more stencil apply, unless
-          ``x0_unperturbed`` says it is T's own solution for b, whose
-          residual is -D x0.
-        - With ``precond_with``, A is this operator and T is
+          ``x0_unperturbed`` says it is S's own solution for b, whose
+          residual is -(A - S) x0, nonzero on the shell only.
+        - With ``precond_with``, A is this operator and S is
           ``precond_with``: the same as ``precond_with.solve`` with the
           shells where the two coefficients differ.
         """
@@ -229,43 +253,42 @@ class RobinOperator:
                                      x0_unperturbed)
         if shells is not None:
             return self._pcg(b, shells, x0, x0_unperturbed)
+        bnorm = np.linalg.norm(b) or 1.0
         if self._uniform:
             x = self.factorized().solve(b.ravel()).reshape(b.shape)
             its = 0
+            miss = np.linalg.norm(self.apply(x) - b)
         else:
-            mean = RobinOperator(self.grid, np.full(self.grid.shape,
-                                                    np.mean(self.a)), self.l)
-            direct = mean.factorized()
+            direct = self.factorized()
 
             def precond(r):
                 return direct.solve(r.ravel()).reshape(r.shape)
 
-            x, _, its = cg(self.apply, b, tol=1e-12,
-                           max_iter=50 * self.grid.n, precond=precond)
-            if self.l == 0:
-                # the identity rows, solved exactly; no interior row reads
-                # a boundary entry
-                rows = self.row_weights == 0
-                x[rows] = b[rows]
-        miss = np.linalg.norm(self.apply(x) - b)
-        return x, float(miss / (np.linalg.norm(b) or 1.0)), its
+            x, its = None, 0
+            for _ in range(2):
+                x, _, more = cg(self.apply, b, tol=1e-12, x0=x,
+                                max_iter=50 * self.grid.n, precond=precond)
+                its += more
+                if self.l == 0:
+                    # the identity rows, solved exactly; no interior row
+                    # reads a boundary entry
+                    rows = self.row_weights == 0
+                    x[rows] = b[rows]
+                miss = np.linalg.norm(self.apply(x) - b)
+                if miss <= 1e-12 * bnorm:
+                    break
+        return x, float(miss / bnorm), its
 
     def _pcg(self, b, shells, x0, x0_unperturbed):
         """:meth:`solve` with ``shells``."""
         n = self.grid.n
         direct = self.factorized()
-        # the nonzero entries of D: their flat index into the stack, and
-        # their values
-        index, weight = [], []
-        for s, (i, j, values) in enumerate(shells):
-            flat = i * n + j
-            d = (self.row_weights.ravel()[flat]
-                 * (values - self.a.ravel()[flat]))
-            keep = d != 0.0
-            index.append(flat[keep] + s * n * n)
-            weight.append(d[keep])
-        index = np.concatenate(index)
-        weight = np.concatenate(weight)
+        background = self.background
+        a, c = self.a.ravel(), background.a.ravel()
+        # the nodes where this operator's coefficient differs from its
+        # background's; with a constant coefficient, there are none to list
+        base = None if self._uniform else np.flatnonzero(a != c)
+        index, weight = self._diagonal(shells, c, base)
 
         def shift(p, out):
             # out is C-ordered, as every array CG passes here is, so its flat
@@ -273,24 +296,48 @@ class RobinOperator:
             out.reshape(-1)[index] += weight * p.reshape(-1)[index]
 
         def apply(x):
-            out = self.apply(x)
+            out = background.apply(x)
             shift(x, out)
             return out
 
         def precond(r):
-            # one column per field; both direct solvers return Fortran
-            # order, so the transposes copy nothing
+            # one column per field, returned in Fortran order, so the
+            # transposes copy nothing
             return direct.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
 
         r0 = None
         if x0_unperturbed:
-            # b - A x0 = (b - T x0) - D x0, and T x0 = b
+            # b - A x0 = (b - S x0) - (A - S) x0, and S x0 = b
+            moved, change = self._diagonal(shells, a)
             r0 = np.zeros(b.shape)
-            shift(x0, r0)
-            np.negative(r0, out=r0)
+            r0.reshape(-1)[moved] = -change * x0.reshape(-1)[moved]
         dot = stack_dot if b.ndim == 3 else None
         return cg(apply, b, max_iter=50 * n, x0=x0, precond=precond, dot=dot,
                   shift=shift, r0=r0)
+
+    def _diagonal(self, shells, ref, base=None):
+        """The nonzero entries of row_weights * (a_s - ref) for each
+        shell's system s, as flat indices into the stack of systems and
+        their values. The coefficient a_s is the shell's values on the shell
+        and this operator's coefficient elsewhere, so it can differ from the
+        flat array ``ref`` only on the shell and on ``base``: the flat nodes
+        where this operator's coefficient does, or None for nowhere. Each
+        shell is merged into ``base``, since a node indexed twice would be
+        added once."""
+        n, a = self.grid.n, self.a.ravel()
+        weights = self.row_weights.ravel()
+        index, weight = [], []
+        for s, (i, j, values) in enumerate(shells):
+            nodes, coef = i * n + j, values
+            if base is not None:
+                rest = base[~np.isin(base, nodes)]
+                nodes = np.concatenate([rest, nodes])
+                coef = np.concatenate([a[rest], coef])
+            d = weights[nodes] * (coef - ref[nodes])
+            keep = d != 0.0
+            index.append(nodes[keep] + s * n * n)
+            weight.append(d[keep])
+        return np.concatenate(index), np.concatenate(weight)
 
 
 def _one_sided_flux(grid, phi_values):

@@ -4,6 +4,23 @@ import pytest
 from aotomo import acousto, diffusion, fields, kernels, phantom
 
 
+@pytest.fixture
+def sparse_lus(monkeypatch):
+    """The shapes of the matrices of every sparse LU built while the test
+    runs."""
+    import scipy.sparse.linalg as spla
+
+    shapes = []
+    splu = spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return shapes
+
+
 @pytest.fixture(scope="session")
 def grid65():
     return fields.Grid(65)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from aotomo.diffusion import RobinOperator
 from aotomo.fields import (
     ScalarField,
     dirichlet_laplace_solve,
@@ -47,6 +48,20 @@ def pinned_neumann_solve(grid, b):
     z.flat[1:] = spd_lu(form[1:, 1:]).solve(bproj[1:])
     w = grid.trapezoid_weights()
     return z - np.sum(w * z) / w.sum()
+
+
+def displaced_medium_solve(op, g, shell):
+    """The Robin system of ``op`` with the shell ``(i, j, values)`` written
+    into its coefficient, for boundary data ``g``: its assembled sparse
+    matrix, its right-hand side and its solution by sparse LU, the last two
+    as (n, n) arrays."""
+    i, j, values = shell
+    a = op.a.copy()
+    a[i, j] = values
+    moved = RobinOperator(op.grid, a, op.l)
+    matrix = moved.sparse_matrix()
+    b = moved.boundary_rhs(g)
+    return matrix, b, spd_lu(matrix).solve(b.ravel()).reshape(b.shape)
 
 
 def _mask_edges(mask):

@@ -17,6 +17,7 @@ from aotomo.acousto import (
     sample_sinogram,
 )
 from aotomo.fields import BoundaryTrace, Grid
+from reference import displaced_medium_solve
 
 # own-quadrature values for the standard wavefront profile
 W_L1 = 1.2069003224378763
@@ -170,27 +171,19 @@ class TestMeasurements:
         assert measure_Mtilde(ctx, config, source_at(0.1), 0.9) == 0.0
 
     def test_context_factors_nothing(self, disk_phantom, grid65,
-                                     monkeypatch):
-        factorizations = []
-        spd_lu = diffusion.spd_lu
-
-        def counted(matrix):
-            factorizations.append(matrix.shape)
-            return spd_lu(matrix)
-
-        monkeypatch.setattr(diffusion, "spd_lu", counted)
+                                     sparse_lus):
         cfg = AcousticConfig(eta=0.0625)
         ctx = make_context(disk_phantom, grid65)
         sol = ctx.solution
         assert 0 < sol.iterations <= 10
         assert sol.residual <= 1e-10
-        # neither a linearized sweep nor a lone solve factors anything
+        # neither sweep nor a lone solve factors anything: the M_eta sweep
+        # solves on the diagonalised operator at the phantom's a0
         sample_sinogram(ctx, cfg, 8, 16, which="Mtilde")
         acousto.solve_T(diffusion.RobinProblem(ctx.a, ctx.g, 0.0))
-        assert factorizations == []
-        # the M_eta sweep is the first to ask for the operator's LU
         sample_sinogram(ctx, cfg, 8, 16)
-        assert factorizations == [(grid65.n ** 2,) * 2]
+        assert sparse_lus == []
+        assert np.all(ctx.operator.background.a == disk_phantom.a0)
 
     def test_disjoint_wavefront_zero(self, disk_context65, config):
         # wavefront radius too small to reach the inclusion
@@ -685,29 +678,52 @@ class TestStackedSweep:
         assert acousto._moves(ctx, acousto._displaced_shell(ctx, cfg, y, r))
 
     @pytest.mark.filterwarnings("ignore:grid n=33 under-resolves")
-    def test_dirichlet_sweep_stacks_on_one_factorization(self,
-                                                         two_disk_phantom,
-                                                         monkeypatch):
+    def test_dirichlet_sweep_factors_nothing(self, two_disk_phantom,
+                                             sparse_lus):
         cfg = AcousticConfig(eta=0.0625)
-        factorizations = []
-        spd_lu = diffusion.spd_lu
-
-        def counted(matrix):
-            factorizations.append(matrix.shape)
-            return spd_lu(matrix)
-
-        monkeypatch.setattr(diffusion, "spd_lu", counted)
         for n in (33, 65):
-            factorizations.clear()
             ctx = make_context(two_disk_phantom, Grid(n), l=0.0)
-            assert ctx.operator is not None
             sino = sample_sinogram(ctx, cfg, 8, 16)
-            # the context's factorization serves every moving cell
-            assert factorizations == [(n * n, n * n)], n
+            # the diagonalised background serves every moving cell
+            assert sparse_lus == [], n
             ref = self.cell_loop(ctx, cfg, 8, 16)
             scale = np.max(np.abs(ref))
             assert scale > 0
             assert np.max(np.abs(sino.values - ref)) <= 1e-12 * scale, n
+
+    @pytest.mark.parametrize("l", [0.0, 0.1, 1.0])
+    def test_displaced_phis_match_a_direct_solve(self, disk_ellipse_phantom,
+                                                 l):
+        import scipy.sparse.linalg as spla
+
+        ctx = make_context(disk_ellipse_phantom, Grid(65), l=l)
+        cfg = AcousticConfig(eta=0.0625)
+        moving = []
+        for r in cfg.radii(16)[1:]:
+            shells = acousto._displaced_shells(ctx, cfg, cfg.sources(8), r)
+            moving += [s for s in shells if acousto._moves(ctx, s)]
+        assert len(moving) > 20
+        # every displaced medium's operator is at least the operator at the
+        # constant coefficient m, the least of the media's values, since
+        # they differ by the nonnegative diagonal row_weights * (a_u - m)
+        m = min(np.min(ctx.a.values), min(np.min(v) for _, _, v in moving))
+        floor = diffusion.RobinOperator(ctx.grid, np.full(ctx.grid.shape, m),
+                                        l).sparse_matrix()
+        lam = spla.eigsh(floor, k=1, sigma=0.0,
+                         return_eigenvectors=False)[0]
+        for k in range(0, len(moving), acousto._MAX_STACK):
+            stack = moving[k:k + acousto._MAX_STACK]
+            for shell, x in zip(stack, acousto._displaced_phis(ctx, stack)):
+                matrix, b, exact = displaced_medium_solve(ctx.operator,
+                                                          ctx.g, shell)
+                # the split CG's true residual meets its tolerance 1e-10;
+                # the error is A^-1 of that residual, so its norm is at
+                # most the residual's over A's least eigenvalue, and that
+                # is at least lam
+                miss = np.linalg.norm(matrix @ x.ravel() - b.ravel())
+                assert miss <= 1e-10 * np.linalg.norm(b)
+                assert (np.linalg.norm(x - exact)
+                        <= 1e-10 * np.linalg.norm(b) / lam)
 
     @staticmethod
     def grazing_radii(cfg, dc, rb):

@@ -376,7 +376,7 @@ SCIPY_LEFT_OUT = {
     "--version": "scipy",
     "phantom": "scipy",
     "forward": "scipy",
-    "sinogram": "scipy.ndimage",
+    "sinogram": "scipy",
     "recover-psi": "scipy.ndimage",
     "segment": "scipy.sparse",
     "reconstruct": "scipy.ndimage",
