@@ -17,6 +17,12 @@ at all. A perturbed solve is CG preconditioned by the fast-diagonalised
 operator at the median coefficient, which is the background a0 unless the
 inclusions cover half the grid, and it applies only the coefficient's
 difference from that level, which lives on the inclusions and the shell.
+
+The one-cell measurements ``measure_M_eta`` and ``measure_Mtilde`` are what
+a sweep computes for one cell; the tests compare sweeps against them. The
+paper's other forms of M, the grid-trapezoid cross term and the boundary
+cross-correlation, and the leading-order displacement v are oracles in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .fields import (
     ScalarField,
     VectorField,
     gradient,
-    integrate,
 )
 from .phantom import Phantom
 
@@ -135,10 +140,6 @@ class Sinogram:
         if self.values.shape != (self.ny, self.nr):
             raise ValueError("sinogram values shape mismatch")
 
-    @classmethod
-    def zeros(cls, config, ny, nr):
-        return cls(config, ny, nr, np.zeros((ny, nr)))
-
     def radii(self):
         return self.config.radii(self.nr)
 
@@ -212,21 +213,6 @@ def _check_radius(r):
         raise ValueError(f"wave radius must be positive, got r={r}")
 
 
-def displacement_v(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
-    """Leading-order radial displacement of the diverging wavefront."""
-    _check_radius(r)
-    x, ygrid = grid.meshgrid()
-    dx = x - y[0]
-    dy = ygrid - y[1]
-    d = np.hypot(dx, dy)
-    amp = config.eta * (config.r0 / r)
-    prof = amp * kernels.bump((r - d) / config.eta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ex = np.where(d > 0, dx / d, 0.0)
-        ey = np.where(d > 0, dy / d, 0.0)
-    return VectorField(grid, prof * ex, prof * ey)
-
-
 def _shell_displacement(config: AcousticConfig, y, r, c, box=None):
     """The nodes of the shell |d - r| <= eta + amp around y, outside which u
     vanishes, and u on them; ``c`` is the grid's node coordinates
@@ -286,7 +272,9 @@ def _shell_displacements(config: AcousticConfig, ys, r, c, box=None):
 
 def displacement_u(config: AcousticConfig, y, r, grid: Grid) -> VectorField:
     """Displacement u with x + u(x) = P^{-1}(x) for the position map
-    P(z) = z + v(z); zero off the wavefront shell."""
+    P(z) = z + v(z), where v(z) = eta (r0/r) w((r - |z - y|)/eta) (z - y)/|z
+    - y| is the radial displacement of the wavefront; zero off the
+    wavefront shell."""
     i, j, ux_shell, uy_shell = _shell_displacement(config, y, r,
                                                    grid.coords())
     ux = np.zeros(grid.shape)
@@ -409,19 +397,6 @@ def _with_shell(ctx: ForwardContext, shell) -> ScalarField:
     return ScalarField(ctx.grid, a)
 
 
-def displaced_coefficient(ctx: ForwardContext, config: AcousticConfig,
-                          y, r) -> ScalarField:
-    """The displaced coefficient a_u = a(x + u(x)) on the field grid.
-
-    Phantom.eval runs only on the shell nodes near the inclusions (see
-    ``_displaced_shell``); every other node keeps its value in ``ctx.a``.
-    The result is bit-identical to ``phantom.sample_displaced(grid,
-    displacement_u(...))`` when ``ctx.a`` is the sampled phantom, as
-    ``make_context`` builds it.
-    """
-    return _with_shell(ctx, _displaced_shell(ctx, config, y, r))
-
-
 # systems per stacked perturbed solve. The background's direct solve costs
 # the same per column at any stack size (about 0.06, 0.5 and 1.7 ms at
 # n = 65, 129 and 201, one core), so a stack saves only the CG loop's
@@ -461,8 +436,6 @@ def perturbed_solution(ctx: ForwardContext, config: AcousticConfig, y, r):
         return ctx.a, ctx.solution.phi
     return (_with_shell(ctx, shell),
             ScalarField(ctx.grid, _displaced_phis(ctx, [shell])[0]))
-
-
 
 
 def _ray_rim_crossings(inclusion, y, ct, st):
@@ -513,15 +486,6 @@ def _meets_support(phantom, y, lo, hi, ct, st):
         reach = inc.bounding_radius() + _NUDGE
         hit |= np.hypot(vx - t * ct, vy - t * st) <= reach
     return hit
-
-
-def rays_meeting_support(phantom, y, lo, hi, ct, st):
-    """Indices of the rays y + rho (ct, st), rho in [lo, hi], that come within
-    an inclusion's bounding radius (plus 1e-9 for rounding) of its centre.
-
-    Phantom.eval returns exactly a0 at every point of the other rays.
-    """
-    return np.nonzero(_meets_support(phantom, y, lo, hi, ct, st))[0]
 
 
 # lattice points per piece of a quadrature pass: a pass evaluates its lattice
@@ -942,30 +906,20 @@ class _ShellQuadrature:
                               lattice)
 
 
-def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r,
-                  quadrature="polar") -> float:
+def measure_M_eta(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
     """Normalized internal cross-term (1/eta^2) int (a_u - a) phi phi_u.
 
     The optical solves live on the field grid, but the integral is taken in
-    polar coordinates around the source by default: a pass of one cell of
-    ``_ShellQuadrature``. ``quadrature="grid"`` selects plain trapezoid on
-    the field grid instead (needs h well below eta*r0/r to see the jump
-    slivers); the two act as independent cross-checks.
+    polar coordinates around the source: a pass of one cell of
+    ``_ShellQuadrature``, on one lone perturbed solve. A sweep measures the
+    same value up to the rounding of its stacked solves (see
+    ``sample_sinogram``).
     """
-    if quadrature not in ("polar", "grid"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
     if _ShellQuadrature.misses_support(ctx.phantom, config, y, r):
         return 0.0
-    a_u, phi_u = perturbed_solution(ctx, config, y, r)
-    if quadrature == "polar":
-        quad = _ShellQuadrature(ctx, config, r)
-        return float(quad.measure_M_eta([y], phi_u.values[None])[0])
-    diff = a_u.values - ctx.a.values
-    if not diff.any():
-        return 0.0
-    integrand = ScalarField(ctx.grid,
-                            diff * ctx.solution.phi.values * phi_u.values)
-    return integrate(integrand) / config.eta**2
+    _, phi_u = perturbed_solution(ctx, config, y, r)
+    quad = _ShellQuadrature(ctx, config, r)
+    return float(quad.measure_M_eta([y], phi_u.values[None])[0])
 
 
 def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
@@ -978,28 +932,6 @@ def measure_Mtilde(ctx: ForwardContext, config: AcousticConfig, y, r) -> float:
     if not ctx.has_contrast:
         return 0.0
     return float(_ShellQuadrature(ctx, config, r).measure_Mtilde([y])[0])
-
-
-def measure_cross_correlation(ctx: ForwardContext, config: AcousticConfig,
-                              y, r, f: BoundaryTrace, g: BoundaryTrace) -> float:
-    """Boundary cross-correlation (1/eta^2) int_bdry (f flux_u^g - g flux^f).
-
-    With f = g this reproduces the internal form of measure_M_eta up to the
-    discrete Green-identity mismatch. Like the other measurements it is zero
-    for r <= r0, the dead zone of the sweep.
-    """
-    if np.min(f.values) < 0 or np.min(g.values) < 0:
-        raise ValueError("boundary illuminations must be nonnegative")
-    if r <= config.r0:
-        return 0.0
-    grid = ctx.grid
-    # lone solves, to relative residual 1e-12: M is a small difference of
-    # two fluxes
-    sol_f = solve_T(RobinProblem(ctx.a, f, ctx.l))
-    a_u = displaced_coefficient(ctx, config, y, r)
-    sol_g_u = solve_T(RobinProblem(a_u, g, ctx.l))
-    boundary = f.values * sol_g_u.flux.values - g.values * sol_f.flux.values
-    return grid.h * float(np.sum(boundary)) / config.eta**2
 
 
 @contextmanager
@@ -1061,9 +993,10 @@ def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
     by fast diagonalisation, and measures each stack in one pass (see
     ``_M_eta_column``); an Mtilde sweep solves nothing and measures the
     radius in one pass. Every cell's value is computed by the same
-    operations whatever cells share its pass, so outputs are deterministic,
-    and equal to ``measure_M_eta`` and ``measure_Mtilde`` cell by cell (up
-    to the rounding of the stacked CG for M_eta).
+    operations whatever cells share its pass, so outputs are deterministic.
+    Cell by cell they equal the one-cell ``measure_M_eta`` and
+    ``measure_Mtilde`` (up to the rounding of the stacked CG for M_eta),
+    which the tests hold the sweep to.
     """
     if ny < 8 or nr < 16:
         raise ValueError("need ny >= 8 and nr >= 16")

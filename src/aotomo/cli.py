@@ -295,6 +295,8 @@ def _masks_from_manifest(path, grid):
                 f"config has grid.n = {grid.n}")
         masks.append(
             segmentation.InclusionMask(grid, img > 127, label, clipped))
+    if not masks:
+        raise ConfigError("mask manifest contains no masks")
     return masks
 
 
@@ -340,9 +342,12 @@ def cmd_segment(cfg, args):
 def cmd_reconstruct(cfg, args):
     if cfg.l <= 0:
         raise ConfigError("reconstruct needs optics.l > 0")
+    # the rule of Phantom.validate
+    if not 0 < args.lower <= args.a0 <= args.upper:
+        raise ConfigError(
+            "reconstruct needs 0 < --lower <= --a0 <= --upper, got "
+            f"{args.lower:g}, {args.a0:g}, {args.upper:g}")
     masks = _masks_from_manifest(args.masks, cfg.grid)
-    if not masks:
-        raise ConfigError("mask manifest contains no masks")
     psi = helmholtz.PsiField(
         _load_on_grid(args.psi, fields.ScalarField, cfg.grid),
         "from_measurements")
@@ -454,10 +459,40 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# argparse names the type function when it rejects a value; it applies none
+# to a default that is not a string
+def finite(text):
+    """A finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def nonnegative(text):
+    """A finite number >= 0."""
+    value = finite(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def count(text):
+    """An integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def threshold(text):
-    """``segment --threshold``: ``auto`` or a number (argparse names this
-    function when it rejects a value)."""
-    return text if text == "auto" else float(text)
+    """``segment --threshold``: ``auto`` or a finite number > 0."""
+    if text == "auto":
+        return text
+    value = finite(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
 
 
 def build_parser():
@@ -496,15 +531,15 @@ def build_parser():
     rp.add_argument("--config", required=True)
     rp.add_argument("--sinogram", required=True)
     rp.add_argument("--out", required=True)
-    rp.add_argument("--tikhonov", type=float, default=1e-6)
-    rp.add_argument("--max-iter", type=int, default=200)
+    rp.add_argument("--tikhonov", type=nonnegative, default=1e-6)
+    rp.add_argument("--max-iter", type=count, default=200)
     rp.set_defaults(func=cmd_recover_psi)
 
     se = sub.add_parser("segment", help="inclusion masks from the potential")
     se.add_argument("--config", required=True)
     se.add_argument("--psi", required=True)
     se.add_argument("--threshold", type=threshold, default="auto")
-    se.add_argument("--smooth", type=float, default=2.0,
+    se.add_argument("--smooth", type=nonnegative, default=2.0,
                     help="pre-smoothing sigma in nodes for measured data")
     se.add_argument("--outdir", required=True)
     se.set_defaults(func=cmd_segment)
@@ -514,9 +549,9 @@ def build_parser():
     rc.add_argument("--psi", required=True)
     rc.add_argument("--masks", required=True)
     rc.add_argument("--flux", required=True)
-    rc.add_argument("--a0", type=float, default=1.0)
-    rc.add_argument("--lower", type=float, default=0.5)
-    rc.add_argument("--upper", type=float, default=2.0)
+    rc.add_argument("--a0", type=finite, default=1.0)
+    rc.add_argument("--lower", type=finite, default=0.5)
+    rc.add_argument("--upper", type=finite, default=2.0)
     rc.add_argument("--truth", default=None,
                     help="optional truth phantom for the distance audit")
     rc.add_argument("--outdir", required=True)

@@ -128,31 +128,10 @@ class ScalarField:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, self.grid.shape))
 
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        x, y = grid.meshgrid()
-        return cls(grid, fn(x, y))
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + other)
-
     def __sub__(self, other):
         if isinstance(other, ScalarField):
             return ScalarField(self.grid, self.values - other.values)
         return ScalarField(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * other)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -164,11 +143,6 @@ class VectorField:
     def __post_init__(self):
         object.__setattr__(self, "vx", _frozen(self.vx, self.grid.shape))
         object.__setattr__(self, "vy", _frozen(self.vy, self.grid.shape))
-
-    @classmethod
-    def zero(cls, grid):
-        z = np.zeros(grid.shape)
-        return cls(grid, z, z.copy())
 
     def magnitude(self):
         return np.sqrt(self.vx**2 + self.vy**2)
@@ -219,12 +193,6 @@ def gradient(f: ScalarField) -> VectorField:
     gx = diff_axis0(f.values, h)
     gy = diff_axis0(f.values.T, h).T
     return VectorField(f.grid, gx, gy)
-
-
-def divergence(v: VectorField) -> ScalarField:
-    h = v.grid.h
-    d = diff_axis0(v.vx, h) + diff_axis0(v.vy.T, h).T
-    return ScalarField(v.grid, d)
 
 
 def edge_diff(values):
@@ -309,35 +277,8 @@ def inner(f, g, mask=None) -> float:
     return float(np.sum(w[mask] * fv[mask] * gv[mask]))
 
 
-def inner_vec(u: VectorField, v: VectorField, mask=None) -> float:
-    w = u.grid.trapezoid_weights()
-    prod = u.vx * v.vx + u.vy * v.vy
-    if mask is None:
-        return float(np.sum(w * prod))
-    return float(np.sum(w[mask] * prod[mask]))
-
-
 def norm_l2(f, mask=None) -> float:
     return float(np.sqrt(max(inner(f, f, mask), 0.0)))
-
-
-def norm_l4(f, mask=None) -> float:
-    grid, vals = _unwrap(f)
-    w = grid.trapezoid_weights()
-    if mask is None:
-        return float(np.sum(w * vals**4)) ** 0.25
-    if not np.any(mask):
-        return 0.0
-    return float(np.sum(w[mask] * vals[mask] ** 4)) ** 0.25
-
-
-def h1_seminorm(f) -> float:
-    g = gradient(f)
-    return float(np.sqrt(max(inner_vec(g, g), 0.0)))
-
-
-def norms(f) -> dict:
-    return {"L2": norm_l2(f), "L4": norm_l4(f), "H1": h1_seminorm(f)}
 
 
 # ---------------------------------------------------------------------------
@@ -543,21 +484,6 @@ class SeparableSolver:
         else:
             x = v @ ((v.T @ stack @ v) * self._inv) @ v.T
         return x.reshape(len(x), -1).T.reshape(b.shape)
-
-
-def dirichlet_laplace_solve(b, h):
-    """Solve -lap(u) = b with u = 0 on the boundary of a square grid of
-    spacing ``h``, to rounding: the type-I sine transform diagonalises the
-    5-point Laplacian (Buzbee, Golub and Nielson 1970). Boundary entries of
-    ``b`` are ignored and those of ``u`` are zero."""
-    import scipy.fft
-
-    m = b.shape[0] - 2
-    lam = (2.0 / h * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1))) ** 2
-    u = np.zeros(b.shape)
-    u[1:-1, 1:-1] = scipy.fft.idstn(
-        scipy.fft.dstn(b[1:-1, 1:-1], type=1) / (lam[:, None] + lam), type=1)
-    return u
 
 
 def neumann_edge_coefficients(grid):

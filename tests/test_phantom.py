@@ -45,7 +45,8 @@ class TestEval:
 
 class TestDisplacedSampling:
     def test_zero_displacement(self, disk_phantom, grid65):
-        disp = fields.VectorField.zero(grid65)
+        disp = fields.VectorField(grid65, np.zeros(grid65.shape),
+                                  np.zeros(grid65.shape))
         a = disk_phantom.sample(grid65)
         b = disk_phantom.sample_displaced(grid65, disp)
         np.testing.assert_array_equal(a.values, b.values)

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
-from aotomo import acousto, diffusion, fields, kernels, radon
+from aotomo import acousto, diffusion, fields, radon
 from aotomo.acousto import AcousticConfig, Sinogram
 from aotomo.fields import BoundaryTrace, Grid, ScalarField
 from aotomo.helmholtz import WeakVectorFunctional
 from aotomo.radon import (
-    apply_p,
     apply_p_star,
-    cylinder_inner,
-    g_dual_norm,
-    g_norm,
     invert_radon,
-    radial_derivative,
     radon_adjoint,
     radon_forward,
     recover_Rpsi,
+)
+import reference
+from reference import (
+    apply_p,
+    circle_transform,
+    cylinder_inner,
+    g_dual_norm,
+    g_norm,
+    radial_derivative,
 )
 
 # sharp one-sided stability constant of the transposed primitive operator in
@@ -41,24 +45,32 @@ def supported_noise(config, ny, nr, seed, rows=None):
     return Sinogram(config, ny, nr, vals)
 
 
+def zero_sinogram(config, ny, nr):
+    return Sinogram(config, ny, nr, np.zeros((ny, nr)))
+
+
+def sampled(grid, fn):
+    """The ScalarField of fn(x, y) at the grid's nodes."""
+    return ScalarField(grid, fn(*grid.meshgrid()))
+
+
 class TestForward:
     def test_zero_field(self, config, grid65):
-        s = radon_forward(ScalarField.constant(grid65, 0.0), config, 8, 24)
+        s = radon_forward(ScalarField(grid65, np.zeros(grid65.shape)), config,
+                          8, 24)
         assert not s.values.any()
 
     def test_full_angle_constant(self, config):
         # a circle fully inside the sampled region averages a constant to
-        # 2 pi; the padded-field transform provides such circles (the plain
-        # one cannot, since the sources sit outside the unit square)
-        from aotomo.helmholtz import ExtendedField
-
+        # 2 pi; the circle quadrature on a padded square provides such
+        # circles (the plain transform cannot, since the sources sit outside
+        # the unit square)
         n = 257
         h = 6.0 / (n - 1)
-        ext = ExtendedField(np.ones((n, n)), origin=-2.25, h=h)
-        s = radon.radon_forward_extended(ext, config, 8, 32)
-        radii = s.radii()
-        inside = radii > 0
-        assert np.max(np.abs(s.values[:, inside] - 2 * np.pi)) <= 1e-6
+        values = circle_transform(np.ones((n, n)), config, 8, 32, h, -2.25,
+                                  6.0)
+        inside = config.radii(32) > 0
+        assert np.max(np.abs(values[:, inside] - 2 * np.pi)) <= 1e-6
         # and the plain transform's angular weights are normalized the same
         layout = radon._layout(config, 8, 32, Grid(65))
         sums = np.add.reduceat(layout.wtheta, layout.offsets)
@@ -67,7 +79,7 @@ class TestForward:
     def test_disk_chord_angle_oracle(self, config):
         g = Grid(513)
         c, rho = (0.5, 0.5), 0.2
-        f = ScalarField.from_function(
+        f = sampled(
             g, lambda x, y: np.clip(
                 (rho - np.hypot(x - c[0], y - c[1])) / g.h + 0.5, 0, 1))
         ny, nr = 8, 48
@@ -91,7 +103,7 @@ class TestForward:
 
 class TestAdjoint:
     def test_zero(self, config, grid65):
-        s = Sinogram.zeros(config, 8, 16)
+        s = zero_sinogram(config, 8, 16)
         out = radon_adjoint(s, grid65)
         assert not out.values.any()
 
@@ -106,7 +118,7 @@ class TestAdjoint:
         gaps = []
         for n, ny, nr in ((65, 32, 64), (129, 64, 128)):
             g = Grid(n)
-            f = ScalarField.from_function(
+            f = sampled(
                 g, lambda x, y: np.sin(2.3 * x + 0.3) * np.cos(1.7 * y)
                 * np.exp(-((x - 0.4)**2 + (y - 0.6)**2)))
             s = _smooth_sinogram(config, ny, nr, seed=5)
@@ -134,7 +146,7 @@ def _smooth_sinogram(config, ny, nr, seed):
 
 class TestPrimitiveOperator:
     def test_zero(self, config):
-        s = Sinogram.zeros(config, 8, 64)
+        s = zero_sinogram(config, 8, 64)
         assert not apply_p(s).values.any()
 
     def test_lands_in_g0_exactly(self, config):
@@ -201,7 +213,7 @@ class TestPrimitiveOperator:
         assert worst <= np.sqrt(2)
 
     def test_recover_closure(self, config, grid65):
-        psi = ScalarField.from_function(
+        psi = sampled(
             grid65, lambda x, y: np.exp(-30 * ((x - 0.45)**2 + (y - 0.55)**2)))
         ny, nr = 16, lattice_with_r0(config)
         rp = radon_forward(psi, config, ny, nr)
@@ -227,7 +239,7 @@ class TestGNorms:
         s = supported_noise(config, 8, 64, seed=4)
         assert g_norm(s) > 0
         assert g_dual_norm(s) > 0
-        z = Sinogram.zeros(config, 8, 64)
+        z = zero_sinogram(config, 8, 64)
         assert g_norm(z) == 0.0
         assert g_dual_norm(z) == 0.0
 
@@ -244,11 +256,11 @@ class TestIdealRadonPsi:
             two_disk_phantom.sample(g), BoundaryTrace.constant(g, 1.0), 0.1))
         U = WeakVectorFunctional(two_disk_phantom, sol.phi)
         cfg = AcousticConfig(eta=0.08)
-        culled = radon.ideal_radon_psi(U, cfg, 8, 36)
+        culled = reference.ideal_radon_psi(U, cfg, 8, 36)
         assert culled.values.any()
-        monkeypatch.setattr(radon, "rays_meeting_support",
+        monkeypatch.setattr(reference, "rays_meeting_support",
                             lambda ph, y, lo, hi, ct, st: np.arange(ct.size))
-        full = radon.ideal_radon_psi(U, cfg, 8, 36)
+        full = reference.ideal_radon_psi(U, cfg, 8, 36)
         assert np.array_equal(culled.values, full.values)
 
 
@@ -272,40 +284,14 @@ class TestLayoutCache:
                                    np.tile([-0.1, 0.1], (8, 1)), atol=1e-14)
 
 
-def _gather_reference(values, config, ny, nr, h, origin=0.0, extent=1.0):
-    """The circle quadrature one (source, radius) pair at a time, through
-    ``bilinear_gather``, on the square [origin, origin + extent]^2."""
-    out = np.zeros((ny, nr))
-    for m, y in enumerate(config.sources(ny)):
-        for q, r in enumerate(config.radii(nr)):
-            c = max(64, int(np.ceil(2 * np.pi * r / h)))
-            t = 2 * np.pi * np.arange(c) / c
-            px = (y[0] + r * np.cos(t) - origin) / extent
-            py = (y[1] + r * np.sin(t) - origin) / extent
-            out[m, q] = (2 * np.pi / c) * np.sum(
-                kernels.bilinear_gather(values, px, py, h / extent))
-    return out
-
-
 class TestCircleMatrix:
     def test_forward_matches_gather(self, config):
         rng = np.random.default_rng(30)
         grid = Grid(33)
         values = rng.standard_normal(grid.shape)
         # the sources sit outside the unit square, so most samples do too
-        ref = _gather_reference(values, config, 8, 16, grid.h)
+        ref = circle_transform(values, config, 8, 16, grid.h)
         got = radon_forward(ScalarField(grid, values), config, 8, 16).values
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_extended_forward_matches_gather(self, config):
-        from aotomo.helmholtz import ExtendedField
-
-        rng = np.random.default_rng(31)
-        n, h, origin = 97, 6.0 / 96, -2.25
-        values = rng.standard_normal((n, n))
-        ref = _gather_reference(values, config, 8, 16, h, origin, 6.0)
-        got = radon.radon_forward_extended(
-            ExtendedField(values, origin=origin, h=h), config, 8, 16).values
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_transpose_is_exact(self, config):
@@ -324,19 +310,19 @@ class TestCircleMatrix:
         monkeypatch.setattr(radon.kernels, "bilinear_corners",
                             lambda *a: builds.append(a))
         assert radon._layout(AcousticConfig(), 8, 16, grid).matrix is matrix
-        f = ScalarField.constant(grid, 1.0)
+        f = ScalarField(grid, np.ones(grid.shape))
         invert_radon(radon_forward(f, config, 8, 16), grid, tol=1e-2)
         assert not builds
 
 
 class TestInversion:
     def test_zero_data(self, config, grid65):
-        f, info = invert_radon(Sinogram.zeros(config, 8, 16), grid65)
+        f, info = invert_radon(zero_sinogram(config, 8, 16), grid65)
         assert not f.values.any()
         assert info["iterations"] == 0
 
     def test_round_trip_smooth_bump(self, config, grid65):
-        bump = ScalarField.from_function(
+        bump = sampled(
             grid65,
             lambda x, y: np.exp(-60 * ((x - 0.45)**2 + (y - 0.55)**2)))
         s = radon_forward(bump, config, 64, 128)
@@ -348,7 +334,7 @@ class TestInversion:
 
     def test_regularization_monotonicity(self, config):
         g = Grid(33)
-        bump = ScalarField.from_function(
+        bump = sampled(
             g, lambda x, y: np.exp(-60 * ((x - 0.45)**2 + (y - 0.55)**2)))
         s = radon_forward(bump, config, 16, 48)
 

@@ -12,6 +12,17 @@ def psi_of(phantom, grid):
     return helmholtz.ground_truth_psi(phantom, sol.phi)
 
 
+def area(m):
+    """A mask's node count times the cell area."""
+    return float(m.mask.sum()) * m.grid.h**2
+
+
+def centroid(m):
+    """The mean node position of a mask."""
+    ii, jj = np.nonzero(m.mask)
+    return float(ii.mean() * m.grid.h), float(jj.mean() * m.grid.h)
+
+
 class TestOtsu:
     def test_bimodal_split(self):
         rng = np.random.default_rng(0)
@@ -29,7 +40,8 @@ class TestOtsu:
 
 class TestDetectEdges:
     def test_constant_psi_empty(self, grid65):
-        psi = PsiField(ScalarField.constant(grid65, 0.0), "ground_truth")
+        psi = PsiField(ScalarField(grid65, np.zeros(grid65.shape)),
+                       "ground_truth")
         assert not seg.detect_edges(psi).any()
 
     def test_vertical_step(self):
@@ -64,8 +76,8 @@ class TestExtract:
         inc = flat_disk_phantom.inclusions[0]
         hd = seg.boundary_hausdorff(m, inc.boundary_points(720))
         assert hd <= 2 * g.h
-        assert m.area == pytest.approx(np.pi * inc.radius**2, rel=0.10)
-        cx, cy = m.centroid()
+        assert area(m) == pytest.approx(np.pi * inc.radius**2, rel=0.10)
+        cx, cy = centroid(m)
         assert np.hypot(cx - 0.5, cy - 0.5) <= 2 * g.h
 
     def test_two_disks(self, two_disk_phantom):
@@ -76,10 +88,10 @@ class TestExtract:
         for inc in two_disk_phantom.inclusions:
             best = min(
                 masks,
-                key=lambda m: np.hypot(m.centroid()[0] - inc.center[0],
-                                       m.centroid()[1] - inc.center[1]),
+                key=lambda m: np.hypot(centroid(m)[0] - inc.center[0],
+                                       centroid(m)[1] - inc.center[1]),
             )
-            cx, cy = best.centroid()
+            cx, cy = centroid(best)
             assert np.hypot(cx - inc.center[0], cy - inc.center[1]) <= 2 * g.h
         # pairwise disjoint
         assert not np.any(masks[0].mask & masks[1].mask)
@@ -134,6 +146,61 @@ class TestExtract:
             assert np.all(mask.mask[hole])
         MaskSpace(g, [m.mask for m in masks])
 
+    @staticmethod
+    def random_bands(rng, grid):
+        """An edge map of 1-4 circle or rectangle bands of width 0.5-2 h,
+        drawn by ``rng``; after the first, each band is nested in the
+        previous one, touches it from outside, or lies anywhere."""
+        x, y = grid.meshgrid()
+        edges = np.zeros(grid.shape, dtype=bool)
+        kinds = []
+        cx, cy, size = 0.5, 0.5, 0.2
+        for k in range(rng.randint(1, 4)):
+            how = "free" if k == 0 else rng.choice(["nested", "touching",
+                                                    "free"])
+            if how == "nested":
+                size *= rng.uniform(0.3, 0.8)
+            elif how == "touching":
+                other = rng.uniform(0.05, 0.2)
+                angle = rng.uniform(0.0, 2 * np.pi)
+                cx += (size + other) * np.cos(angle)
+                cy += (size + other) * np.sin(angle)
+                size = other
+            else:
+                cx, cy = rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)
+                size = rng.uniform(0.05, 0.3)
+            half = 0.5 * rng.uniform(0.5, 2.0) * grid.h
+            if rng.random() < 0.5:
+                dist = np.hypot(x - cx, y - cy) - size
+            else:
+                aspect = rng.uniform(0.5, 1.0)
+                dist = np.maximum(np.abs(x - cx) - size,
+                                  np.abs(y - cy) - aspect * size)
+            edges |= np.abs(dist) <= half
+            kinds.append(how)
+        return edges, kinds
+
+    def test_random_bands_give_masks_reconstruct_accepts(self):
+        # the segment -> reconstruct contract: disjoint masks, each with an
+        # interior, which the mask space of reconstruct accepts
+        import random
+
+        from aotomo.inversion import MaskSpace
+
+        g = Grid(33)
+        seen = set()
+        for seed in range(60):
+            edges, kinds = self.random_bands(random.Random(seed), g)
+            seen.update(kinds)
+            masks = seg.extract_inclusions(edges, g)
+            union = np.zeros(g.shape, dtype=bool)
+            for m in masks:
+                assert not np.any(union & m.mask), seed
+                union |= m.mask
+                assert seg.erode_cross(m.mask).any(), seed
+            MaskSpace(g, [m.mask for m in masks])
+        assert seen == {"free", "nested", "touching"}
+
     def test_small_components_dropped(self, grid65):
         edge = np.zeros(grid65.shape, dtype=bool)
         # a tiny 2x2 ring encloses a single node
@@ -181,7 +248,7 @@ class TestMaskExport:
         assert np.array_equal(seg.load_pgm(path), np.where(inside, 255, 0))
 
     def test_field_pgm_normalization(self, tmp_path, grid33):
-        f = ScalarField.from_function(grid33, lambda x, y: x)
+        f = ScalarField(grid33, grid33.meshgrid()[0])
         path = tmp_path / "field.pgm"
         seg.save_field_pgm(path, f)
         img = np.frombuffer(path.read_bytes().split(b"\n", 3)[3],
@@ -194,5 +261,5 @@ class TestTruthMasks:
         masks = seg.masks_from_phantom(two_disk_phantom, grid65)
         assert len(masks) == 2
         for m, inc in zip(masks, two_disk_phantom.inclusions):
-            assert m.area == pytest.approx(np.pi * inc.bounding_radius()**2,
+            assert area(m) == pytest.approx(np.pi * inc.bounding_radius()**2,
                                            rel=0.15)
