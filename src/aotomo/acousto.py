@@ -294,15 +294,15 @@ class ForwardContext:
     its operator, and what the linearized measurement reads of them,
     computed on first use.
 
-    The forward solve is a lone solve (see ``RobinOperator.solve``), CG
-    preconditioned by fast diagonalisation, so building a context factors
-    nothing, and neither does a sweep. An M_eta sweep solves the perturbed
-    systems of one radius as stacks of at most ``_MAX_STACK`` on the
-    operator, preconditioned by its background, the diagonalised operator
-    at the median coefficient (see ``RobinOperator.background``). Each
-    system is given as its displaced shell and warm-started from this
-    solution, and each stack is measured in one quadrature pass that reads
-    phi from this solution."""
+    Every solve of a context and its sweeps is CG preconditioned by one
+    direct solver: that of the background, the diagonalised operator at
+    the median coefficient, which the forward solve and ``operator``
+    share (see ``RobinOperator.background``). So building a context
+    factors nothing, and neither does a sweep. An M_eta sweep solves the
+    perturbed systems of one radius as stacks of at most ``_MAX_STACK`` on
+    the operator, each given as its displaced shell and warm-started from
+    this solution, and each stack is measured in one quadrature pass that
+    reads phi from this solution."""
 
     phantom: Phantom
     grid: Grid

@@ -293,8 +293,10 @@ def _masks_from_manifest(path, grid):
             raise FileFormatError(
                 f"{pgm}: {img.shape[0]} x {img.shape[1]} mask, but the "
                 f"config has grid.n = {grid.n}")
-        masks.append(
-            segmentation.InclusionMask(grid, img > 127, label, clipped))
+        mask = img > 127
+        if not mask.any():
+            raise FileFormatError(f"{pgm}: the mask marks no node")
+        masks.append(segmentation.InclusionMask(grid, mask, label, clipped))
     if not masks:
         raise ConfigError("mask manifest contains no masks")
     return masks
@@ -392,25 +394,25 @@ def cmd_evaluate(cfg, args):
     rec = _load_on_grid(args.recon, fields.ScalarField, cfg.grid)
     grid = rec.grid
     a_true = truth.sample(grid)
-    num = fields.inner(rec - a_true, rec - a_true)
+    with np.errstate(over="ignore"):
+        num = fields.inner(rec - a_true, rec - a_true)
     den = fields.inner(a_true, a_true)
     l2_rel = math.sqrt(num / den) if den > 0 else 0.0
+    if not math.isfinite(l2_rel):
+        raise FileFormatError(f"{args.recon}: values too large to compare")
 
-    hausdorff = float("nan")
+    # a metric that is not computed is null
+    hausdorff = residual_final = monotone_fraction = None
     if args.masks:
         masks = _masks_from_manifest(args.masks, grid)
         dists = []
         for inc in truth.inclusions:
             pts = inc.boundary_points(720)
-            best = min(
-                (segmentation.boundary_hausdorff(m, pts) for m in masks),
-                default=float("inf"),
-            )
-            dists.append(best)
-        hausdorff = max(dists) if dists else float("nan")
+            # the manifest has a mask, and every mask a node
+            dists.append(min(segmentation.boundary_hausdorff(m, pts)
+                             for m in masks))
+        hausdorff = max(dists, default=None)
 
-    residual_final = float("nan")
-    monotone_fraction = float("nan")
     if args.log:
         _require_file(args.log, "log file")
         try:
@@ -420,6 +422,8 @@ def cmd_evaluate(cfg, args):
                 rows = np.genfromtxt(args.log, delimiter=",", names=True)
             res = np.atleast_1d(rows["residual_Hstar"])
             dist = np.atleast_1d(rows["dist_to_truth_H"])
+            if not np.all(np.isfinite(res)):
+                raise ValueError("a residual is not finite")
             residual_final = float(res[-1])
         except (ValueError, IndexError, UserWarning) as exc:
             raise FileFormatError(
@@ -436,7 +440,7 @@ def cmd_evaluate(cfg, args):
         "monotone_fraction": monotone_fraction,
     }
     with open(_output_path(args.out), "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
+        json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(json.dumps(metrics, sort_keys=True))
     return 0
@@ -567,7 +571,8 @@ def build_parser():
     ev.set_defaults(func=cmd_evaluate)
 
     ex = sub.add_parser("export", help="field file conversion")
-    ex.add_argument("--pgm", dest="pgm", action="store_true")
+    # the output format is named, though PGM is the only one
+    ex.add_argument("--pgm", action="store_true", required=True)
     ex.add_argument("field")
     ex.add_argument("out")
     ex.set_defaults(func=cmd_export)

@@ -7,46 +7,34 @@ l = 0, the Dirichlet limit phi = g, the boundary rows are the identity and
 the interior rows the 5-point (-lap + a), whose boundary neighbours move to
 the right-hand side; that system is symmetric positive definite too.
 
-Every solve follows one rule: it is conjugate gradient preconditioned by the
-direct solver of an operator T that differs from the system's operator A
-only in its coefficient, or, when A is T, that one direct solve. T is an
-operator with one constant coefficient, whose direct solver is fast
-diagonalisation (``fields.SeparableSolver``), since that operator is a
-Kronecker sum of 1-D forms at every l. No solve builds a sparse LU.
+Every solve follows one rule. Each ``RobinOperator`` has a background T: the
+operator at the constant coefficient c = median(a) (Concus and Golub 1973),
+whose direct solver is fast diagonalisation (``fields.SeparableSolver``),
+since an operator with one constant coefficient is a Kronecker sum of 1-D
+forms at every l. No solve builds a sparse LU. A system A = T + D, for the
+diagonal D = row_weights * (a_A - c), is solved by conjugate gradient
+preconditioned by T's solver. T's solver inverts T exactly, so CG keeps A p
+by a recurrence that applies only D, and the stencil runs only to check the
+true residual at exit (see ``fields.cg``); if that misses the tolerance, CG
+runs once more from its iterate. When D is empty, as for a constant
+coefficient, the system is T, and one direct solve.
 
-Each ``RobinOperator`` has one such T, its background: the operator at the
-constant coefficient c = median(a) (Concus and Golub 1973). With a constant
-coefficient the background is the operator itself; for a phantom whose
-inclusions cover less than half the grid, c is the background level a0, and
-A - T lives on the inclusions only.
+Backgrounds are shared: every operator with the same grid, l and median
+coefficient has the same background, and so the same diagonalisation. For
+a phantom whose inclusions cover less than half the grid, c is the
+background level a0, and D lives on the inclusions only.
 
-- A lone system, whose caller holds no solver, is solved by CG on its
-  background's solver. CG applies the stencil once per iteration and runs
-  to relative residual 1e-12: 4 or 5 iterations on the test phantoms, more
-  as the coefficient's contrast grows. CG stops on its recurrence's
-  residual; if the true residual is above 1e-12, CG runs once more from
-  the iterate. A constant coefficient is one direct solve.
-- A caller that holds an operator passes its shells, or passes the
-  operator as ``precond_with``, and A = T + D for the diagonal
-  D = row_weights * (a - c) on the nodes where A's coefficient differs from
-  c. T's solver inverts T exactly, so CG keeps A p by a recurrence that
-  applies only D: the stencil runs once per solve, to check the true
-  residual at exit (see ``fields.cg``). A measurement sweep solves its
-  perturbed media on the context's operator, whose background is at the
-  phantom's a0; the reconstruction solves its forward, tangent and adjoint
-  systems on the operator at the constant background coefficient.
-
-A perturbed system is given as a shell ``(i, j, values)`` of the operator
-that solves it: the nodes where its coefficient differs from the
-operator's own, and the coefficient there. Given k shells and a (k, n, n)
-stack of right-hand sides, ``RobinOperator.solve`` solves k independent
-systems at once: one stacked CG whose preconditioner solves the residuals
-of the systems still iterating in one multi-right-hand-side call. Two
-callers solve stacks this way: the exhaustion guess of ``inversion`` solves
-each stack of candidate coefficients on the background operator, and the
-M_eta sweep of ``acousto`` solves the displaced media of one wave radius,
-over all sources, a few at a time, on the context's operator, each given as
-its displaced shell. Every other solve is a single system.
+A system is an operator's own, or a perturbed one given as a shell ``(i, j,
+values)`` of the operator that solves it: the nodes where its coefficient
+differs from the operator's own, and the coefficient there. Given k shells
+and a (k, n, n) stack of right-hand sides, ``RobinOperator.solve`` solves k
+independent systems at once: one stacked CG whose preconditioner solves the
+residuals of the systems still iterating in one multi-right-hand-side call.
+Two callers solve stacks this way: the exhaustion guess of ``inversion``
+solves each stack of candidate coefficients on the background operator, and
+the M_eta sweep of ``acousto`` solves the displaced media of one wave
+radius, over all sources, a few at a time, on the context's operator, each
+given as its displaced shell. Every other solve is a single system.
 """
 
 from __future__ import annotations
@@ -61,6 +49,7 @@ from .fields import (
     Grid,
     ScalarField,
     SeparableSolver,
+    SolverError,
     cg,
     edge_form_matrix,
     gradient,
@@ -68,6 +57,15 @@ from .fields import (
     second_difference,
     stack_dot,
 )
+
+_NO_NODES = np.zeros(0, dtype=np.intp)
+# the shell of a lone system, which replaces no node of its coefficient
+_NO_SHELL = (_NO_NODES, _NO_NODES, np.zeros(0))
+
+# backgrounds by (n, l, c), the least recently used first. A few keys: an
+# eviction between two keys in use would build their solver again
+_BACKGROUNDS = {}
+_MAX_BACKGROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -165,21 +163,31 @@ class RobinOperator:
 
     @property
     def background(self):
-        """The operator at the constant coefficient median(a), built once:
-        this operator itself when its coefficient is one constant. With an
-        even node count the median is the upper of the two middle values."""
-        if self._uniform:
-            return self
+        """The operator at the constant coefficient median(a), shared by
+        every operator with the same grid, l and median (see
+        ``_BACKGROUNDS``): an operator with one constant coefficient is its
+        own background unless another one with that coefficient came first.
+        With an even node count the median is the upper of the two middle
+        values."""
         if self._background is None:
             # np.partition, not np.median, which imports numpy.ma (15 ms)
             middle = self.a.size // 2
-            c = np.partition(self.a.ravel(), middle)[middle]
-            self._background = RobinOperator(
-                self.grid, np.full(self.grid.shape, c), self.l)
+            c = float(np.partition(self.a.ravel(), middle)[middle])
+            key = (self.grid.n, self.l, c)
+            op = _BACKGROUNDS.pop(key, None)
+            if op is None:
+                op = self if np.all(self.a == c) else RobinOperator(
+                    self.grid, np.full(self.grid.shape, c), self.l)
+            # the most recently used key last, the least first
+            _BACKGROUNDS[key] = op
+            if len(_BACKGROUNDS) > _MAX_BACKGROUNDS:
+                del _BACKGROUNDS[next(iter(_BACKGROUNDS))]
+            self._background = op
         return self._background
 
     def factorized(self):
-        """The direct solver of this operator's background, built once.
+        """The direct solver of this operator's background, built once per
+        background, so every operator that shares a background shares it.
 
         The background has one constant coefficient a, so it is a Kronecker
         sum, and a ``fields.SeparableSolver`` solves it. At l > 0 it is
@@ -187,108 +195,63 @@ class RobinOperator:
         P = D^T D / h^2 + C (a/2 + 2 E / (l h)) with E the indicator of the
         two end nodes. At l = 0 it is the identity on the boundary rows and
         P (x) I + I (x) P on the interior nodes, with P the (n-2)-point
-        Dirichlet form / h^2 + a/2. With a constant coefficient that solver
-        inverts this operator; otherwise it is what :meth:`solve`
-        preconditions by.
+        Dirichlet form / h^2 + a/2. It is what :meth:`solve` preconditions
+        by, and with a constant coefficient it inverts this operator.
         """
-        if self._solver is None:
-            a = self.a.flat[0]
+        op = self.background
+        if op._solver is None:
+            a = op.a.flat[0]
             n, h = self.grid.n, self.grid.h
-            if not self._uniform:
-                self._solver = self.background.factorized()
-            elif self.l > 0:
+            if self.l > 0:
                 c = self.grid.trapezoid_factors()
                 robin = np.zeros(n)
                 robin[0] = robin[-1] = 1.0 / (self.l * h)
                 p = second_difference(n) / (h * h) + np.diag(0.5 * a * c
                                                              + robin)
-                self._solver = SeparableSolver(p, c)
+                op._solver = SeparableSolver(p, c)
             else:
                 p = (second_difference(n)[1:-1, 1:-1] / (h * h)
                      + 0.5 * a * np.eye(n - 2))
-                self._solver = SeparableSolver(p, np.ones(n - 2),
-                                               border=True)
-        return self._solver
+                op._solver = SeparableSolver(p, np.ones(n - 2), border=True)
+        return op._solver
 
-    @property
-    def _uniform(self):
-        """Whether the coefficient is one constant."""
-        return bool(np.all(self.a == self.a.flat[0]))
-
-    def solve(self, b, x0=None, precond_with=None, shells=None,
-              x0_unperturbed=False):
+    def solve(self, b, x0=None, shells=None, x0_unperturbed=False):
         """Solve A x = b.
 
-        - Alone, A is this operator. With a constant coefficient it is
-          solved once by its direct solver (see :meth:`factorized`), in 0
-          iterations. Otherwise it is solved by CG to relative residual
-          1e-12, one stencil apply per iteration, preconditioned by the
-          direct solver of the background (Concus and Golub 1973): no
-          sparse LU is built. CG stops on its recurrence's residual, so if
-          the true residual is above 1e-12 CG runs once more from the
-          iterate. Either way the result reports its true relative
-          residual.
-        - With ``shells``, one ``(i, j, values)`` per system, A is this
-          operator S with its coefficient replaced by ``values`` on the
-          nodes ``(i, j)``, and T is S's background at the constant c: A =
-          T + D for the diagonal D = row_weights * (a_A - c), nonzero where
-          S's own coefficient differs from c or on the shell. ``b`` is one
-          (n, n) field for one shell, or a (k, n, n) stack for k, solved by
-          one stacked CG preconditioned by T's direct solver (see
-          ``fields.cg``): each system stops on its own, and the residuals
-          of the systems still iterating are solved as one
-          multi-right-hand-side direct solve. Since that solver inverts T
-          exactly, CG applies only D in its loop, and the stencil once, to
-          check the true residual at exit. ``x0``, shaped like ``b``,
-          starts the systems; a start costs one more stencil apply, unless
-          ``x0_unperturbed`` says it is S's own solution for b, whose
-          residual is -(A - S) x0, nonzero on the shell only.
-        - With ``precond_with``, A is this operator and S is
-          ``precond_with``: the same as ``precond_with.solve`` with the
-          shells where the two coefficients differ.
+        Without ``shells``, A is this operator S, and ``b`` one (n, n)
+        field. With ``shells``, one ``(i, j, values)`` per system, A is S
+        with its coefficient replaced by ``values`` on the nodes ``(i,
+        j)``, and ``b`` is one (n, n) field for one shell, or a (k, n, n)
+        stack for k, each system stopping on its own.
+
+        Either way A = T + D, for S's background T at the constant c (see
+        :meth:`background`) and the diagonal D = row_weights * (a_A - c),
+        nonzero where S's own coefficient differs from c or on the shell.
+        A lone system with D = 0, as for a constant coefficient, is solved
+        once by T's direct solver (see :meth:`factorized`), in 0
+        iterations. Every other system is solved by CG preconditioned by
+        that solver, applying only D in its loop (see ``fields.cg``): to
+        relative residual 1e-12 alone and 1e-10 with shells. CG stops on
+        its recurrence's residual and checks the true one once at exit; if
+        that misses, CG runs once more from its iterate. On a stack, the
+        residuals of the systems still iterating are solved as one
+        multi-right-hand-side direct solve. At l = 0 the boundary rows of
+        x are those of b. A lone solve reports its true relative residual
+        ||S x - b|| / ||b||; a stack, the worst system's.
+
+        ``x0``, shaped like ``b``, starts the systems; a start costs one
+        more stencil apply, unless ``x0_unperturbed`` says it is S's own
+        solution for b, whose residual is -(A - S) x0, nonzero on the shell
+        only.
         """
-        if precond_with is not None:
-            i, j = np.nonzero(self.a != precond_with.a)
-            return precond_with._pcg(b, [(i, j, self.a[i, j])], x0,
-                                     x0_unperturbed)
-        if shells is not None:
-            return self._pcg(b, shells, x0, x0_unperturbed)
-        bnorm = np.linalg.norm(b) or 1.0
-        if self._uniform:
-            x = self.factorized().solve(b.ravel()).reshape(b.shape)
-            its = 0
-            miss = np.linalg.norm(self.apply(x) - b)
-        else:
-            direct = self.factorized()
-
-            def precond(r):
-                return direct.solve(r.ravel()).reshape(r.shape)
-
-            x, its = None, 0
-            for _ in range(2):
-                x, _, more = cg(self.apply, b, tol=1e-12, x0=x,
-                                max_iter=50 * self.grid.n, precond=precond)
-                its += more
-                if self.l == 0:
-                    # the identity rows, solved exactly; no interior row
-                    # reads a boundary entry
-                    rows = self.row_weights == 0
-                    x[rows] = b[rows]
-                miss = np.linalg.norm(self.apply(x) - b)
-                if miss <= 1e-12 * bnorm:
-                    break
-        return x, float(miss / bnorm), its
-
-    def _pcg(self, b, shells, x0, x0_unperturbed):
-        """:meth:`solve` with ``shells``."""
         n = self.grid.n
         direct = self.factorized()
         background = self.background
         a, c = self.a.ravel(), background.a.ravel()
-        # the nodes where this operator's coefficient differs from its
-        # background's; with a constant coefficient, there are none to list
-        base = None if self._uniform else np.flatnonzero(a != c)
-        index, weight = self._diagonal(shells, c, base)
+        lone = shells is None
+        if lone:
+            shells = [_NO_SHELL]
+        index, weight = self._diagonal(shells, c, np.flatnonzero(a != c))
 
         def shift(p, out):
             # out is C-ordered, as every array CG passes here is, so its flat
@@ -305,31 +268,52 @@ class RobinOperator:
             # transposes copy nothing
             return direct.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
 
-        r0 = None
-        if x0_unperturbed:
-            # b - A x0 = (b - S x0) - (A - S) x0, and S x0 = b
-            moved, change = self._diagonal(shells, a)
-            r0 = np.zeros(b.shape)
-            r0.reshape(-1)[moved] = -change * x0.reshape(-1)[moved]
-        dot = stack_dot if b.ndim == 3 else None
-        return cg(apply, b, max_iter=50 * n, x0=x0, precond=precond, dot=dot,
-                  shift=shift, r0=r0)
+        def run(start, r0=None):
+            return cg(apply, b, tol=1e-12 if lone else 1e-10,
+                      max_iter=50 * n, x0=start, precond=precond,
+                      dot=stack_dot if b.ndim == 3 else None, shift=shift,
+                      r0=r0)
 
-    def _diagonal(self, shells, ref, base=None):
+        if lone and not index.size:
+            x, res, its = precond(b), None, 0
+        else:
+            r0 = None
+            if x0_unperturbed:
+                # b - A x0 = (b - S x0) - (A - S) x0, and S x0 = b
+                moved, change = self._diagonal(shells, a)
+                r0 = np.zeros(b.shape)
+                r0.reshape(-1)[moved] = -change * x0.reshape(-1)[moved]
+            try:
+                x, res, its = run(x0, r0)
+            except SolverError as exc:
+                # the recurrence's residual drifted off the true one, or ran
+                # out of steps: once more from the iterate
+                x, res, its = run(exc.iterate)
+                its += exc.iterations
+        if self.l == 0:
+            # the identity rows, solved exactly; no interior row reads a
+            # boundary entry
+            rows = self.row_weights == 0
+            x[..., rows] = b[..., rows]
+        if lone:
+            res = float(np.linalg.norm(self.apply(x) - b)
+                        / (np.linalg.norm(b) or 1.0))
+        return x, res, its
+
+    def _diagonal(self, shells, ref, base=_NO_NODES):
         """The nonzero entries of row_weights * (a_s - ref) for each
         shell's system s, as flat indices into the stack of systems and
         their values. The coefficient a_s is the shell's values on the shell
         and this operator's coefficient elsewhere, so it can differ from the
         flat array ``ref`` only on the shell and on ``base``: the flat nodes
-        where this operator's coefficient does, or None for nowhere. Each
-        shell is merged into ``base``, since a node indexed twice would be
-        added once."""
+        where this operator's coefficient does. Each shell is merged into
+        ``base``, since a node indexed twice would be added once."""
         n, a = self.grid.n, self.a.ravel()
         weights = self.row_weights.ravel()
         index, weight = [], []
         for s, (i, j, values) in enumerate(shells):
             nodes, coef = i * n + j, values
-            if base is not None:
+            if base.size:
                 rest = base[~np.isin(base, nodes)]
                 nodes = np.concatenate([rest, nodes])
                 coef = np.concatenate([a[rest], coef])
@@ -354,21 +338,19 @@ def _one_sided_flux(grid, phi_values):
     return out[ii, jj]
 
 
-def solve_T(problem: RobinProblem,
-            precond_with: RobinOperator | None = None) -> OpticalSolution:
+def solve_T(problem: RobinProblem) -> OpticalSolution:
     """Solve the diffusion problem and return the energy density and its
     outgoing boundary flux (see ``RobinOperator.solve``)."""
     grid = problem.a.grid
     op = RobinOperator(grid, problem.a.values, problem.l)
-    x, res, it = op.solve(op.boundary_rhs(problem.g),
-                          precond_with=precond_with)
+    x, res, it = op.solve(op.boundary_rhs(problem.g))
     phi = ScalarField(grid, x)
     flux = BoundaryTrace(grid, op.boundary_flux(problem.g, x))
     return OpticalSolution(phi, flux, res, it)
 
 
-def solve_adjoint(a: ScalarField, source: ScalarField, l: float,
-                  precond_with: RobinOperator | None = None) -> ScalarField:
+def solve_adjoint(a: ScalarField, source: ScalarField, l: float
+                  ) -> ScalarField:
     """Solve (-lap + a) z = source with homogeneous Robin data.
 
     The operator equals its own adjoint in the trapezoid inner product, so
@@ -376,16 +358,16 @@ def solve_adjoint(a: ScalarField, source: ScalarField, l: float,
     """
     grid = a.grid
     op = RobinOperator(grid, a.values, l)
-    x, _, _ = op.solve(op.source_rhs(source), precond_with=precond_with)
+    x, _, _ = op.solve(op.source_rhs(source))
     return ScalarField(grid, x)
 
 
-def solve_DT(a: ScalarField, phi: ScalarField, h: ScalarField, l: float,
-             precond_with: RobinOperator | None = None) -> ScalarField:
+def solve_DT(a: ScalarField, phi: ScalarField, h: ScalarField, l: float
+             ) -> ScalarField:
     """Directional derivative of the coefficient-to-solution map.
 
     Solves (-lap + a) dphi = -h * phi with homogeneous Robin data, where phi
     is the solution at coefficient ``a``.
     """
     source = ScalarField(a.grid, -h.values * phi.values)
-    return solve_adjoint(a, source, l, precond_with=precond_with)
+    return solve_adjoint(a, source, l)

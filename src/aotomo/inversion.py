@@ -18,15 +18,16 @@ gradient budget per inclusion) is enforced by clamping and scale-back.
 
 Every coefficient either stage solves at equals the background a0 off the
 masks and lies in [lower, upper] on them, so it differs from the constant
-background operator only by a diagonal term on the inclusions. The problem
-builds the direct solver of that background operator once, by fast
-diagonalisation (see ``diffusion``), and it preconditions every Robin solve
-here: the exhaustion's candidate solves, solved one stack of candidates at a
-time, Landweber's forward solves and the tangent and adjoint solves of DF
-and DF*. Each is passed as its coefficient on the nodes where it differs
-from the background, so CG applies only that difference. At a zero
-correction, as in the step-size estimate, DF and DF* need no tangent or
-adjoint solve.
+background operator only by a diagonal term on the inclusions. Every Robin
+solve here is CG preconditioned by the direct solver of that background
+operator, built once by fast diagonalisation and shared by every operator
+whose median coefficient is a0 (see ``diffusion``), as every coefficient
+here is while the masks cover less than half the grid; CG applies only the
+difference. The solves are the exhaustion's candidate solves, solved one stack of
+candidates at a time on the problem's ``reference`` operator, and
+Landweber's forward solves and the tangent and adjoint solves of DF and DF*,
+each solved alone. At a zero correction, as in the step-size estimate, DF
+and DF* need no tangent or adjoint solve.
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ class ReconstructionProblem:
             grid, g)
         self._theta = theta
         self._phi_bounds = None
-        # its cached direct solver preconditions every Robin solve (see the
-        # module notes)
+        # the operator at the constant background coefficient, which solves
+        # the exhaustion's candidate stacks; its direct solver is the one
+        # shared by every Robin solve here (see the module notes)
         self.reference = RobinOperator(grid, np.full(grid.shape, self.a0),
                                        self.l)
 
@@ -204,8 +206,7 @@ class ReconstructionProblem:
 
     def solve_forward(self, alphas, correction=None) -> OpticalSolution:
         a = self.coefficient_field(alphas, correction)
-        return solve_T(RobinProblem(a, self.g, self.l),
-                       precond_with=self.reference)
+        return solve_T(RobinProblem(a, self.g, self.l))
 
     def boundary_fluxes(self, candidates, x0=None):
         """Boundary fluxes of piecewise constant coefficients, one candidate
@@ -424,8 +425,7 @@ def _DF_raw(problem, alphas, correction, h, solution):
     crossx = crossy = 0.0
     if dax.any() or day.any():
         tangent = solve_DT(problem.coefficient_field(alphas, correction), phi,
-                           ScalarField(problem.grid, h), problem.l,
-                           precond_with=problem.reference)
+                           ScalarField(problem.grid, h), problem.l)
         crossx, crossy = edge_average(2.0 * phi.values * tangent.values)
     dhx, dhy = space.diff(h)
     return space.assemble(crossx * dax + phi2x * dhx,
@@ -438,7 +438,7 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: np.ndarray,
     """The element g with <g, h>_H = DF[a](h)(rep rho) for all h.
 
     The solution chain runs through one adjoint diffusion solve for the
-    tangent term, preconditioned by the problem's background operator, and
+    tangent term, preconditioned by the background operator's solver, and
     one masked Riesz solve for both terms. At a zero correction the tangent
     term has no source, and there is no diffusion solve.
     """
@@ -459,7 +459,7 @@ def DF_adjoint(problem: ReconstructionProblem, alphas, correction: np.ndarray,
     if sigma.any():
         a = problem.coefficient_field(alphas, correction)
         op = RobinOperator(problem.grid, a.values, problem.l)
-        z, _, _ = op.solve(sigma, precond_with=problem.reference)
+        z, _, _ = op.solve(sigma)
         b1 = -phi * z * op.row_weights
     else:
         # a zero correction has no tangent source, so z = 0; the signed

@@ -189,6 +189,24 @@ class TestMeasurements:
         assert sparse_lus == []
         assert np.all(ctx.operator.background.a == disk_phantom.a0)
 
+    def test_context_and_sweep_diagonalise_once(self, disk_phantom,
+                                                monkeypatch):
+        # the forward solve and the sweep's operator share one background,
+        # so they share its one diagonalisation
+        monkeypatch.setattr(diffusion, "_BACKGROUNDS", {})
+        built = []
+        init = fields.SeparableSolver.__init__
+
+        def counted(solver, *args, **kwargs):
+            built.append(solver)
+            init(solver, *args, **kwargs)
+
+        monkeypatch.setattr(fields.SeparableSolver, "__init__", counted)
+        ctx = make_context(disk_phantom, Grid(65))
+        sample_sinogram(ctx, AcousticConfig(eta=0.0625), 8, 16)
+        assert len(built) == 1
+        assert ctx.operator.factorized() is built[0]
+
     def test_disjoint_wavefront_zero(self, disk_context65, config):
         # wavefront radius too small to reach the inclusion
         assert measure_M_eta(disk_context65, config, source_at(0.0), 0.4) == 0.0

@@ -81,10 +81,38 @@ def test_every_command_in_sequence(workdir, capsys):
     # the initial guess prints as plain floats, not NumPy scalar reprs
     assert "initial guess [" in outputs["reconstruct"]
     assert "np.float64" not in outputs["reconstruct"]
-    metrics = json.loads((d / "metrics.json").read_text())
+    metrics = strict_json((d / "metrics.json").read_text())
     assert np.isfinite(metrics["l2_rel_error"])
     assert (d / "recon.pgm").read_bytes().startswith(b"P5")
     assert isinstance(fields.load_field(d / "psi.aorf"), fields.ScalarField)
+
+
+def strict_json(text):
+    """``text`` parsed as standard JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_evaluate_writes_null_for_what_it_skips(workdir, capsys):
+    d = workdir / "skips"
+    d.mkdir()
+    grid = fields.Grid(35)
+    phantom.save_phantom(d / "truth.json",
+                         phantom.from_dict(cli.PRESETS["disk"]))
+    fields.save_field(d / "recon.aorf",
+                      fields.ScalarField(grid, np.ones(grid.shape)))
+    code, out = run(["evaluate", "--config", workdir / "config.json",
+                     "--phantom", d / "truth.json", "--recon",
+                     d / "recon.aorf", "--out", d / "metrics.json"], capsys)
+    assert code == 0
+    metrics = strict_json((d / "metrics.json").read_text())
+    assert strict_json(out) == metrics
+    assert np.isfinite(metrics["l2_rel_error"])
+    # without --masks and --log these are not computed
+    for key in ("hausdorff_boundary", "residual_final", "monotone_fraction"):
+        assert metrics[key] is None, key
 
 
 def test_dirichlet_forward_and_sinogram(workdir, capsys):
@@ -190,6 +218,9 @@ def _bad_inputs(d):
                       fields.ScalarField(grid, np.zeros(grid.shape)))
     fields.save_field(d / "flux_ok.aorf",
                       fields.BoundaryTrace.constant(grid, 1.0))
+    # finite, but its squared distance to any truth overflows
+    fields.save_field(d / "recon_huge.aorf",
+                      fields.ScalarField(grid, np.full(grid.shape, 1e200)))
     for n, name in ((35, "mask_ok.pgm"), (33, "mask33.pgm")):
         g = fields.Grid(n)
         x, y = g.meshgrid()
@@ -220,6 +251,8 @@ def _bad_inputs(d):
     (d / "log_no_rows.csv").write_text(
         "iter,residual_Hstar,dist_to_truth_H,tau\n")
     (d / "log_empty.csv").write_text("")
+    (d / "log_nan.csv").write_text(
+        "iter,residual_Hstar,dist_to_truth_H,tau\n0,1.0,,1.0\n1,nan,,1.0\n")
     # genfromtxt's message for a short row spans two lines
     (d / "log_ragged.csv").write_text(
         "iter,residual_Hstar,dist_to_truth_H\n0,1.0,2.0\n1,1.0\n")
@@ -278,15 +311,21 @@ def _bad_inputs(d):
         ("log without rows", evaluate("log_no_rows.csv")),
         ("empty log", evaluate("log_empty.csv")),
         ("ragged log", evaluate("log_ragged.csv")),
+        ("log with a non-finite residual", evaluate("log_nan.csv")),
         ("missing psi", segment + [d / "none.aorf"]),
         ("missing flux", reconstruct(flux="none.aorf")),
         ("missing recon", ["evaluate", "--config", cfg, "--phantom",
                            d / "truth_ok.json", "--recon", d / "none.aorf",
                            "--out", d / "bad_metrics.json"]),
+        ("recon too large to compare",
+         ["evaluate", "--config", cfg, "--phantom", d / "truth_ok.json",
+          "--recon", d / "recon_huge.aorf", "--out", d / "bad_metrics.json"]),
         ("recon not a scalar field",
          ["evaluate", "--config", cfg, "--phantom", d / "truth_ok.json",
           "--recon", d / "flux_ok.aorf", "--out", d / "bad_metrics.json"]),
         ("missing export field", ["export", "--pgm", d / "none.aorf",
+                                  d / "bad.pgm"]),
+        ("export without --pgm", ["export", d / "psi_ok.aorf",
                                   d / "bad.pgm"]),
         ("missing truth", reconstruct("--truth", d / "none.json")),
         ("malformed truth", reconstruct("--truth", d / "truth_bad.json")),
@@ -304,6 +343,10 @@ def _bad_inputs(d):
         ("PGM maxval not 255", reconstruct(masks="masks_maxval.json")),
         ("mask on another grid", reconstruct(masks="masks_grid33.json")),
         ("empty mask", reconstruct(masks="masks_empty.json")),
+        ("evaluate on an empty mask",
+         ["evaluate", "--config", cfg, "--phantom", d / "truth_ok.json",
+          "--recon", d / "psi_ok.aorf", "--masks", d / "masks_empty.json",
+          "--out", d / "bad_metrics.json"]),
         ("one mask listed twice", reconstruct(masks="masks_twice.json")),
         ("l = 0", ["reconstruct", "--config", d / "dirichlet.json",
                    "--psi", d / "none.aorf", "--masks", d / "none.json",
@@ -339,6 +382,14 @@ def test_overlapping_masks_are_named(workdir, capsys):
     assert code == 2
     assert capsys.readouterr().err.strip() == (
         "error: reconstruct: masks 0 and 1 overlap")
+
+
+def test_empty_mask_names_its_file(workdir, capsys):
+    bad = dict(_bad_inputs(workdir))
+    for name in ("empty mask", "evaluate on an empty mask"):
+        assert cli.main([str(a) for a in bad[name]]) == 2, name
+        assert capsys.readouterr().err.strip() == (
+            f"error: {workdir / 'pgm_empty.pgm'}: the mask marks no node")
 
 
 def test_non_utf8_sinogram_names_its_line(workdir, capsys):

@@ -417,8 +417,7 @@ class TestDerivative:
         op = diffusion.RobinOperator(
             problem.grid, problem.coefficient_field([1.5], zero).values,
             problem.l)
-        z, _, _ = op.solve(np.zeros(problem.grid.shape),
-                           precond_with=problem.reference)
+        z, _, _ = op.solve(np.zeros(problem.grid.shape))
         phi2x, phi2y = fields.edge_average(phi**2)
         space = problem.space
         drx, dry = space.diff(rho.representer)
@@ -679,8 +678,8 @@ class TestStepSize:
             return fields.cg(*args, **kwargs)
 
         def counted_factorized(op):
-            factorized.append(op)
-            return factorize(op)
+            factorized.append(factorize(op))
+            return factorized[-1]
 
         monkeypatch.setattr(diffusion, "cg", counted_cg)
         monkeypatch.setattr(diffusion.RobinOperator, "factorized",
@@ -689,11 +688,12 @@ class TestStepSize:
         # at the zero correction, as Landweber calls it, the estimate solves
         # only the forward problem, on the background factorization
         assert len(solves) == 1
-        assert factorized and all(op is problem.reference for op in factorized)
+        direct = problem.reference.factorized()
+        assert factorized and all(s is direct for s in factorized)
         assert tau == tau_zero
         tau = inv.estimate_step_size(problem, [1.5], corr)
         assert tau == pytest.approx(tau_corr, rel=1e-9)
-        assert all(op is problem.reference for op in factorized)
+        assert all(s is direct for s in factorized)
 
 
 class TestLandweber:
