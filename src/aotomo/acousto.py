@@ -126,6 +126,13 @@ class AcousticConfig:
         return msgs
 
 
+def _geometry(config: AcousticConfig):
+    """The sweep geometry a sinogram file records, as plain floats."""
+    return {"eta": float(config.eta), "mu": float(config.mu),
+            "r0": float(config.r0), "R": float(config.R),
+            "center": tuple(float(c) for c in config.center)}
+
+
 @dataclass
 class Sinogram:
     """Sampled cylinder data: rows are sources, columns are radii."""
@@ -150,19 +157,24 @@ class Sinogram:
         return Sinogram(self.config, self.ny, self.nr, np.array(values))
 
     def save_csv(self, path):
+        """Write the header, one ``#`` line with the sweep geometry the
+        samples belong to, and one ``y_index,r,value`` row per sample."""
         radii = self.radii()
         with open(path, "w") as fh:
             fh.write("y_index,r,value\n")
+            fh.write("# " + "; ".join(f"{key}={value!r}" for key, value
+                                      in _geometry(self.config).items())
+                     + "\n")
             for m in range(self.ny):
                 for q in range(self.nr):
                     fh.write(f"{m},{radii[q]:.17g},{self.values[m, q]:.17g}\n")
 
     @classmethod
     def load_csv(cls, path, config):
-        """Read a file written by ``save_csv``. The rows must be y-major and
-        rectangular and the r column must match ``config.radii(nr)``; any
-        other file, one that is not UTF-8 text among them, raises
-        FileFormatError."""
+        """Read a file written by ``save_csv``. Its geometry line must match
+        ``config``, the rows must be y-major and rectangular, and the r
+        column must match ``config.radii(nr)``; any other file, one that is
+        not UTF-8 text among them, raises FileFormatError."""
 
         def text(line, lineno):
             try:
@@ -177,7 +189,18 @@ class Sinogram:
             header = text(fh.readline(), 1)
             if header != "y_index,r,value":
                 raise FileFormatError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
+            line = text(fh.readline(), 2)
+            if not line.startswith("#"):
+                raise FileFormatError(
+                    f"{path}: no '# eta=...' geometry line after the header")
+            found = dict(item.partition("=")[::2]
+                         for item in line[1:].strip().split("; "))
+            for key, value in _geometry(config).items():
+                if found.get(key) != repr(value):
+                    raise FileFormatError(
+                        f"{path}: sampled at {key} = {found.get(key)}, but "
+                        f"the config has {key} = {value!r}")
+            for lineno, line in enumerate(fh, start=3):
                 line = text(line, lineno)
                 try:
                     m_s, r_s, v_s = line.split(",")

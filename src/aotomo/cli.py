@@ -7,12 +7,12 @@ codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 Start-up: each command runs as its own process, so no module of the package
 imports SciPy at its top; each function that calls SciPy imports the
 subpackage it calls. ``--version``, ``phantom gen``, ``forward``,
-``sinogram``, ``evaluate`` and ``export`` load NumPy only: every Robin solve
-is fast diagonalisation or CG on it. ``reconstruct`` loads ``scipy.sparse``
-for the sparse LU of its mask space, which brings in ``scipy.linalg``;
-``recover-psi`` loads ``scipy.sparse`` for the circle
-quadrature matrix; ``segment`` loads ``scipy.ndimage``, which brings in
-``scipy.special``, and no ``scipy.sparse``.
+``sinogram``, ``reconstruct``, ``evaluate`` and ``export`` load NumPy only:
+every Robin solve is fast diagonalisation or CG on it, and so is every
+Riesz solve of ``reconstruct``'s mask space (the capacitance matrix method,
+see ``inversion.MaskSpace``). ``recover-psi`` loads ``scipy.sparse`` for the
+circle quadrature matrix; ``segment`` loads ``scipy.ndimage``, which brings
+in ``scipy.special``, and no ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -449,7 +449,7 @@ def cmd_evaluate(cfg, args):
 def cmd_export(cfg, args):
     obj = _load_field(args.field)
     if not isinstance(obj, fields.ScalarField):
-        raise ConfigError("export --pgm needs a scalar field file")
+        raise ConfigError("export needs a scalar field file")
     segmentation.save_field_pgm(_output_path(args.out), obj)
     print(f"wrote {args.out}")
     return 0
@@ -570,9 +570,7 @@ def build_parser():
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_evaluate)
 
-    ex = sub.add_parser("export", help="field file conversion")
-    # the output format is named, though PGM is the only one
-    ex.add_argument("--pgm", action="store_true", required=True)
+    ex = sub.add_parser("export", help="scalar field file to PGM image")
     ex.add_argument("field")
     ex.add_argument("out")
     ex.set_defaults(func=cmd_export)

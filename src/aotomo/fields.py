@@ -434,15 +434,6 @@ def _precondition(precond, r, active, z=None):
 # direct solvers
 
 
-def spd_lu(matrix):
-    """SuperLU factors of a sparse symmetric positive definite matrix; the
-    minimum-degree ordering of A^T + A uses the symmetry to keep them small."""
-    # loaded on first use: most CLI commands factor nothing
-    import scipy.sparse.linalg as spla
-
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-
 class SeparableSolver:
     """Direct solver of a Kronecker sum T = P (x) C + C (x) P on the
     row-major node vector of an n-by-n grid, for a symmetric tridiagonal P
@@ -484,6 +475,23 @@ class SeparableSolver:
         else:
             x = v @ ((v.T @ stack @ v) * self._inv) @ v.T
         return x.reshape(len(x), -1).T.reshape(b.shape)
+
+    def inverse_block(self, nodes):
+        """The principal block of T^-1 at the given row-major node indices,
+        for a solver without ``border``: entry (a, b) is the solution at
+        node a for a unit source at node b.
+
+        T^-1 = (V (x) V) diag(1 / (lam_i + lam_j)) (V (x) V)^T is summed one
+        eigenvalue index i at a time, so the work arrays hold k x n values
+        for k nodes, not the k columns of n*n values that k solves would.
+        """
+        first, second = np.divmod(nodes, self._v.shape[0])
+        v1, v2 = self._v[first], self._v[second]
+        out = np.zeros((len(nodes), len(nodes)))
+        for i, inv in enumerate(self._inv):
+            w = v1[:, i, None] * v2
+            out += (w * inv) @ w.T
+        return out
 
 
 def neumann_edge_coefficients(grid):

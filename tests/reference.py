@@ -28,7 +28,6 @@ from aotomo.fields import (
     integrate,
     neumann_edge_coefficients,
     neumann_solve_weighted,
-    spd_lu,
 )
 from aotomo.helmholtz import PsiField
 from aotomo.inversion import _DF_raw
@@ -85,6 +84,14 @@ def poisson_neumann(rhs) -> ScalarField:
     r0 = r - np.sum(w * r) / w.sum()
     # weak form: E f = -(W * rhs)
     return ScalarField(grid, neumann_solve_weighted(grid, -(w * r0)))
+
+
+def spd_lu(matrix):
+    """SuperLU factors of a sparse symmetric positive definite matrix; the
+    minimum-degree ordering of A^T + A uses the symmetry to keep them small."""
+    import scipy.sparse.linalg as spla
+
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def pinned_neumann_solve(grid, b):

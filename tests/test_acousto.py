@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 
@@ -860,9 +861,32 @@ class TestSinogram:
         sino = Sinogram(config, 8, 16, np.zeros((8, 16)))
         path = tmp_path / "s.csv"
         sino.save_csv(path)
-        header, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header] + edit(rows)) + "\n")
+        # the edits index the data rows, after the header and geometry lines
+        header, geometry, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, geometry] + edit(rows)) + "\n")
         with pytest.raises(fields.FileFormatError):
+            Sinogram.load_csv(path, config)
+
+    @pytest.mark.parametrize("key, value", [
+        ("eta", 0.05), ("mu", 1.02), ("r0", 0.26), ("R", 1.8),
+        ("center", (0.5, 0.45))])
+    def test_csv_rejects_another_geometry(self, tmp_path, config, key,
+                                          value):
+        path = tmp_path / "s.csv"
+        Sinogram(config, 8, 16, np.zeros((8, 16))).save_csv(path)
+        other = dataclasses.replace(config, **{key: value})
+        with pytest.raises(fields.FileFormatError) as info:
+            Sinogram.load_csv(path, other)
+        assert str(info.value) == (
+            f"{path}: sampled at {key} = {getattr(config, key)!r}, but the "
+            f"config has {key} = {value!r}")
+
+    def test_csv_needs_its_geometry_line(self, tmp_path, config):
+        path = tmp_path / "s.csv"
+        Sinogram(config, 8, 16, np.zeros((8, 16))).save_csv(path)
+        header, _, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(fields.FileFormatError, match="no '# eta=...' "):
             Sinogram.load_csv(path, config)
 
     def test_csv_deterministic(self, tmp_path, config):

@@ -63,7 +63,7 @@ def pipeline_steps(d):
           "--recon", d / "rec" / "recon.aorf", "--masks",
           d / "seg" / "masks.json", "--log", d / "rec" / "recon_log.csv",
           "--out", d / "metrics.json"], ["metrics.json"]),
-        (["export", "--pgm", d / "rec" / "recon.aorf", d / "recon.pgm"],
+        (["export", d / "rec" / "recon.aorf", d / "recon.pgm"],
          ["recon.pgm"]),
     ]
 
@@ -204,10 +204,17 @@ def _bad_inputs(d):
     acoustic = cli.load_config(cfg).acoustic
     sino = acousto.Sinogram(acoustic, 8, 16, np.zeros((8, 16)))
     sino.save_csv(d / "sino_ok.csv")
-    rows = (d / "sino_ok.csv").read_text().splitlines()
-    m, r, v = rows[5].split(",")
-    rows[5] = f"{m},{float(r) + 1e-6!r},{v}"
-    (d / "sino_r.csv").write_text("\n".join(rows) + "\n")
+    # the header and the geometry line, then the data rows
+    lines = (d / "sino_ok.csv").read_text().splitlines()
+    head, rows = lines[:2], lines[2:]
+    m, r, v = rows[4].split(",")
+    rows[4] = f"{m},{float(r) + 1e-6!r},{v}"
+    (d / "sino_r.csv").write_text("\n".join(head + rows) + "\n")
+    (d / "sino_no_geometry.csv").write_text("\n".join(head[:1] + rows) + "\n")
+    # a sweep at eta = 0.12 read under eta = 0.1, on a grid fine enough for it
+    doc = json.loads(cfg.read_text())
+    doc["grid"]["n"], doc["acoustic"]["eta"] = 41, 0.1
+    (d / "eta_0.1.json").write_text(json.dumps(doc))
     # one byte that no UTF-8 text holds, in a row and in the header
     raw = bytearray((d / "sino_ok.csv").read_bytes())
     for name, at in (("sino_byte.csv", len(raw) // 2), ("sino_head.csv", 3)):
@@ -323,10 +330,9 @@ def _bad_inputs(d):
         ("recon not a scalar field",
          ["evaluate", "--config", cfg, "--phantom", d / "truth_ok.json",
           "--recon", d / "flux_ok.aorf", "--out", d / "bad_metrics.json"]),
-        ("missing export field", ["export", "--pgm", d / "none.aorf",
-                                  d / "bad.pgm"]),
-        ("export without --pgm", ["export", d / "psi_ok.aorf",
-                                  d / "bad.pgm"]),
+        ("missing export field", ["export", d / "none.aorf", d / "bad.pgm"]),
+        ("export with the dropped --pgm flag",
+         ["export", "--pgm", d / "psi_ok.aorf", d / "bad.pgm"]),
         ("missing truth", reconstruct("--truth", d / "none.json")),
         ("malformed truth", reconstruct("--truth", d / "truth_bad.json")),
         ("missing manifest", reconstruct(masks="none.json")),
@@ -360,6 +366,12 @@ def _bad_inputs(d):
         *bad_flags,
         ("edited r column", ["recover-psi", "--config", cfg, "--sinogram",
                              d / "sino_r.csv", "--out", d / "bad_psi.aorf"]),
+        ("sinogram without its geometry line",
+         ["recover-psi", "--config", cfg, "--sinogram",
+          d / "sino_no_geometry.csv", "--out", d / "bad_psi.aorf"]),
+        ("sinogram of another eta",
+         ["recover-psi", "--config", d / "eta_0.1.json", "--sinogram",
+          d / "sino_ok.csv", "--out", d / "bad_psi.aorf"]),
         *((f"non-UTF-8 byte in {where}",
            ["recover-psi", "--config", cfg, "--sinogram", d / name,
             "--out", d / "bad_psi.aorf"])
@@ -392,6 +404,15 @@ def test_empty_mask_names_its_file(workdir, capsys):
             f"error: {workdir / 'pgm_empty.pgm'}: the mask marks no node")
 
 
+def test_sinogram_of_another_geometry_is_named(workdir, capsys):
+    bad = dict(_bad_inputs(workdir))
+    code = cli.main([str(a) for a in bad["sinogram of another eta"]])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: {workdir / 'sino_ok.csv'}: sampled at eta = 0.12, but the "
+        "config has eta = 0.1")
+
+
 def test_non_utf8_sinogram_names_its_line(workdir, capsys):
     bad = dict(_bad_inputs(workdir))
     code = cli.main([str(a) for a in bad["non-UTF-8 byte in a sinogram row"]])
@@ -415,7 +436,7 @@ def test_out_makes_missing_parent_dirs(workdir, capsys):
          workdir / "zero_sino.csv", "--out", d / "psi" / "psi.aorf"],
         ["evaluate", "--config", cfg, "--phantom", d / "ph" / "p.json",
          "--recon", d / "psi" / "psi.aorf", "--out", d / "ev" / "m.json"],
-        ["export", "--pgm", d / "psi" / "psi.aorf", d / "pgm" / "psi.pgm"],
+        ["export", d / "psi" / "psi.aorf", d / "pgm" / "psi.pgm"],
     ]
     for argv in steps:
         code, _ = run(argv, capsys)
@@ -459,7 +480,7 @@ SCIPY_LEFT_OUT = {
     "sinogram": "scipy",
     "recover-psi": "scipy.ndimage",
     "segment": "scipy.sparse",
-    "reconstruct": "scipy.ndimage",
+    "reconstruct": "scipy",
     "evaluate": "scipy",
     "export": "scipy",
 }
@@ -502,6 +523,7 @@ UNCALLED = {
         "branch: DF at a nonzero correction, which Landweber never asks for",
     "diffusion.solve_adjoint": "bench: traced",
     "fields.SolverError.__init__": "error: a solve that misses its tolerance",
+    "fields.edge_form_matrix": "bench: RobinOperator.sparse_matrix calls it",
     "fields.neumann_edge_coefficients": "bench: helmholtz.decompose calls it",
     "fields.neumann_solve_weighted": "bench: helmholtz.decompose calls it",
     "fields.norm_l2": "bench: the workloads' output digests",

@@ -333,6 +333,18 @@ class TestPoissonDirichlet:
         miss = kernels.dirichlet_apply(u, None, h)[1:-1, 1:-1] - b[1:-1, 1:-1]
         assert np.linalg.norm(miss) <= 1e-12 * np.linalg.norm(b[1:-1, 1:-1])
 
+    def test_inverse_block_is_the_solves_at_its_nodes(self):
+        m = 12
+        rng = np.random.default_rng(8)
+        p = fields.second_difference(m + 2)[1:-1, 1:-1]
+        solver = fields.SeparableSolver(p, rng.uniform(0.5, 2.0, m))
+        nodes = rng.choice(m * m, 20, replace=False)
+        unit = np.zeros((m * m, nodes.size))
+        unit[nodes, np.arange(nodes.size)] = 1.0
+        expected = solver.solve(unit)[nodes]
+        got = solver.inverse_block(nodes)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
+
     def test_refinement_order(self):
         errs = []
         for n in (33, 65, 129):

@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 
 from reference import DF_quadratic_form, mask_bilinear, mask_riesz_solve
 
-from aotomo import diffusion, fields, helmholtz, inversion as inv
+from aotomo import cli, diffusion, fields, helmholtz, inversion as inv
+from aotomo import phantom
 from aotomo import segmentation as seg
 from aotomo.fields import BoundaryTrace, Grid, ScalarField
 from aotomo.inversion import (
@@ -141,6 +142,32 @@ class TestMaskSpace:
         with pytest.raises(ValueError, match="masks 0 and 1 overlap"):
             MaskSpace(grid33, [first, second])
 
+    @pytest.mark.parametrize("preset, n", [
+        ("two-disks", 65), ("disk", 65), ("disk", 129), ("corners", 65)],
+        ids=["reconstruct-exhaustive", "pipeline", "pipeline-n129",
+             "corners"])
+    def test_riesz_solve_matches_the_per_mask_lu(self, preset, n):
+        # the benchmark's masks, and masks in opposite corners: a disk, and
+        # a strip along the far edge whose square box must shift inwards
+        g = Grid(n)
+        if preset == "corners":
+            x, y = g.meshgrid()
+            masks = [np.hypot(x - 0.1, y - 0.1) < 0.08,
+                     (x > 0.88) & (y > 0.1) & (y < 0.95)]
+        else:
+            p = phantom.from_dict(cli.PRESETS[preset])
+            masks = [m.mask for m in seg.masks_from_phantom(p, g)]
+        space = MaskSpace(g, masks)
+        b = np.random.default_rng(13).standard_normal(g.shape)
+        oracle = sum(mask_riesz_solve(m, b) for m in masks)
+        got = space.riesz_solve(b)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_without_masks_every_representer_is_zero(self, grid33):
+        space = MaskSpace(grid33, [])
+        b = np.random.default_rng(14).standard_normal(grid33.shape)
+        assert np.array_equal(space.riesz_solve(b), np.zeros(grid33.shape))
+
     def test_rejects_a_mask_without_interior(self, grid33):
         first, _ = touching_masks(grid33)
         line = np.zeros(grid33.shape, dtype=bool)
@@ -180,7 +207,6 @@ class TestExhaustion:
         assert guess.misfit <= 1e-12
 
     def test_two_inclusion_recovery(self, grid33):
-        from aotomo import phantom
         p = phantom.Phantom(a0=1.0, lower=0.5, upper=2.0, inclusions=[
             phantom.Inclusion("disk", (0.35, 0.4), radius=0.12, base=1.0),
             phantom.Inclusion("disk", (0.68, 0.62), radius=0.1, base=1.5),
@@ -218,7 +244,6 @@ class TestExhaustion:
                               np.ones(g.shape))
 
     def test_too_many_inclusions_guard(self, grid33):
-        from aotomo import phantom
         incs = [phantom.Inclusion("disk", c, radius=0.05, base=1.25)
                 for c in [(0.3, 0.3), (0.3, 0.7), (0.7, 0.3), (0.7, 0.7)]]
         p = phantom.Phantom(a0=1.0, lower=0.5, upper=2.0, inclusions=incs)
@@ -268,7 +293,6 @@ class TestExhaustion:
     @staticmethod
     def disks_problem(grid, k):
         """Problem and measured flux of k bumped disks."""
-        from aotomo import phantom
         centers = [(0.3, 0.35), (0.68, 0.62), (0.3, 0.7), (0.7, 0.3)]
         bases = [1.5, 0.55, 1.2, 0.8]
         p = phantom.Phantom(a0=1.0, lower=0.5, upper=2.0, inclusions=[

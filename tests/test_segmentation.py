@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from reference import mask_riesz_solve
+
 from aotomo import diffusion, fields, helmholtz, segmentation as seg
 from aotomo.fields import BoundaryTrace, Grid, ScalarField
 from aotomo.helmholtz import PsiField
@@ -189,6 +191,7 @@ class TestExtract:
 
         g = Grid(33)
         seen = set()
+        rng = np.random.default_rng(15)
         for seed in range(60):
             edges, kinds = self.random_bands(random.Random(seed), g)
             seen.update(kinds)
@@ -198,7 +201,13 @@ class TestExtract:
                 assert not np.any(union & m.mask), seed
                 union |= m.mask
                 assert seg.erode_cross(m.mask).any(), seed
-            MaskSpace(g, [m.mask for m in masks])
+            space = MaskSpace(g, [m.mask for m in masks])
+            # and solves its form as the masks' own LU factors do
+            b = rng.standard_normal(g.shape)
+            oracle = sum((mask_riesz_solve(m.mask, b) for m in masks),
+                         np.zeros(g.shape))
+            err = np.max(np.abs(space.riesz_solve(b) - oracle))
+            assert err <= 1e-12 * np.max(np.abs(oracle)), seed
         assert seen == {"free", "nested", "touching"}
 
     def test_small_components_dropped(self, grid65):
