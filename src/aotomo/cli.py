@@ -4,15 +4,14 @@ Commands read a JSON experiment configuration and exchange the documented
 file formats (binary fields, sinogram CSV, mask PGMs, metrics JSON). Exit
 codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 
-Start-up: each command runs as its own process, so no module of the package
-imports SciPy at its top; each function that calls SciPy imports the
-subpackage it calls. ``--version``, ``phantom gen``, ``forward``,
-``sinogram``, ``reconstruct``, ``evaluate`` and ``export`` load NumPy only:
-every Robin solve is fast diagonalisation or CG on it, and so is every
-Riesz solve of ``reconstruct``'s mask space (the capacitance matrix method,
-see ``inversion.MaskSpace``). ``recover-psi`` loads ``scipy.sparse`` for the
-circle quadrature matrix; ``segment`` loads ``scipy.ndimage``, which brings
-in ``scipy.special``, and no ``scipy.sparse``.
+Start-up: each command runs as its own process and loads NumPy only. Every
+Robin solve is fast diagonalisation or CG on it, and so is every Riesz solve
+of ``reconstruct``'s mask space (the capacitance matrix method, see
+``inversion.MaskSpace``). ``recover-psi`` keeps its circle quadrature matrix
+in NumPy arrays, and ``segment`` blurs, closes, floods and labels with NumPy
+(see ``segmentation``). SciPy is left to the two assemblers that only tests
+and benchmarks call, ``fields.edge_form_matrix`` and
+``diffusion.RobinOperator.sparse_matrix``, which import it themselves.
 """
 
 from __future__ import annotations
@@ -320,6 +319,11 @@ def _load_on_grid(path, kind, grid):
 
 
 def cmd_segment(cfg, args):
+    # a kernel wider than the grid blurs psi flat, and its taps grow with it
+    if args.smooth > cfg.grid.n:
+        raise ConfigError(
+            f"segment needs --smooth <= grid.n = {cfg.grid.n} nodes, got "
+            f"{args.smooth:g}")
     psi_field = _load_on_grid(args.psi, fields.ScalarField, cfg.grid)
     psi = helmholtz.PsiField(psi_field, "from_measurements")
     edge = segmentation.detect_edges(psi, threshold=args.threshold,
@@ -544,7 +548,8 @@ def build_parser():
     se.add_argument("--psi", required=True)
     se.add_argument("--threshold", type=threshold, default="auto")
     se.add_argument("--smooth", type=nonnegative, default=2.0,
-                    help="pre-smoothing sigma in nodes for measured data")
+                    help="pre-smoothing sigma in nodes for measured data, "
+                    "at most grid.n")
     se.add_argument("--outdir", required=True)
     se.set_defaults(func=cmd_segment)
 

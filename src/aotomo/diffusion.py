@@ -145,6 +145,8 @@ class RobinOperator:
         return self.row_weights * vals
 
     def sparse_matrix(self):
+        """The operator as a CSR matrix, for the tests and the benchmark;
+        it needs SciPy, which no command of the package loads."""
         import scipy.sparse as sp
 
         n, h = self.grid.n, self.grid.h

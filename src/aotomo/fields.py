@@ -238,6 +238,8 @@ def second_difference(n):
 def edge_form_matrix(cx, cy):
     """CSR matrix of v -> edge_diff_transpose(cx * dx v, cy * dy v) on the
     row-major node vector; the assembled form of ``kernels.edge_form_apply``.
+    It needs SciPy, which no command of the package loads: only the tests
+    and the benchmark call it.
     """
     import scipy.sparse as sp
 

@@ -12,7 +12,8 @@ branch choice in :func:`radial_invert` both read it.
 
 :func:`bilinear_corners` holds the corner-index and weight arithmetic of
 bilinear interpolation once; :func:`bilinear_gather`, :func:`bilinear_scatter`
-and the sparse circle matrix of ``radon`` are built on it.
+and the circle quadrature matrix of ``radon`` (``radon._SampleLayout``) are
+built on it.
 
 All arrays are float64 and C-contiguous; fields are (n, n) with index [i, j]
 mapping to the point (i*h, j*h).

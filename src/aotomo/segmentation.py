@@ -4,6 +4,12 @@ The potential jumps across inclusion rims, so the rims show up as ridges of
 the scaled gradient magnitude |grad psi| * h. Edges are thresholded (Otsu by
 default), closed morphologically, and the enclosed interiors become labeled
 masks.
+
+The morphology is on the 4-neighbour cross, in NumPy: erosion and its dual
+dilation, connected-component labels and hole filling. Nothing lies outside
+the array, as with SciPy's ndimage at its default border value;
+``tests/test_segmentation.py`` checks each of them, and the Gaussian
+pre-smoothing, against ndimage.
 """
 
 from __future__ import annotations
@@ -15,16 +21,10 @@ import numpy as np
 from .fields import FileFormatError, Grid, ScalarField, gradient
 from .helmholtz import PsiField
 
-# the 4-neighbour structuring element, ndimage.generate_binary_structure(2, 1)
-_CROSS = np.array([[False, True, False],
-                   [True, True, True],
-                   [False, True, False]])
-
 
 def erode_cross(mask):
     """Nodes of a boolean array whose four neighbours all lie in it; a node
-    on the array edge has a neighbour outside, so it is never kept. This is
-    ``ndimage.binary_erosion(mask, structure=_CROSS)``."""
+    on the array edge has a neighbour outside, so it is never kept."""
     mask = np.asarray(mask, dtype=bool)
     inner = mask.copy()
     inner[1:, :] &= mask[:-1, :]
@@ -33,6 +33,84 @@ def erode_cross(mask):
     inner[:, :-1] &= mask[:, 1:]
     inner[0, :] = inner[-1, :] = inner[:, 0] = inner[:, -1] = False
     return inner
+
+
+def dilate_cross(mask):
+    """Nodes of a boolean array that lie in it or have a 4-neighbour in it:
+    the dual of :func:`erode_cross`, with nothing outside the array."""
+    mask = np.asarray(mask, dtype=bool)
+    outer = mask.copy()
+    outer[1:, :] |= mask[:-1, :]
+    outer[:-1, :] |= mask[1:, :]
+    outer[:, 1:] |= mask[:, :-1]
+    outer[:, :-1] |= mask[:, 1:]
+    return outer
+
+
+def label_cross(mask):
+    """The 4-connected components of a boolean array, as ``(labels,
+    count)``: nodes outside the mask get 0, and the components are numbered
+    1..count in the raster order of their first node.
+
+    Each node starts with its own flat index and takes the least index
+    among its 4-neighbours in the mask until nothing changes; a node then
+    also takes the index held by the node its index names, which is in the
+    same component and never larger, so long paths converge in few rounds.
+    At the fixed point every node holds its component's first node.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    big = mask.size
+    root = np.where(mask, np.arange(big).reshape(mask.shape), big)
+    while True:
+        low = root.copy()
+        np.minimum(low[1:, :], root[:-1, :], out=low[1:, :])
+        np.minimum(low[:-1, :], root[1:, :], out=low[:-1, :])
+        np.minimum(low[:, 1:], root[:, :-1], out=low[:, 1:])
+        np.minimum(low[:, :-1], root[:, 1:], out=low[:, :-1])
+        low[~mask] = big
+        low[mask] = low.ravel()[low[mask]]
+        if np.array_equal(low, root):
+            break
+        root = low
+    firsts, labels = np.unique(root[mask], return_inverse=True)
+    out = np.zeros(mask.shape, dtype=int)
+    out[mask] = labels + 1
+    return out, firsts.size
+
+
+def fill_holes(mask):
+    """The mask and every node that no 4-path outside the mask joins to the
+    array edge."""
+    labels, _ = label_cross(~np.asarray(mask, dtype=bool))
+    rim = np.concatenate([labels[0], labels[-1], labels[:, 0],
+                          labels[:, -1]])
+    return ~np.isin(labels, rim[rim > 0])
+
+
+def gaussian_blur(values, sigma):
+    """The array smoothed by a Gaussian of ``sigma`` nodes along each axis.
+
+    The kernel is sampled out to ``int(4 sigma + 0.5)`` nodes and
+    normalised, and the array is extended by mirroring about its edges
+    (d c b a | a b c d | d c b a, repeated as far as the kernel reaches).
+    Each axis is one matrix product with the blur matrix of its length.
+    """
+    radius = int(4 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weight = np.exp(-0.5 / sigma**2 * taps**2)
+    weight /= weight.sum()
+
+    def blur_matrix(size):
+        # row i holds the weights of nodes i + taps, folded back into range
+        j = (np.arange(size)[:, None] + taps) % (2 * size)
+        j = np.where(j < size, j, 2 * size - 1 - j)
+        flat = (np.arange(size)[:, None] * size + j).ravel()
+        return np.bincount(flat, np.tile(weight, size),
+                           minlength=size * size).reshape(size, size)
+
+    values = np.asarray(values, dtype=float)
+    return blur_matrix(values.shape[0]) @ values @ blur_matrix(
+        values.shape[1]).T
 
 
 def otsu_threshold(values, bins=256):
@@ -68,10 +146,7 @@ def detect_edges(psi: PsiField, threshold="auto",
     grid = psi.grid
     vals = psi.psi
     if smooth_sigma > 0:
-        from scipy import ndimage
-
-        vals = ScalarField(grid, ndimage.gaussian_filter(vals.values,
-                                                         smooth_sigma))
+        vals = ScalarField(grid, gaussian_blur(vals.values, smooth_sigma))
     g = gradient(vals)
     strength = g.magnitude() * grid.h
     if strength.max() == 0.0:
@@ -117,30 +192,22 @@ def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,
     with none, for a tie), and a node that no region held but several gain
     goes to the one whose filled extent is smallest, the innermost.
     """
-    from scipy import ndimage
-
-    closed = ndimage.binary_closing(edge_map, structure=_CROSS)
-    outside = np.zeros(grid.shape, dtype=bool)
-    outside[0, :] = outside[-1, :] = True
-    outside[:, 0] = outside[:, -1] = True
-    outside = ndimage.binary_dilation(
-        outside, structure=_CROSS, iterations=-1, mask=~closed
-    )
-    enclosed = ~closed & ~outside
-    labels, count = ndimage.label(enclosed, structure=_CROSS)
+    closed = erode_cross(dilate_cross(edge_map))
+    enclosed = fill_holes(closed) & ~closed
+    labels, count = label_cross(enclosed)
     grown = []
     for lab in range(1, count + 1):
         comp = labels == lab
         if comp.sum() < min_area_nodes:
             continue
         others = enclosed & ~comp
-        near_others = ndimage.binary_dilation(others, structure=_CROSS)
+        near_others = dilate_cross(others)
         # measure the edge band thickness by growing through it, then keep
         # half the layers so the recovered boundary sits mid band
         layers = []
         ring = comp
         for _ in range(16):
-            grown_ring = ndimage.binary_dilation(ring, structure=_CROSS)
+            grown_ring = dilate_cross(ring)
             new = grown_ring & closed & ~near_others & ~ring
             if not new.any():
                 break
@@ -156,7 +223,7 @@ def extract_inclusions(edge_map, grid: Grid, d_margin=0.1,
     # a node that two regions grow into is a tie and stays unclaimed
     held = claims > 0
     grown = [comp_full & (claims == 1) for comp_full in grown]
-    filled = [ndimage.binary_fill_holes(comp_full) for comp_full in grown]
+    filled = [fill_holes(comp_full) for comp_full in grown]
     # the owner of each node gained by filling alone: larger fills first,
     # so the smallest fill that gains a node writes it last
     gainer = np.full(grid.shape, -1)

@@ -303,13 +303,41 @@ class TestCircleMatrix:
         rhs = float(np.sum(x * layout.transpose(s)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    def test_rows_hold_distinct_nodes(self, config):
+        # the entries a row's samples share at a node are merged
+        layout = radon._layout(config, 8, 16, Grid(33))
+        rows = np.repeat(np.arange(layout.counts.size), layout.counts)
+        assert np.all(np.diff(rows * 33**2 + layout.cols) > 0)
+        # a row whose circle misses the square reads zero
+        empty = layout.counts == 0
+        assert empty.any()
+        assert not layout.forward(np.ones((33, 33))).ravel()[empty].any()
+
+    def test_build_peaks_below_twice_the_matrix(self, config):
+        # 16 bytes per nonzero, built one source block at a time
+        import tracemalloc
+
+        grid = Grid(65)
+        tracemalloc.start()
+        try:
+            layout = radon._SampleLayout(config, 64, 128, grid.n, grid.h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = layout.cols.nbytes + layout.vals.nbytes
+        assert size == 16 * layout.cols.size
+        assert peak <= 2 * size
+
     def test_built_once_per_key(self, config, monkeypatch):
         grid = Grid(33)
-        matrix = radon._layout(AcousticConfig(), 8, 16, grid).matrix
+        layout = radon._layout(AcousticConfig(), 8, 16, grid)
+        arrays = (layout.cols, layout.vals, layout.counts)
         builds = []
         monkeypatch.setattr(radon.kernels, "bilinear_corners",
                             lambda *a: builds.append(a))
-        assert radon._layout(AcousticConfig(), 8, 16, grid).matrix is matrix
+        again = radon._layout(AcousticConfig(), 8, 16, grid)
+        assert all(a is b for a, b in zip(
+            (again.cols, again.vals, again.counts), arrays))
         f = ScalarField(grid, np.ones(grid.shape))
         invert_radon(radon_forward(f, config, 8, 16), grid, tol=1e-2)
         assert not builds

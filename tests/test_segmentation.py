@@ -219,25 +219,117 @@ class TestExtract:
         assert masks == []
 
 
+def random_masks(seed):
+    """Two fixed masks and 200 random ones of 1-20 nodes per axis, at a
+    density drawn for each, with the number that touch the array edge."""
+    rng = np.random.default_rng(seed)
+    masks = [np.ones((5, 7), dtype=bool), np.zeros((4, 4), dtype=bool)]
+    for _ in range(200):
+        shape = rng.integers(1, 21, size=2)
+        masks.append(rng.random(shape) < rng.uniform(0.3, 0.97))
+    touching = sum(bool(m[0].any() or m[-1].any() or m[:, 0].any()
+                        or m[:, -1].any()) for m in masks)
+    return masks, touching
+
+
 class TestErosion:
     def test_matches_ndimage(self):
         from scipy import ndimage
 
         cross = ndimage.generate_binary_structure(2, 1)
-        assert np.array_equal(seg._CROSS, cross)
-        rng = np.random.default_rng(3)
-        masks = [np.ones((5, 7), dtype=bool), np.zeros((4, 4), dtype=bool)]
-        for _ in range(200):
-            shape = rng.integers(1, 20, size=2)
-            masks.append(rng.random(shape) < rng.uniform(0.3, 0.97))
-        touching = 0
+        masks, touching = random_masks(3)
         for m in masks:
-            touching += bool(m[0].any() or m[-1].any()
-                             or m[:, 0].any() or m[:, -1].any())
             expected = ndimage.binary_erosion(m, structure=cross)
             assert np.array_equal(seg.erode_cross(m), expected), m
         # the array edge is eroded as ndimage's border_value=0 erodes it
         assert touching > 150
+
+
+class TestMorphology:
+    """The NumPy morphology of ``extract_inclusions`` against ndimage, on
+    the 4-neighbour cross that ``extract_inclusions`` passed it."""
+
+    def test_dilation_and_closing_match_ndimage(self):
+        from scipy import ndimage
+
+        cross = ndimage.generate_binary_structure(2, 1)
+        masks, touching = random_masks(4)
+        for m in masks:
+            dilated = seg.dilate_cross(m)
+            assert np.array_equal(
+                dilated, ndimage.binary_dilation(m, structure=cross)), m
+            assert np.array_equal(
+                seg.erode_cross(dilated),
+                ndimage.binary_closing(m, structure=cross)), m
+        assert touching > 150
+
+    def test_enclosed_nodes_match_the_border_flood(self):
+        # extract_inclusions reads the nodes that a closed edge map encloses
+        # from its hole filling; ndimage floods from the border through the
+        # complement, keeping a border seed on the map and letting it spread.
+        # Closing clears the array edge, so no seed lies on the map.
+        from scipy import ndimage
+
+        import random
+
+        cross = ndimage.generate_binary_structure(2, 1)
+        masks, touching = random_masks(5)
+        # and edge maps that enclose regions, as detect_edges draws them
+        masks += [TestExtract.random_bands(random.Random(seed), Grid(33))[0]
+                  for seed in range(60)]
+        enclosing = 0
+        for m in masks:
+            closed = seg.erode_cross(seg.dilate_cross(m))
+            border = np.zeros(m.shape, dtype=bool)
+            border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
+            outside = ndimage.binary_dilation(border, structure=cross,
+                                              iterations=-1, mask=~closed)
+            enclosed = seg.fill_holes(closed) & ~closed
+            assert np.array_equal(enclosed, ~closed & ~outside), m
+            enclosing += bool(enclosed.any())
+        assert touching > 150 and enclosing > 60
+
+    def test_labels_and_numbering_match_ndimage(self):
+        from scipy import ndimage
+
+        cross = ndimage.generate_binary_structure(2, 1)
+        masks, _ = random_masks(6)
+        # low densities too, where a mask falls apart in many components
+        rng = np.random.default_rng(16)
+        masks += [rng.random(rng.integers(1, 21, size=2)) < 0.5
+                  for _ in range(200)]
+        most = 0
+        for m in masks:
+            labels, count = seg.label_cross(m)
+            expected, expected_count = ndimage.label(m, structure=cross)
+            assert count == expected_count, m
+            assert np.array_equal(labels, expected), m
+            most = max(most, count)
+        assert most > 10
+
+    def test_fill_holes_matches_ndimage(self):
+        from scipy import ndimage
+
+        masks, _ = random_masks(7)
+        holes = 0
+        for m in masks:
+            filled = seg.fill_holes(m)
+            assert np.array_equal(filled, ndimage.binary_fill_holes(m)), m
+            holes += bool(np.any(filled & ~m))
+        assert holes > 50
+
+    def test_gaussian_matches_ndimage(self):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(8)
+        for k in range(200):
+            values = rng.standard_normal(rng.integers(1, 21, size=2))
+            # the last 20 kernels reach past both ends of the array
+            sigma = rng.uniform(0.5, 3.0) if k < 180 else 6.0
+            got = seg.gaussian_blur(values, sigma)
+            expected = ndimage.gaussian_filter(values, sigma)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(
+                np.abs(values)), (values.shape, sigma)
 
 
 class TestMaskExport:
