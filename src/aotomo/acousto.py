@@ -16,7 +16,9 @@ drive both the perturbed solves and the choice of which cells need a solve
 at all. A perturbed solve is CG preconditioned by the fast-diagonalised
 operator at the median coefficient, which is the background a0 unless the
 inclusions cover half the grid, and it applies only the coefficient's
-difference from that level, which lives on the inclusions and the shell.
+difference from that level, which lives on the inclusions and the shell;
+so CG runs on the box of those nodes, which lies in the inclusions' box
+grown by the displacement's amplitude.
 
 The one-cell measurements ``measure_M_eta`` and ``measure_Mtilde`` are what
 a sweep computes for one cell; the tests compare sweeps against them. The
@@ -324,8 +326,11 @@ class ForwardContext:
     factors nothing, and neither does a sweep. An M_eta sweep solves the
     perturbed systems of one radius as stacks of at most ``_MAX_STACK`` on
     the operator, each given as its displaced shell and warm-started from
-    this solution, and each stack is measured in one quadrature pass that
-    reads phi from this solution."""
+    this solution, whose residual in a displaced medium lives on the shell;
+    so each stack's CG runs on the box of the inclusions and the shells,
+    and only its exit solves and checks touch the whole grid. Each stack
+    is measured in one quadrature pass that reads phi from this
+    solution."""
 
     phantom: Phantom
     grid: Grid
@@ -420,14 +425,16 @@ def _with_shell(ctx: ForwardContext, shell) -> ScalarField:
     return ScalarField(ctx.grid, a)
 
 
-# systems per stacked perturbed solve. The background's direct solve costs
-# the same per column at any stack size (about 0.06, 0.5 and 1.7 ms at
-# n = 65, 129 and 201, one core), so a stack saves only the CG loop's
-# per-call work, and every system adds the CG work arrays to the peak
-# memory. A 16 x 32 sweep took 0.47, 0.37, 0.33 and 0.33 s of CPU at 1, 2, 4
-# and 8 systems at n = 65; 0.65, 0.56, 0.57 and 0.56 s at n = 129, peaking
-# at 44, 45, 47 and 52 MB; and 1.24, 1.14, 1.43 and 1.37 s at n = 201,
-# where a stack's arrays outgrow the cache
+# systems per stacked perturbed solve. Each CG iteration's box solve costs
+# the same per system at any stack size, so a stack saves only the loop's
+# per-call work, and every system adds its box arrays and its grid-sized
+# start, exit solve and residual check to the peak memory. On the box path
+# a 16 x 32 sweep of one disk of radius 0.2 took 0.26, 0.22, 0.17, 0.17 and
+# 0.17 s of CPU at 1, 2, 4, 6 and 8 systems at n = 65 (eta 1/16); 0.37,
+# 0.29, 0.26, 0.26 and 0.24 s at n = 129, its tracemalloc peak 3.2, 3.5,
+# 4.2, 5.0 and 5.8 MB; and 0.58, 0.54, 0.51, 0.51 and 0.59 s at n = 201
+# (eta 1/32 at both), peaking at 4.1, 4.9, 7.4, 9.4 and 14.0 MB. Beyond
+# four, only n = 129 gains, 7% at eight, for 1.6 MB more
 _MAX_STACK = 4
 
 

@@ -13,11 +13,18 @@ whose direct solver is fast diagonalisation (``fields.SeparableSolver``),
 since an operator with one constant coefficient is a Kronecker sum of 1-D
 forms at every l. No solve builds a sparse LU. A system A = T + D, for the
 diagonal D = row_weights * (a_A - c), is solved by conjugate gradient
-preconditioned by T's solver. T's solver inverts T exactly, so CG keeps A p
-by a recurrence that applies only D, and the stencil runs only to check the
-true residual at exit (see ``fields.cg``); if that misses the tolerance, CG
-runs once more from its iterate. When D is empty, as for a constant
-coefficient, the system is T, and one direct solve.
+preconditioned by T's solver, on the box of D's nodes. Its start is first
+moved, by one solve with T, until its residual is nonzero on D's nodes
+only; T's solver inverts T exactly, so CG keeps A p by a recurrence that
+applies only D, every residual stays on D's nodes, and each iteration
+needs T^-1 only from the box to the box: CG on the box is CG on T's
+capacitance system there (Buzbee, Dorr, George and Golub 1971, SIAM J.
+Numer. Anal. 8; Proskurowski and Widlund 1976, Math. Comp. 30). At
+exit one more solve with T, from the box to the grid, gives the solution,
+and the stencil checks its true residual on the whole grid (see
+``fields.cg``); if that misses the tolerance, CG runs once more from its
+iterate. When D is empty, as for a constant coefficient, the moved start
+is the solution.
 
 Backgrounds are shared: every operator with the same grid, l and median
 coefficient has the same background, and so the same diagonalisation. For
@@ -58,9 +65,9 @@ from .fields import (
     stack_dot,
 )
 
-_NO_NODES = np.zeros(0, dtype=np.intp)
 # the shell of a lone system, which replaces no node of its coefficient
-_NO_SHELL = (_NO_NODES, _NO_NODES, np.zeros(0))
+_NO_SHELL = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+             np.zeros(0))
 
 # backgrounds by (n, l, c), the least recently used first. A few keys: an
 # eviction between two keys in use would build their solver again
@@ -229,101 +236,122 @@ class RobinOperator:
         Either way A = T + D, for S's background T at the constant c (see
         :meth:`background`) and the diagonal D = row_weights * (a_A - c),
         nonzero where S's own coefficient differs from c or on the shell.
-        A lone system with D = 0, as for a constant coefficient, is solved
-        once by T's direct solver (see :meth:`factorized`), in 0
-        iterations. Every other system is solved by CG preconditioned by
-        that solver, applying only D in its loop (see ``fields.cg``): to
-        relative residual 1e-12 alone and 1e-10 with shells. CG stops on
-        its recurrence's residual and checks the true one once at exit; if
-        that misses, CG runs once more from its iterate. On a stack, the
-        residuals of the systems still iterating are solved as one
-        multi-right-hand-side direct solve. At l = 0 the boundary rows of
-        x are those of b. A lone solve reports its true relative residual
-        ||S x - b|| / ||b||; a stack, the worst system's.
+        Every system is solved by CG preconditioned by T's direct solver
+        (see :meth:`factorized`), applying only D in its loop, on the box
+        of D's nodes (see ``fields.cg``): to relative residual 1e-12 alone
+        and 1e-10 with shells. So a start is first moved until its residual
+        lives on D's nodes: a start ``x0`` by one solve with T, x0 + T^-1
+        (b - A x0), whose residual is -D T^-1 (b - A x0), and a cold start
+        to T^-1 b. A system with D = 0, as for a constant coefficient, is
+        then solved, in 0 iterations. CG stops on its recurrence's
+        residual and checks the true one, ||A x - b|| / ||b|| on the whole
+        grid, once at exit; if that misses, CG runs once more from its
+        iterate. On a stack, the residuals of the systems still iterating
+        are solved as one multi-right-hand-side box solve, and the residual
+        reported is the worst system's. At l = 0 the boundary rows of x are
+        those of b.
 
-        ``x0``, shaped like ``b``, starts the systems; a start costs one
-        more stencil apply, unless ``x0_unperturbed`` says it is S's own
-        solution for b, whose residual is -(A - S) x0, nonzero on the shell
-        only.
+        ``x0``, shaped like ``b``, starts the systems. With
+        ``x0_unperturbed`` it is S's own solution for b, whose residual is
+        -(A - S) x0, nonzero on the shell only, so it needs no move.
         """
         n = self.grid.n
         direct = self.factorized()
         background = self.background
-        a, c = self.a.ravel(), background.a.ravel()
-        lone = shells is None
-        if lone:
-            shells = [_NO_SHELL]
-        index, weight = self._diagonal(shells, c, np.flatnonzero(a != c))
+        box, d, r0 = self._diagonal(
+            [_NO_SHELL] if shells is None else shells, background.a.flat[0],
+            x0 if x0_unperturbed else None)
+        # one box per system, or the one box of a lone field
+        d = d.reshape(b.shape[:-2] + d.shape[1:])
+        at = (Ellipsis,) + box
 
         def shift(p, out):
-            # out is C-ordered, as every array CG passes here is, so its flat
-            # view is out itself
-            out.reshape(-1)[index] += weight * p.reshape(-1)[index]
+            out += d * p
 
-        def apply(x):
-            out = background.apply(x)
-            shift(x, out)
-            return out
-
-        def precond(r):
-            # one column per field, returned in Fortran order, so the
-            # transposes copy nothing
-            return direct.solve(r.reshape(-1, n * n).T).T.reshape(r.shape)
-
-        def run(start, r0=None):
-            return cg(apply, b, tol=1e-12 if lone else 1e-10,
-                      max_iter=50 * n, x0=start, precond=precond,
-                      dot=stack_dot if b.ndim == 3 else None, shift=shift,
-                      r0=r0)
-
-        if lone and not index.size:
-            x, res, its = precond(b), None, 0
+        if shells is None:
+            apply = self.apply
         else:
-            r0 = None
-            if x0_unperturbed:
-                # b - A x0 = (b - S x0) - (A - S) x0, and S x0 = b
-                moved, change = self._diagonal(shells, a)
-                r0 = np.zeros(b.shape)
-                r0.reshape(-1)[moved] = -change * x0.reshape(-1)[moved]
-            try:
-                x, res, its = run(x0, r0)
-            except SolverError as exc:
-                # the recurrence's residual drifted off the true one, or ran
-                # out of steps: once more from the iterate
-                x, res, its = run(exc.iterate)
-                its += exc.iterations
-        if self.l == 0:
-            # the identity rows, solved exactly; no interior row reads a
-            # boundary entry
-            rows = self.row_weights == 0
-            x[..., rows] = b[..., rows]
-        if lone:
-            res = float(np.linalg.norm(self.apply(x) - b)
-                        / (np.linalg.norm(b) or 1.0))
-        return x, res, its
+            def apply(x):
+                out = background.apply(x)
+                out[at] += d * x[at]
+                return out
 
-    def _diagonal(self, shells, ref, base=_NO_NODES):
-        """The nonzero entries of row_weights * (a_s - ref) for each
-        shell's system s, as flat indices into the stack of systems and
-        their values. The coefficient a_s is the shell's values on the shell
-        and this operator's coefficient elsewhere, so it can differ from the
-        flat array ``ref`` only on the shell and on ``base``: the flat nodes
-        where this operator's coefficient does. Each shell is merged into
-        ``base``, since a node indexed twice would be added once."""
-        n, a = self.grid.n, self.a.ravel()
-        weights = self.row_weights.ravel()
-        index, weight = [], []
-        for s, (i, j, values) in enumerate(shells):
-            nodes, coef = i * n + j, values
-            if base.size:
-                rest = base[~np.isin(base, nodes)]
-                nodes = np.concatenate([rest, nodes])
-                coef = np.concatenate([a[rest], coef])
-            d = weights[nodes] * (coef - ref[nodes])
-            keep = d != 0.0
-            index.append(nodes[keep] + s * n * n)
-            weight.append(d[keep])
-        return np.concatenate(index), np.concatenate(weight)
+        def moved(x):
+            # x moved by one solve with T, x + T^-1 (b - A x) in place, so
+            # that its residual -D T^-1 (b - A x) lives on D's nodes; and
+            # that residual on the box. A cold start moves to T^-1 b
+            if x is None:
+                x = t = direct.solve(b.reshape(-1, n * n).T).T.reshape(b.shape)
+            else:
+                r = apply(x)
+                np.subtract(b, r, out=r)
+                t = direct.solve(r.reshape(-1, n * n).T).T.reshape(b.shape)
+                x += t
+                if self.l == 0:
+                    # the identity rows, solved exactly; no interior row
+                    # reads a boundary entry
+                    rows = self.row_weights == 0
+                    x[..., rows] = b[..., rows]
+            return x, -(d * t[at])
+
+        def run(x, r):
+            return cg(apply, b, tol=1e-12 if shells is None else 1e-10,
+                      max_iter=50 * n, x0=x, r0=r,
+                      precond=lambda z: direct.solve_box(z, *box),
+                      dot=stack_dot if b.ndim == 3 else _dot, shift=shift,
+                      lift=lambda y: direct.solve_box(y, *box, full=True))
+
+        try:
+            if x0_unperturbed:
+                return run(x0, r0.reshape(d.shape))
+            return run(*moved(None if x0 is None
+                              else np.array(x0, dtype=np.float64)))
+        except SolverError as exc:
+            # the recurrence's residual drifted off the true one, or ran out
+            # of steps: once more from the iterate
+            x, res, its = run(*moved(exc.iterate))
+            return x, res, its + exc.iterations
+
+    def _diagonal(self, shells, c, x0=None):
+        """The box of D's nodes and, on it, D = row_weights * (a_s - c) of
+        each shell's system s, as a (k, rows, columns) stack, built in one
+        pass. The coefficient a_s is the shell's values on the shell and
+        this operator's coefficient elsewhere, and the box, two slices, is
+        the least that holds every node of nonzero row weight where either
+        differs from c; it is empty if there is none. Given this operator's
+        own solution ``x0`` (a stack), the third item is the box values of
+        each system's start residual -(A - S) x0 = row_weights * (a - a_s)
+        * x0; else None."""
+        a, w = self.a, self.row_weights
+        s = np.repeat(np.arange(len(shells)), [len(sh[0]) for sh in shells])
+        i, j, values = (np.concatenate(part) for part in zip(*shells))
+        nodes = a != c
+        changed = values != c
+        nodes[i[changed], j[changed]] = True
+        nodes &= w != 0.0
+        rows, cols = box = (_span(nodes.any(axis=1)), _span(nodes.any(axis=0)))
+        coef = np.repeat(a[box][None], len(shells), axis=0)
+        # a shell node off the box is of a zero row weight, or a and a_s
+        # are c there
+        inside = ((i >= rows.start) & (i < rows.stop) & (j >= cols.start)
+                  & (j < cols.stop))
+        coef[s[inside], i[inside] - rows.start,
+             j[inside] - cols.start] = values[inside]
+        d = w[box] * (coef - c)
+        if x0 is None:
+            return box, d, None
+        return box, d, w[box] * (a[box] - coef) * x0[(Ellipsis,) + box]
+
+
+def _span(flags):
+    """The least slice that holds every true entry of ``flags``."""
+    at = np.flatnonzero(flags)
+    return slice(at[0], at[-1] + 1) if at.size else slice(0, 0)
+
+
+def _dot(u, v):
+    """The dot product of two fields, as ``np.linalg.norm`` sums it."""
+    return float(u.ravel() @ v.ravel())
 
 
 def _one_sided_flux(grid, phi_values):

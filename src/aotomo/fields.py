@@ -298,7 +298,7 @@ def stack_dot(u, v):
 
 
 def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None,
-       shift=None, r0=None):
+       shift=None, r0=None, lift=None):
     """Conjugate gradient for an SPD operator given as a callable.
 
     Stops at relative residual ||b - Ax|| / ||b|| <= tol. Raises SolverError
@@ -317,17 +317,21 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None,
     carries the same three, and names the worst system in ``system``.
 
     Split operators: ``shift`` says that ``precond`` solves T z = r exactly
-    for an operator T that differs from A only by D = A - T; ``shift(p,
-    out)`` adds D p to ``out``, a C-ordered array, in place. Then
-    T z_k = r_k, so A p_k = r_k + D z_k + beta_k A p_(k-1) follows from
-    what CG already holds, and the loop never calls ``apply_op``. That
-    recurrence can drift from the true product by rounding, so the true
-    residual b - A x of each system is checked once at exit, with one call
-    of ``apply_op``; it is the residual returned and tested against
-    ``tol``.
-
-    ``r0`` is the start's residual b - A x0, when the caller has it;
-    otherwise a start ``x0`` costs one call of ``apply_op``.
+    for an operator T that differs from A only by a diagonal D = A - T, and
+    that D and the residual ``r0`` = b - A x0 of the start ``x0`` vanish off
+    a box of nodes. The loop then runs on box values alone: ``r0`` is given
+    by its box values, ``precond`` maps box values to the box values of
+    T^-1 of their extension by zero, and ``shift(p, out)`` adds D p to
+    ``out`` in place. T z_k = r_k, so A p_k = r_k + D z_k + beta_k A p_(k-1)
+    follows from what CG already holds, every residual stays on the box,
+    and the loop never calls ``apply_op``. Its iterate is the box values of
+    the correction e = x - x0, and T e = r0 - r - D e, so at exit
+    ``lift(y)``, T^-1 of the box values y extended by zero on the whole
+    grid, gives x = x0 + lift(r0 - r - D e). The recurrence can drift from
+    the true product by rounding, so the true residual b - A x of each
+    system is checked once at exit on the whole grid, with one call of
+    ``apply_op``; it is the residual returned and tested against ``tol``.
+    Without ``shift``, a start ``x0`` costs one call of ``apply_op``.
     """
     if dot is None:
         dot = lambda u, v: float(np.sum(u * v))
@@ -340,15 +344,17 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None,
     # is dead, divides by one below and never moves
     dead = bnorm == 0.0
     bnorm = bnorm + dead
-    # b and x0 may be broadcast views; the iterates are C-ordered arrays of
-    # their own, as ``shift`` may assume of its ``out``
-    if x0 is None:
+    # b and x0 may be broadcast views; the iterates are arrays of their own
+    if shift is not None:
+        # the correction's box values, from zero; x0 is read at exit only
+        r0 = np.asarray(r0, dtype=np.float64) * ~dead
+        x, r = np.zeros(r0.shape), r0.copy()
+    elif x0 is None:
         # a cold start needs no operator application: A(0) = 0
         x, r = np.zeros(b.shape), np.array(b, dtype=np.float64, order="C")
     else:
         x = np.array(x0, dtype=np.float64, order="C")
-        r = (b - apply_op(x) if r0 is None
-             else np.array(r0, dtype=np.float64, order="C"))
+        r = b - apply_op(x)
         if dead.any():
             x *= ~dead
             r *= ~dead
@@ -389,6 +395,13 @@ def cg(apply_op, b, tol=1e-10, max_iter=None, x0=None, precond=None, dot=None,
             shift(z, ap)
         rz = rz_new
     if shift is not None:
+        # T e = r0 - r - D e: lift(r - r0 + D e) is -e on the whole grid
+        r -= r0
+        shift(x, r)
+        x = lift(r)
+        np.subtract(x0, x, out=x)
+        if dead.any():
+            x *= ~dead
         miss = apply_op(x)
         np.subtract(b, miss, out=miss)
         res = np.sqrt(dot(miss, miss)) / bnorm
@@ -451,9 +464,11 @@ class SeparableSolver:
     the n-by-n grid, whose boundary rows are the identity.
 
     ``solve`` takes the shapes of SuperLU's: a vector of n*n values, or an
-    (n*n, k) array of k columns, returned Fortran-ordered. Each column is
-    transformed by its own matrix products, so its solution does not depend
-    on the columns beside it.
+    (n*n, k) array of k columns, returned Fortran-ordered. ``solve_box``
+    takes a right-hand side that is zero off a box of nodes, as an array of
+    its box values or a stack of them; only the box's rows of V enter its
+    products. Each column or stack entry is transformed by its own matrix
+    products, so its solution does not depend on those beside it.
     """
 
     def __init__(self, p, c, singular=False, border=False):
@@ -477,6 +492,31 @@ class SeparableSolver:
         else:
             x = v @ ((v.T @ stack @ v) * self._inv) @ v.T
         return x.reshape(len(x), -1).T.reshape(b.shape)
+
+    def solve_box(self, b, rows, cols, full=False):
+        """T^-1 E b for the values ``b`` of a right-hand side on the box of
+        node rows ``rows`` and columns ``cols`` (two slices, inside the
+        interior with ``border``), which E extends by zero to the grid: the
+        solution's box values, shaped like ``b``, or with ``full`` its values
+        on the whole grid, one (n, n) array per box of ``b``.
+
+        With V_R and V_C the box's rows of V, the box values are V_R [(V_R^T
+        B V_C) / (lam_i + lam_j)] V_C^T, so a product costs the box's share
+        of the whole grid's.
+        """
+        v, off = self._v, int(self._border)
+        n = len(v) + 2 * off
+        if not b.size:
+            return np.zeros(b.shape[:-2] + ((n, n) if full else b.shape[-2:]))
+        vr = v[rows.start - off:rows.stop - off]
+        vc = v[cols.start - off:cols.stop - off]
+        w = (vr.T @ b @ vc) * self._inv
+        if not full:
+            return vr @ w @ vc.T
+        x = v @ w @ v.T
+        if self._border:
+            return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)])
+        return x
 
     def inverse_block(self, nodes):
         """The principal block of T^-1 at the given row-major node indices,

@@ -26,11 +26,12 @@ solve here is CG preconditioned by the direct solver of that background
 operator, built once by fast diagonalisation and shared by every operator
 whose median coefficient is a0 (see ``diffusion``), as every coefficient
 here is while the masks cover less than half the grid; CG applies only the
-difference. The solves are the exhaustion's candidate solves, solved one stack of
-candidates at a time on the problem's ``reference`` operator, and
-Landweber's forward solves and the tangent and adjoint solves of DF and DF*,
-each solved alone. At a zero correction, as in the step-size estimate, DF
-and DF* need no tangent or adjoint solve.
+difference, and runs on the masks' box. The solves are the exhaustion's
+candidate solves, solved one stack of candidates at a time on the
+problem's ``reference`` operator, and Landweber's forward solves and the
+tangent and adjoint solves of DF and DF*, each solved alone. At a zero
+correction, as in the step-size estimate, DF and DF* need no tangent or
+adjoint solve.
 """
 
 from __future__ import annotations

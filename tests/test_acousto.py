@@ -576,6 +576,37 @@ class TestStackedSweep:
         assert scale > 0
         assert np.max(np.abs(sino.values - ref)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("n, eta", [(65, 0.0625), (129, 1.0 / 32)])
+    def test_stacked_solves_run_on_the_support_box(self, two_disk_phantom,
+                                                   monkeypatch, n, eta):
+        # every array the preconditioner of a stacked solve receives lies
+        # on the box of the inclusions' bounding circles grown by amp, the
+        # box that holds every displaced medium's change from a0
+        ctx = make_context(two_disk_phantom, Grid(n))
+        cfg = AcousticConfig(eta=eta)
+        rows = [[]]
+        cg = diffusion.cg
+
+        def recorded(apply_op, b, *args, precond, **kwargs):
+            def box(r):
+                if b.ndim == 3:
+                    rows[-1].append(r.shape)
+                return precond(r)
+            return cg(apply_op, b, *args, precond=box, **kwargs)
+
+        monkeypatch.setattr(diffusion, "cg", recorded)
+        sample_sinogram(ctx, cfg, 8, 16,
+                        progress=lambda done, total: rows.append([]))
+        assert sum(map(len, rows)) > 16
+        for r, shapes in zip(cfg.radii(16), rows):
+            if not shapes:
+                continue
+            i0, i1, j0, j1 = acousto._support_box(
+                ctx.phantom, ctx.grid, cfg.eta * cfg.r0 / r)
+            for shape in shapes:
+                assert shape[-2] <= i1 - i0 and shape[-1] <= j1 - j0, (
+                    r, shape)
+
     def test_stacks_hold_at_most_four_systems(self, two_disk_phantom,
                                               monkeypatch):
         ctx = make_context(two_disk_phantom, Grid(65))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aotomo import fields, kernels
+from aotomo import diffusion, fields, kernels
 from aotomo.diffusion import RobinOperator, RobinProblem, solve_DT, solve_T, solve_adjoint
 from aotomo.fields import BoundaryTrace, Grid, ScalarField, inner, norm_l2
 
@@ -409,3 +409,99 @@ class TestDirectSolver:
             # a constant coefficient is its own background
             assert background.background is background
         assert sparse_lus == []
+
+
+class TestBoxPath:
+    """``RobinOperator.solve`` runs CG on the box of D's nodes; each system
+    it solves matches the sparse direct solve of its assembled matrix."""
+
+    N = 33
+
+    @classmethod
+    def operator(cls, where, l):
+        """S, and shells of S: inside, a disk of S's coefficient and shells
+        on a ring around it, so D's box is a part of the grid; at the
+        edge, a disk over more than half the grid, so c is its level and D
+        lives in the four corners, and shells on the grid's edge."""
+        g = Grid(cls.N)
+        x, y = g.meshgrid()
+        if where == "inside":
+            a = np.where(np.hypot(x - 0.45, y - 0.55) < 0.15, 2.0, 1.0)
+            ring = np.abs(np.hypot(x - 0.5, y - 0.5) - 0.25) < 0.04
+        else:
+            a = np.where(np.hypot(x - 0.5, y - 0.5) < 0.5, 2.0, 1.0)
+            ring = (x < 0.1) & (y > 0.3) & (y < 0.7)
+        i, j = np.nonzero(ring)
+        shells = [(i, j, a[i, j] + 1.5 * np.sin(7 * x[i, j] + k) ** 2)
+                  for k in range(2)]
+        # a system whose shell changes nothing of S's coefficient
+        shells.append((i, j, a[i, j]))
+        return RobinOperator(g, a, l), shells
+
+    @staticmethod
+    def exact(op, shell, b):
+        """The system's solution by SciPy's sparse direct solve."""
+        import scipy.sparse.linalg as spla
+
+        i, j, values = shell
+        a = op.a.copy()
+        a[i, j] = values
+        matrix = RobinOperator(op.grid, a, op.l).sparse_matrix()
+        x = spla.spsolve(matrix.tocsc(), b.ravel()).reshape(b.shape)
+        return x, matrix
+
+    @staticmethod
+    def right_hand_side(op):
+        g = op.grid
+        rng = np.random.default_rng(17)
+        trace = BoundaryTrace(g, 1.0 + 0.3 * rng.standard_normal(4 * (g.n - 1)))
+        return op.boundary_rhs(trace) + op.source_rhs(
+            rng.standard_normal(g.shape))
+
+    @pytest.mark.parametrize("start", ["cold", "warm", "unperturbed"])
+    @pytest.mark.parametrize("l", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("where", ["inside", "edge"])
+    def test_matches_a_sparse_direct_solve(self, where, l, start,
+                                           monkeypatch):
+        op, shells = self.operator(where, l)
+        n = op.grid.n
+        b1 = self.right_hand_side(op)
+        own, _ = self.exact(op, (shells[0][0], shells[0][1],
+                                 op.a[shells[0][0], shells[0][1]]), b1)
+        b = np.broadcast_to(b1, (len(shells), n, n))
+        rng = np.random.default_rng(19)
+        x0 = {"cold": None,
+              # a start that is no system's solution
+              "warm": own + 0.1 * rng.standard_normal(b.shape),
+              "unperturbed": np.broadcast_to(own, b.shape)}[start]
+        boxes = []
+        cg = diffusion.cg
+
+        def recorded(apply_op, rhs, *args, precond, **kwargs):
+            def box(r):
+                boxes.append(r.shape[-2:])
+                return precond(r)
+            return cg(apply_op, rhs, *args, precond=box, **kwargs)
+
+        monkeypatch.setattr(diffusion, "cg", recorded)
+        x, res, _ = op.solve(b, x0=x0, shells=shells,
+                             x0_unperturbed=start == "unperturbed")
+        assert res <= 1e-10
+        for shell, xk in zip(shells, x):
+            exact, matrix = self.exact(op, shell, b1)
+            assert np.linalg.norm(xk - exact) <= 1e-10 * np.linalg.norm(
+                exact), shell
+            miss = np.linalg.norm(matrix @ xk.ravel() - b1.ravel())
+            assert miss <= (1e-10 + 1e-14) * np.linalg.norm(b1)
+        # the system whose shell changes nothing is S's own
+        assert np.linalg.norm(x[2] - own) <= 1e-10 * np.linalg.norm(own)
+        # the preconditioner sees D's box; at the edge that is the whole
+        # grid, or its interior at l = 0, where the boundary rows carry no D
+        whole = (n, n) if l > 0 else (n - 2, n - 2)
+        assert boxes and all((box == whole) == (where == "edge")
+                             for box in boxes)
+        # a lone system, cold and from the start of a stack's
+        start0 = None if x0 is None else x0[0]
+        x, res, _ = op.solve(b1, x0=None if start == "unperturbed" else start0)
+        assert res <= 1e-12
+        assert np.linalg.norm(x - own) <= 1e-12 * np.linalg.norm(own)

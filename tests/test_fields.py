@@ -217,12 +217,22 @@ class TestCg:
 
         return apply_a, b, precond, shift, applies
 
+    @staticmethod
+    def moved_start(b, precond, shift):
+        """The start T^-1 b, whose residual b - A x0 is -D x0, and that
+        residual; D's box is the whole grid here."""
+        x0 = precond(b)
+        r0 = np.zeros(b.shape)
+        shift(x0, r0)
+        return x0, -r0
+
     def test_split_operator_matches_full_apply(self):
         apply_a, b, precond, shift, applies = self.split_systems()
-        full = cg(apply_a, b, precond=precond, dot=fields.stack_dot)
+        x0, r0 = self.moved_start(b, precond, shift)
+        full = cg(apply_a, b, x0=x0, precond=precond, dot=fields.stack_dot)
         applies[0] = 0
-        split = cg(apply_a, b, precond=precond, dot=fields.stack_dot,
-                   shift=shift)
+        split = cg(apply_a, b, x0=x0, r0=r0, precond=precond,
+                   dot=fields.stack_dot, shift=shift, lift=precond)
         # the loop applies only D; A runs once, for the exit check
         assert applies[0] == 1
         assert split[2] == full[2] > 3
@@ -246,9 +256,11 @@ class TestCg:
         # as a plain preconditioner it is fine
         x, res, _ = cg(apply_a, b, precond=scaled, dot=fields.stack_dot)
         assert res <= 1e-10
+        # taken for T's solver, in the start, the loop and the exit
+        x0, r0 = self.moved_start(b, scaled, shift)
         with pytest.raises(SolverError, match="drifted") as info:
-            cg(apply_a, b, precond=scaled, dot=fields.stack_dot, shift=shift,
-               max_iter=200)
+            cg(apply_a, b, x0=x0, r0=r0, precond=scaled,
+               dot=fields.stack_dot, shift=shift, lift=scaled, max_iter=200)
         exc = info.value
         # the recurrence converged early; the true residual did not
         assert exc.iterations < 200
@@ -344,6 +356,33 @@ class TestPoissonDirichlet:
         expected = solver.solve(unit)[nodes]
         got = solver.inverse_block(nodes)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
+
+    @pytest.mark.parametrize("border", [False, True])
+    def test_box_solve_is_the_solve_of_the_extended_box(self, border):
+        n = 20
+        m = n - 2 if border else n
+        rng = np.random.default_rng(12)
+        p = fields.second_difference(m + 2)[1:-1, 1:-1] + np.diag(
+            rng.uniform(0.1, 1.0, m))
+        solver = fields.SeparableSolver(p, rng.uniform(0.5, 2.0, m),
+                                        border=border)
+        box = (slice(3, 11), slice(6, 19))
+        values = rng.standard_normal((2, 8, 13))
+        extended = np.zeros((2, n, n))
+        extended[(Ellipsis,) + box] = values
+        whole = solver.solve(extended.reshape(2, -1).T).T.reshape(2, n, n)
+        scale = np.max(np.abs(whole))
+        full = solver.solve_box(values, *box, full=True)
+        assert full.shape == (2, n, n)
+        assert np.max(np.abs(full - whole)) <= 1e-13 * scale
+        # the box values alone, of a stack or of one field
+        got = solver.solve_box(values, *box)
+        assert np.max(np.abs(got - whole[(Ellipsis,) + box])) <= 1e-13 * scale
+        assert np.array_equal(solver.solve_box(values[1], *box), got[1])
+        # an empty box has the zero solution
+        empty = solver.solve_box(np.zeros((2, 0, 0)), slice(0, 0),
+                                 slice(0, 0), full=True)
+        assert empty.shape == (2, n, n) and not empty.any()
 
     def test_refinement_order(self):
         errs = []
