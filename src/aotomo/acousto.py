@@ -8,17 +8,19 @@ smooth bump with unit sup-norm.
 
 A sweep runs one radius at a time. The cells of one radius share everything
 that depends on r alone: their displaced shells are built together, and
-``_ShellQuadrature`` measures several of them in one vectorised pass of the
-polar shell quadrature; a single measurement is a pass of one cell. A
-perturbed medium is its displaced shell ``(i, j, values)``: the nodes where
-a_u can differ from the sampled coefficient, and a_u on them. The shells
-drive both the perturbed solves and the choice of which cells need a solve
-at all. A perturbed solve is CG preconditioned by the fast-diagonalised
-operator at the median coefficient, which is the background a0 unless the
-inclusions cover half the grid, and it applies only the coefficient's
-difference from that level, which lives on the inclusions and the shell;
-so CG runs on the box of those nodes, which lies in the inclusions' box
-grown by the displacement's amplitude.
+``_ShellQuadrature`` measures all of them, still and moving, in one
+vectorised pass of the polar shell quadrature; a single measurement is a
+pass of one cell. A perturbed medium is its displaced shell ``(i, j,
+values)``: the nodes where a_u can differ from the sampled coefficient, and
+a_u on them. The shells drive both the perturbed solves and the choice of
+which cells need a solve at all. A perturbed solve is CG preconditioned by
+the fast-diagonalised operator at the median coefficient, which is the
+background a0 unless the inclusions cover half the grid, and it applies only
+the coefficient's difference from that level, which lives on the inclusions
+and the shell; so CG runs on the box of those nodes, which lies in the
+inclusions' box grown by the displacement's amplitude. The pass reads its
+fields on that box too, grown by one node (``_ShellQuadrature.crop``), and
+reads the coefficient from each ray's shape quadratic.
 
 The one-cell measurements ``measure_M_eta`` and ``measure_Mtilde`` are what
 a sweep computes for one cell; the tests compare sweeps against them. The
@@ -52,7 +54,8 @@ from .phantom import Phantom
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
 # distance a point must keep from a bounding circle or a rim for
-# Phantom.eval to place it on a known side despite rounding
+# the coefficient (Phantom.eval, Phantom.along_rays) to place it on a known
+# side despite rounding
 _NUDGE = 1e-9
 
 
@@ -328,9 +331,9 @@ class ForwardContext:
     the operator, each given as its displaced shell and warm-started from
     this solution, whose residual in a displaced medium lives on the shell;
     so each stack's CG runs on the box of the inclusions and the shells,
-    and only its exit solves and checks touch the whole grid. Each stack
-    is measured in one quadrature pass that reads phi from this
-    solution."""
+    and only its exit solves and checks touch the whole grid. The radius is
+    then measured in one quadrature pass over one field stack on the
+    pass's crop: phi of this solution, then each stack's solutions."""
 
     phantom: Phantom
     grid: Grid
@@ -469,35 +472,18 @@ def perturbed_solution(ctx: ForwardContext, config: AcousticConfig, y, r):
 
 
 def _ray_rim_crossings(inclusion, y, ct, st):
-    """Radii where rays from y cross the inclusion rim (quadratic solve).
+    """Radii where rays from y cross the inclusion rim, s^2 = 1 on the
+    ray's shape quadratic (``Inclusion.ray_quadratic``).
 
     ``y`` is a source, or a pair of arrays of source coordinates that
     broadcast against ``ct``, one source per ray. Returns two arrays of radii
     aligned with the rays, NaN where a ray misses the rim.
     """
-    cx, cy = inclusion.center
-    dx0 = y[0] - cx
-    dy0 = y[1] - cy
-    if inclusion.shape == "disk":
-        A = np.ones_like(ct)
-        B = dx0 * ct + dy0 * st
-        C = dx0 * dx0 + dy0 * dy0 - inclusion.radius**2
-    else:
-        ca, sa = math.cos(inclusion.angle), math.sin(inclusion.angle)
-        ax, bx = inclusion.semi_axes
-        du = (ca * dx0 + sa * dy0) / ax
-        dv = (-sa * dx0 + ca * dy0) / bx
-        xu = (ca * ct + sa * st) / ax
-        xv = (-sa * ct + ca * st) / bx
-        A = xu * xu + xv * xv
-        B = du * xu + dv * xv
-        C = du * du + dv * dv - 1.0
-    disc = B * B - A * C
-    ok = disc > 0
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    lo = np.where(ok, (-B - sq) / A, np.nan)
-    hi = np.where(ok, (-B + sq) / A, np.nan)
-    return lo, hi
+    A, rho_c, m = inclusion.ray_quadratic(y, ct, st)
+    ok = m < 1.0
+    half = np.sqrt(np.where(ok, 1.0 - m, 0.0) / A)
+    return (np.where(ok, rho_c - half, np.nan),
+            np.where(ok, rho_c + half, np.nan))
 
 
 def _meets_support(phantom, y, lo, hi, ct, st):
@@ -519,11 +505,10 @@ def _meets_support(phantom, y, lo, hi, ct, st):
 
 
 # lattice points per piece of a quadrature pass: a pass evaluates its lattice
-# rows in pieces of at most this many points, with about 150 bytes of
-# temporaries per point. At 32768 the sweep's peak traced memory rose 2.4 MB
-# (n=65) and 1.9 MB (n=129) above the per-cell quadrature's; at 16384 it
-# matches it. A piece costs about 0.4 ms of fixed work, so the halving adds
-# about 15 ms to an n=65 sweep
+# rows in pieces of at most this many points, with about 130 bytes of
+# temporaries per point. By tracemalloc, a 16 x 32 sweep of a disk of radius
+# 0.2 peaks at 3.7 MB (n=65, eta 1/16) and 4.4 MB (n=129, eta 1/32) at
+# 16384 points, and 2.1 MB higher at both at 32768
 _PASS_POINTS = 16384
 
 
@@ -586,19 +571,22 @@ class _ShellQuadrature:
     that ``rays_meeting_support`` keeps, one row per kept ray, and the
     per-ray integral is exactly zero on the others. The cull is exact: the
     radial inverse fixes both ends of the shell, so the displaced radius
-    rho* stays in [r - eta, r + eta]; Phantom.eval returns exactly a0 off
-    every inclusion, so a - a0 and a_u - a are zero on the dropped rays; and
-    a rim-crossing root inside the shell lies on a rim, so every ray that
-    carries a jump correction is kept.
+    rho* stays in [r - eta, r + eta]; the coefficient is exactly a0 off
+    every bounding circle, so a - a0 and a_u - a are zero on the dropped
+    rays; and a rim-crossing root inside the shell lies on a rim, so every
+    ray that carries a jump correction is kept.
 
     The object holds what depends on r alone: the radial lattice rho and its
-    displaced radii rho*, the base angles and the trapezoid weights.
-    ``measure_M_eta`` and ``measure_Mtilde`` measure several sources' cells
-    in one pass. The pass's lattice rows are the kept rays of all its cells,
-    evaluated in pieces of at most ``_PASS_POINTS`` points. Every value is
-    an elementwise operation, a row-wise sum or a root that stops on its
-    own, so a cell's value does not depend on the cells that share its
-    pass, nor on the size of the pieces.
+    displaced radii rho*, the base angles, the trapezoid weights and the
+    ``crop`` that an M_eta pass needs its fields on. ``measure_M_eta`` and
+    ``measure_Mtilde`` measure several sources' cells in one pass; a sweep
+    measures each radius in one. The pass's lattice rows are the kept rays of
+    all its cells, evaluated in pieces of at most ``_PASS_POINTS`` points;
+    the jump corrections of the pass are computed once. Every value is an
+    elementwise operation, a row-wise sum or a root that stops on its own,
+    so a cell's value does not depend on the cells that share its pass, nor
+    on the size of the pieces, nor on whether its fields are held on the
+    crop or on the whole grid.
     """
 
     def __init__(self, ctx, config, r):
@@ -680,27 +668,41 @@ class _ShellQuadrature:
         integrand (radial Jacobian included) at each jump radius on each ray.
         The jumps of one ray in one radial cell form a group; the cell's
         trapezoid is replaced by the trapezoids of the pieces between its
-        nodes and the group's jumps.
+        nodes and the group's jumps (``jump_corrections``).
         """
         # a sum along each contiguous row does not depend on how many rows
         # there are, so neither the cull nor the pass changes a value
         per_ray = np.sum(lattice_vals * self.weights, axis=1)
-        if not jumps:
-            return per_ray
+        if jumps:
+            groups = self.jump_groups(jumps)
+            rays, cells = groups[:2]
+            per_ray += self.jump_corrections(
+                groups, lattice_vals[rays, cells],
+                lattice_vals[rays, cells + 1], per_ray.size)
+        return per_ray
+
+    def jump_groups(self, jumps):
+        """The jumps of the tuples ``jumps`` (see ``radial_integrals``) as
+        ``(rays, cells, radii, below, above)``, with the radial cell of each
+        jump, sorted by ray, then cell, then radius."""
         rays, radii, below, above = (np.concatenate(part)
                                      for part in zip(*jumps))
         cells = np.clip(((radii - self.rho[0]) / self.drho).astype(int),
                         0, self.rho.size - 2)
         order = np.lexsort((radii, cells, rays))
-        rays, cells, radii, below, above = (
-            v[order] for v in (rays, cells, radii, below, above))
+        return tuple(v[order] for v in (rays, cells, radii, below, above))
+
+    def jump_corrections(self, groups, g_lo, g_hi, size):
+        """What the jumps change in the trapezoid of each of ``size`` rays,
+        from the sorted jumps ``groups`` of ``jump_groups`` and the integrand
+        on the lower and upper node of each jump's cell, ``g_lo`` and
+        ``g_hi``."""
+        rays, cells, radii, below, above = groups
         first = np.ones(rays.size, dtype=bool)
         first[1:] = (rays[1:] != rays[:-1]) | (cells[1:] != cells[:-1])
         # a group ends where the next one starts
         last = np.roll(first, -1)
         group = np.cumsum(first) - 1
-        g_lo = lattice_vals[rays, cells]
-        g_hi = lattice_vals[rays, cells + 1]
         # the piece that ends at a jump starts at the group's previous jump,
         # or at the cell's lower node; the last jump also starts a piece
         # that ends at the upper node
@@ -711,9 +713,8 @@ class _ShellQuadrature:
         exact = np.bincount(np.concatenate([group, group[last]]),
                             weights=np.concatenate([pieces, tails[last]]))
         plain = 0.5 * self.drho * (g_lo + g_hi)
-        per_ray += np.bincount(rays[first], weights=exact - plain[first],
-                               minlength=per_ray.size)
-        return per_ray
+        return np.bincount(rays[first], weights=exact - plain[first],
+                           minlength=size)
 
     def adaptive_theta_nodes(self, ys):
         """Base angular nodes plus refined nodes over the rim-sweep bands,
@@ -783,53 +784,101 @@ class _ShellQuadrature:
         order of ``nodes.keep``. ``lattice(cell, ct, st)`` gives the
         integrand (radial Jacobian included) on the radial lattice of the
         rays with those cell indices and direction cosines and sines; it is
-        called on at most ``_PASS_POINTS`` lattice points at a time, with
-        the jumps of those rays.
+        called on at most ``_PASS_POINTS`` lattice points at a time.
+
+        Each piece's rows get the plain trapezoid, and each jump keeps the
+        integrand on the nodes of its cell, so that the jump corrections of
+        the whole pass are computed once.
         """
-        rays, radii, below, above = (np.concatenate(part)
-                                     for part in zip(*jumps))
-        order = np.argsort(rays, kind="stable")
-        rays, radii, below, above = (v[order]
-                                     for v in (rays, radii, below, above))
-        per_ray = np.zeros(nodes.angles.size)
+        groups = self.jump_groups(jumps)
+        rays, cells = groups[:2]
+        g_lo, g_hi = np.empty(rays.size), np.empty(rays.size)
+        kept = np.empty(nodes.keep.size)
         step = max(1, _PASS_POINTS // self.rho.size)
         for s in range(0, nodes.keep.size, step):
             part = nodes.keep[s:s + step]
+            vals = lattice(nodes.cell[part], nodes.ct[part], nodes.st[part])
+            kept[s:s + step] = self.radial_integrals(vals, [])
             a, b = np.searchsorted(rays, [s, s + step])
-            per_ray[part] = self.radial_integrals(
-                lattice(nodes.cell[part], nodes.ct[part], nodes.st[part]),
-                [(rays[a:b] - s, radii[a:b], below[a:b], above[a:b])])
+            g_lo[a:b] = vals[rays[a:b] - s, cells[a:b]]
+            g_hi[a:b] = vals[rays[a:b] - s, cells[a:b] + 1]
+        kept += self.jump_corrections(groups, g_lo, g_hi, kept.size)
+        per_ray = np.zeros(nodes.angles.size)
+        per_ray[nodes.keep] = kept
         return nodes.theta_totals(per_ray) / self.eta**2
 
-    def measure_M_eta(self, ys, phi_u=None):
+    @cached_property
+    def crop(self):
+        """Node index ranges ``(i0, i1, j0, j1)`` of the box that holds every
+        field value an M_eta pass multiplies by a nonzero factor: the box of
+        the inclusions' bounding circles grown by amp (plus 1e-9 for
+        rounding), grown by one node on each side, so that it holds the four
+        corners of every point in that box.
+
+        A lattice value is nonzero only where rho or rho* lies in a bounding
+        circle, and |rho - rho*| <= amp; a jump lies on a rim or within amp
+        of one. A point off the unit square can see a coefficient change
+        only if the box reaches the grid's edge.
+        """
+        n = self.ctx.grid.n
+        i0, i1, j0, j1 = _support_box(self.phantom, self.ctx.grid,
+                                      self.amp + _NUDGE)
+        return max(i0 - 1, 0), min(i1 + 1, n), max(j0 - 1, 0), min(j1 + 1, n)
+
+    def measure_M_eta(self, ys, phi_u=None, own=None):
         """M_eta of the cells at the sources ``ys`` (k, 2), one pass.
 
         ``phi_u`` is the (k, n, n) stack of the energy densities in the
         cells' displaced media; None measures cells whose medium does not
-        move, where phi_u is phi.
+        move, where phi_u is phi. With ``own``, ``phi_u`` is instead one
+        stack of fields whose field 0 is phi and whose field ``own[c]`` is
+        the phi_u of cell c, held on the whole grid or on ``crop``: a sweep
+        measures all the cells of a radius, still and moving, in one pass
+        over one such stack.
 
-        The coefficient change is evaluated symbolically, the displaced
-        radius comes from the radial root solve, and rim-crossing jumps are
-        integrated exactly, so the thin support of a_u - a is resolved at any
-        eta.
+        The coefficient change is evaluated symbolically, along each ray
+        from its shape quadratics (``Inclusion.ray_quadratic``), the
+        displaced radius comes from the radial root solve, and rim-crossing
+        jumps are integrated exactly, so the thin support of a_u - a is
+        resolved at any eta. phi and phi_u are read together, from one
+        corner computation (``kernels.box_corners``); a point off the box
+        reads the values at the box's edge, which an exact zero multiplies.
         """
         ys = np.asarray(ys, dtype=float).reshape(-1, 2)
         phantom, r, eta, amp = self.phantom, self.r, self.eta, self.amp
         rho, rho_star = self.rho, self.rho_star
-        phi = self.ctx.solution.phi.values[None]
-        # the stack each point reads phi (field 0) and its cell's phi_u from
-        if phi_u is None:
-            phis, own = phi, np.zeros(len(ys), dtype=np.intp)
-        else:
-            phis, own = np.concatenate([phi, phi_u]), np.arange(1, len(ys) + 1)
+        if own is None:
+            phi = self.ctx.solution.phi.values[None]
+            if phi_u is None:
+                phi_u, own = phi, np.zeros(len(ys), dtype=np.intp)
+            else:
+                phi_u = np.concatenate([phi, phi_u])
+                own = np.arange(1, len(ys) + 1)
+        n = self.ctx.grid.n
+        box = ((0, n, 0, n) if phi_u.shape[1:] == self.ctx.grid.shape
+               else self.crop)
+        flat = phi_u.reshape(-1)
+        size = phi_u[0].size
+        i0, i1, j0, j1 = self.crop
+        past_edge = i0 == 0 or j0 == 0 or i1 == n or j1 == n
 
-        def gather(cell, px, py):
-            """phi and phi_u at points of the cells ``cell``, which
-            broadcast against the points."""
-            field = own[cell]
-            return kernels.bilinear_gather(
-                phis, px, py, self.h,
-                field=np.stack([np.zeros_like(field), field]))
+        def paired(cell, px, py):
+            """phi times phi_u at points of the cells ``cell``, which
+            broadcast against the points; zero off the unit square."""
+            index, weight = kernels.box_corners(px, py, self.h, box)
+            # one corner at a time, so no array holds four corners of a read
+            at_phi = np.take(flat, index[0]) * weight[0]
+            for c in (1, 2, 3):
+                at_phi += np.take(flat, index[c]) * weight[c]
+            index.reshape((4,) + np.shape(px))[...] += own[cell] * size
+            out = np.take(flat, index[0]) * weight[0]
+            for c in (1, 2, 3):
+                out += np.take(flat, index[c]) * weight[c]
+            out *= at_phi
+            out = out.reshape(np.shape(px))
+            if past_edge:
+                out[(px < 0.0) | (px > 1.0) | (py < 0.0) | (py > 1.0)] = 0.0
+            return out
 
         nodes = self.adaptive_theta_nodes(ys)
         cell, yx, yy, ct, st = nodes.kept_rays()
@@ -856,30 +905,26 @@ class _ShellQuadrature:
         on = np.concatenate([rays, rays, rays, moved])
         at = np.concatenate([rc - _NUDGE, rc + _NUDGE, rstar, rr + _NUDGE])
         a_in, a_out, adisp, base = np.split(
-            phantom.eval(yx[on] + at * ct[on], yy[on] + at * st[on]),
+            phantom.along_rays((yx[on], yy[on]), ct[on], st[on], at),
             np.cumsum([rays.size] * 3))
-        # the smooth factor at both kinds of jump, in one gather
+        # the smooth factor at both kinds of jump, in one read
         on = np.concatenate([rays, moved])
         at = np.concatenate([rc, rr])
-        phi_b, phi_v = gather(cell[on], yx[on] + at * ct[on],
-                              yy[on] + at * st[on])
-        sm = phi_b * phi_v * at
+        sm = paired(cell[on], yx[on] + at * ct[on], yy[on] + at * st[on]) * at
         sm, smm = sm[:rc.size], sm[rc.size:]
         jumps = [(rays, rc, (adisp - a_in) * sm, (adisp - a_out) * sm),
                  (moved, rr, (a_in[move] - base) * smm,
                   (a_out[move] - base) * smm)]
 
         def lattice(cell, ct, st):
-            yx, yy = ys[cell, :1], ys[cell, 1:]
-            px = yx + np.outer(ct, rho)
-            py = yy + np.outer(st, rho)
-            # the coefficient at the displaced radii rho* minus at rho; off
-            # the unit square the gather reads zero, so the lattice is zero
-            dcoef = phantom.eval(yx + np.outer(ct, rho_star),
-                                 yy + np.outer(st, rho_star))
-            dcoef -= phantom.eval(px, py)
-            phi_b, phi_v = gather(cell[:, None], px, py)
-            return dcoef * phi_b * phi_v * rho
+            y = ys[cell, :1], ys[cell, 1:]
+            ct, st = ct[:, None], st[:, None]
+            # the coefficient at the displaced radii rho* minus at rho
+            dcoef = phantom.along_rays(y, ct, st, rho_star)
+            dcoef -= phantom.along_rays(y, ct, st, rho)
+            dcoef *= paired(cell[:, None], y[0] + ct * rho, y[1] + st * rho)
+            dcoef *= rho
+            return dcoef
 
         return self.integrate(nodes, jumps, lattice)
 
@@ -984,30 +1029,28 @@ def _M_eta_column(quad: _ShellQuadrature, q, sources, cells, out):
     source.
 
     The displaced shells of all the cells are built together. The cells
-    whose shell changes ``ctx.a`` are solved in near-equal stacks of at most
-    ``_MAX_STACK`` systems, and each stack is measured in one pass; the
-    other cells are measured in one pass on ``ctx.solution``. The values
-    equal those of ``measure_M_eta`` cell by cell up to the rounding of the
-    stacked CG.
+    whose shell changes ``ctx.a`` are solved first, in near-equal stacks of
+    at most ``_MAX_STACK`` systems; each stack's solutions go into one field
+    stack on ``quad.crop``, after phi at index 0. Then every cell, still and
+    moving, is measured in one pass over that stack. The values equal those
+    of ``measure_M_eta`` cell by cell up to the rounding of the stacked CG.
     """
     ctx = quad.ctx
     with _sinogram_cells(q, cells):
         shells = _displaced_shells(ctx, quad.config, sources[cells], quad.r)
-    moves = [_moves(ctx, shell) for shell in shells]
-    still = [m for m, mv in zip(cells, moves) if not mv]
-    moving = [m for m, mv in zip(cells, moves) if mv]
-    shells = [shell for shell, mv in zip(shells, moves) if mv]
-    if still:
-        with _sinogram_cells(q, still):
-            out[still] = quad.measure_M_eta(sources[still])
-    if not moving:
-        return
-    for part in np.array_split(np.arange(len(moving)),
-                               math.ceil(len(moving) / _MAX_STACK)):
-        stack = [moving[s] for s in part]
-        with _sinogram_cells(q, stack):
-            phis = _displaced_phis(ctx, [shells[s] for s in part])
-            out[stack] = quad.measure_M_eta(sources[stack], phis)
+    moving = [c for c, shell in enumerate(shells) if _moves(ctx, shell)]
+    i0, i1, j0, j1 = quad.crop
+    fields = np.empty((1 + len(moving), i1 - i0, j1 - j0))
+    fields[0] = ctx.solution.phi.values[i0:i1, j0:j1]
+    own = np.zeros(len(cells), dtype=np.intp)
+    own[moving] = np.arange(1, len(moving) + 1)
+    stacks = math.ceil(len(moving) / _MAX_STACK)
+    for part in np.array_split(moving, stacks) if stacks else ():
+        with _sinogram_cells(q, [cells[c] for c in part]):
+            fields[own[part]] = _displaced_phis(
+                ctx, [shells[c] for c in part])[:, i0:i1, j0:j1]
+    with _sinogram_cells(q, cells):
+        out[cells] = quad.measure_M_eta(sources[cells], fields, own)
 
 
 def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
@@ -1020,7 +1063,8 @@ def sample_sinogram(ctx: ForwardContext, config: AcousticConfig, ny: int,
     share one ``_ShellQuadrature``. An M_eta sweep builds the displaced
     shells of the radius's cells together, solves the cells whose shell
     changes the medium as stacks on the context's operator, preconditioned
-    by fast diagonalisation, and measures each stack in one pass (see
+    by fast diagonalisation, and then measures every cell of the radius in
+    one pass over the solutions held on the pass's crop (see
     ``_M_eta_column``); an Mtilde sweep solves nothing and measures the
     radius in one pass. Every cell's value is computed by the same
     operations whatever cells share its pass, so outputs are deterministic.

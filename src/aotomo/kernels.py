@@ -10,10 +10,12 @@ tests of the direct solves in ``fields``.
 position map is monotone: ``acousto.AcousticConfig.monotone_radius`` and the
 branch choice in :func:`radial_invert` both read it.
 
-:func:`bilinear_corners` holds the corner-index and weight arithmetic of
-bilinear interpolation once; :func:`bilinear_gather`, :func:`bilinear_scatter`
-and the circle quadrature matrix of ``radon`` (``radon._SampleLayout``) are
-built on it.
+:func:`box_corners` holds the corner-index and weight arithmetic of
+bilinear interpolation once. :func:`bilinear_corners` is that arithmetic on
+the whole grid, for the points inside the unit square; :func:`bilinear_gather`,
+:func:`bilinear_scatter` and the circle quadrature matrix of ``radon``
+(``radon._SampleLayout``) are built on it, and the M_eta shell quadrature of
+``acousto`` reads its fields on a box through :func:`box_corners`.
 
 All arrays are float64 and C-contiguous; fields are (n, n) with index [i, j]
 mapping to the point (i*h, j*h).
@@ -136,42 +138,22 @@ def edge_form_apply(x, cx, cy):
     return out
 
 
-def bilinear_gather(values, px, py, h, field=None):
+def bilinear_gather(values, px, py, h):
     """Sample a grid field at arbitrary points; zero outside the unit square.
 
     ``values`` is one (n, n) field or a stack (k, n, n) of fields read at the
     same points; the corners and weights are computed once for the stack.
     The result has the shape of ``px``, after a leading axis of length k for
     a stack.
-
-    ``field`` picks the fields of a stack per point instead: an integer
-    array whose trailing axes broadcast to the shape of ``px``, and whose
-    leading axes, if any, read several fields at each point. The result has
-    the shape of ``field`` broadcast to ``px``, and its entry at point p
-    reads the field ``field[..., p]``.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
     keep, index, weight = bilinear_corners(px, py, h, n)
-    if field is None:
-        shape = values.shape[:-2] + np.shape(px)
-        stack = values.reshape(-1, n * n)
+    shape = values.shape[:-2] + np.shape(px)
+    stack = values.reshape(-1, n * n)
 
-        def corner(c):
-            return np.take(stack, index[c], axis=1)
-    else:
-        field = np.asarray(field)
-        reads = field.shape[:max(field.ndim - np.ndim(px), 0)]
-        shape = reads + np.shape(px)
-        # where each read's field starts in the flat stack
-        start = np.broadcast_to(field * (n * n), shape).reshape(
-            math.prod(reads), keep.size)
-        if not keep.all():
-            start = start[:, keep]
-        flat = values.reshape(-1)
-
-        def corner(c):
-            return np.take(flat, index[c] + start)
+    def corner(c):
+        return np.take(stack, index[c], axis=1)
     # one corner at a time, so no array holds all four corners of every read
     v = corner(0) * weight[0]
     v += corner(1) * weight[1]
@@ -189,9 +171,8 @@ def bilinear_corners(px, py, h, n):
 
     Points outside the unit square, where :func:`bilinear_gather` reads zero,
     are dropped. Returns ``(keep, index, weight)``: ``keep`` is the boolean
-    mask of the kept points, and ``index`` and ``weight`` have shape
-    (4, kept), holding the flat C-order index into an (n, n) field and the
-    weight of the corners (i, j), (i+1, j), (i, j+1) and (i+1, j+1).
+    mask of the kept points, and ``index`` and ``weight`` are those of
+    :func:`box_corners` on the whole (n, n) grid.
     """
     px = np.asarray(px, dtype=np.float64).ravel()
     py = np.asarray(py, dtype=np.float64).ravel()
@@ -199,27 +180,52 @@ def bilinear_corners(px, py, h, n):
     if not keep.all():
         px = px[keep]
         py = py[keep]
-    # in place where it can be: this runs on every shell-quadrature pass
-    tx = np.clip(px / h, 0.0, n - 1 - 1e-12)
-    ty = np.clip(py / h, 0.0, n - 1 - 1e-12)
-    ix = tx.astype(np.intp)
-    iy = ty.astype(np.intp)
-    tx -= ix
-    ty -= iy
-    sx = 1.0 - tx
-    sy = 1.0 - ty
-    index = np.empty((4, px.size), dtype=np.intp)
-    np.multiply(ix, n, out=index[0])
-    index[0] += iy
-    np.add(index[0], n, out=index[1])
-    np.add(index[0], 1, out=index[2])
-    np.add(index[0], n + 1, out=index[3])
-    weight = np.empty((4, px.size))
-    np.multiply(sx, sy, out=weight[0])
-    np.multiply(tx, sy, out=weight[1])
-    np.multiply(sx, ty, out=weight[2])
-    np.multiply(tx, ty, out=weight[3])
+    index, weight = box_corners(px, py, h, (0, n, 0, n))
     return keep, index, weight
+
+
+def box_corners(px, py, h, box):
+    """The four nodes and weights of bilinear interpolation at the points
+    ``px``, ``py`` (flattened) among the nodes of the box ``(i0, i1, j0,
+    j1)``, node index ranges of a grid of spacing h.
+
+    Each point is clamped into the box's cells: a point inside reads the
+    nodes and weights it has on the whole grid, bit for bit, and any other
+    point those of a cell at the box's edge. Returns ``(index, weight)`` of
+    shape (4, points): the flat C-order index into the (i1 - i0, j1 - j0)
+    box and the weight of the corners (i, j), (i+1, j), (i, j+1) and (i+1,
+    j+1).
+    """
+    i0, i1, j0, j1 = box
+    px = np.asarray(px, dtype=np.float64).ravel()
+    py = np.asarray(py, dtype=np.float64).ravel()
+    # in place where it can be: this runs on every shell-quadrature pass
+    tx = np.clip(px / h, i0, i1 - 1 - 1e-12)
+    ty = np.clip(py / h, j0, j1 - 1 - 1e-12)
+    width = j1 - j0
+    index = np.empty((4, px.size), dtype=np.intp)
+    ix = tx.astype(np.intp)
+    tx -= ix
+    np.multiply(ix, width, out=index[0])
+    del ix
+    iy = ty.astype(np.intp)
+    ty -= iy
+    index[0] += iy
+    del iy
+    index[0] -= i0 * width + j0
+    np.add(index[0], width, out=index[1])
+    np.add(index[0], 1, out=index[2])
+    np.add(index[0], width + 1, out=index[3])
+    # 1 - tx and 1 - ty are built in the rows they end in, so that the
+    # points hold no more temporaries than tx and ty
+    weight = np.empty((4, px.size))
+    np.subtract(1.0, tx, out=weight[0])
+    np.multiply(weight[0], ty, out=weight[2])
+    np.subtract(1.0, ty, out=weight[1])
+    weight[0] *= weight[1]
+    weight[1] *= tx
+    np.multiply(tx, ty, out=weight[3])
+    return index, weight
 
 
 def bilinear_scatter(vals, px, py, h, out):

@@ -27,7 +27,9 @@ class Inclusion:
 
     The coefficient inside is base + amplitude * (1 - s^2)^3 where s is the
     normalized shape coordinate (s = 1 on the rim), so the value and its
-    first two derivatives match the constant base at the boundary.
+    first two derivatives match the constant base at the boundary. Every
+    reading of the shape goes through s^2 (``squared_coordinate``, or
+    ``ray_quadratic`` along rays), and a point is inside where s^2 <= 1.
     """
 
     shape: str                      # "disk" | "ellipse"
@@ -46,28 +48,43 @@ class Inclusion:
         if self.shape == "ellipse" and min(self.semi_axes) <= 0:
             raise PhantomError("ellipse semi-axes must be positive")
 
-    def normalized_radius(self, x, y):
-        """Shape coordinate s: s < 1 inside, s = 1 on the rim."""
-        cx, cy = self.center
-        dx = np.asarray(x) - cx
-        dy = np.asarray(y) - cy
+    def squared_coordinate(self, x, y):
+        """Squared shape coordinate s^2: below 1 inside, 1 on the rim."""
+        dx = np.asarray(x, dtype=float) - self.center[0]
+        dy = np.asarray(y, dtype=float) - self.center[1]
         if self.shape == "disk":
-            return np.hypot(dx, dy) / self.radius
+            return (dx * dx + dy * dy) / (self.radius * self.radius)
+        u, v = self._frame(dx, dy)
+        return u * u + v * v
+
+    def _frame(self, dx, dy):
+        """The components of the vectors (dx, dy) along the semi-axes, each
+        over its semi-axis; for a disk, over the radius."""
+        if self.shape == "disk":
+            return dx / self.radius, dy / self.radius
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        u = ca * dx + sa * dy
-        v = -sa * dx + ca * dy
         a, b = self.semi_axes
-        return np.sqrt((u / a) ** 2 + (v / b) ** 2)
+        return (ca * dx + sa * dy) / a, (-sa * dx + ca * dy) / b
+
+    def ray_quadratic(self, y, ct, st):
+        """The squared shape coordinate along the rays y + rho (ct, st), as
+        the quadratic s^2(rho) = A (rho - rho_c)^2 + m in vertex form.
+
+        ``y`` is a point, or a pair of arrays of point coordinates that
+        broadcast against ``ct``, one per ray. Returns the arrays ``(A,
+        rho_c, m)``: rho_c is the radius of the ray's closest approach to
+        the centre in the shape's metric and m = s^2 there. m comes from a
+        cross product, so it carries no cancellation.
+        """
+        du, dv = self._frame(y[0] - self.center[0], y[1] - self.center[1])
+        eu, ev = self._frame(ct, st)
+        A = eu * eu + ev * ev
+        cross = du * ev - dv * eu
+        return A, -(du * eu + dv * ev) / A, cross * cross / A
 
     def contains(self, x, y, closed=True):
-        s = self.normalized_radius(x, y)
-        return s <= 1.0 if closed else s < 1.0
-
-    def profile(self, s):
-        """Bump value at shape coordinate s (zero outside)."""
-        s = np.asarray(s, dtype=float)
-        t = np.clip(1.0 - s * s, 0.0, None)
-        return self.amplitude * t**3
+        s2 = self.squared_coordinate(x, y)
+        return s2 <= 1.0 if closed else s2 < 1.0
 
     def value_range(self):
         lo = min(self.base, self.base + self.amplitude)
@@ -137,9 +154,9 @@ class Phantom:
             return True  # bounding circles are exact for disks
         pa = a.boundary_points(1024)
         pb = b.boundary_points(1024)
-        if np.any(b.normalized_radius(pa[:, 0], pa[:, 1]) <= 1.0):
+        if np.any(b.contains(pa[:, 0], pa[:, 1])):
             return True
-        if np.any(a.normalized_radius(pb[:, 0], pb[:, 1]) <= 1.0):
+        if np.any(a.contains(pb[:, 0], pb[:, 1])):
             return True
         # one fully inside the other
         if a.contains(*b.center) or b.contains(*a.center):
@@ -152,13 +169,48 @@ class Phantom:
         """Pointwise coefficient value; vectorized over x, y."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.full(np.broadcast(x, y).shape, self.a0)
-        for inc in self.inclusions:
-            s = inc.normalized_radius(x, y)
-            m = s <= 1.0
-            if np.any(m):
-                out[m] = inc.base + inc.profile(s[m])
+        out = self.at_coordinates(np.broadcast(x, y).shape, (
+            inc.squared_coordinate(x, y) for inc in self.inclusions))
         return out if out.shape else float(out)
+
+    def along_rays(self, y, ct, st, radii):
+        """The coefficient at the points y + rho (ct, st), from each ray's
+        shape quadratics (``Inclusion.ray_quadratic``).
+
+        ``y`` is a point or a pair of arrays of point coordinates; they,
+        ``ct``, ``st`` and the radii ``radii`` broadcast together, and the
+        result has their broadcast shape.
+        """
+        shape = np.broadcast_shapes(np.shape(y[0]), np.shape(y[1]),
+                                    np.shape(ct), np.shape(st),
+                                    np.shape(radii))
+
+        def squares():
+            for inc in self.inclusions:
+                A, rho_c, m = inc.ray_quadratic(y, ct, st)
+                s2 = radii - rho_c
+                s2 *= s2
+                s2 *= A
+                s2 += m
+                yield s2
+
+        return self.at_coordinates(shape, squares())
+
+    def at_coordinates(self, shape, squares):
+        """The coefficient at points of the given shape from their squared
+        shape coordinates: ``squares`` yields one array of that shape per
+        inclusion, in order."""
+        out = np.full(shape, self.a0)
+        for inc, s2 in zip(self.inclusions, squares):
+            # the bump on every point and a select, which costs less than
+            # gathering and scattering the points inside
+            t = 1.0 - s2
+            bump = t * t
+            bump *= t
+            bump *= inc.amplitude
+            bump += inc.base
+            out = np.where(s2 <= 1.0, bump, out)
+        return out
 
     def sample(self, grid: Grid) -> ScalarField:
         x, y = grid.meshgrid()

@@ -547,12 +547,90 @@ class TestShellPass:
         assert passes > 2
 
 
+    @pytest.mark.parametrize("which", ["disk_phantom", "ellipse_phantom",
+                                       "two_disk_phantom"])
+    def test_ray_coefficient_matches_eval(self, request, which):
+        # the lattice's coefficient, from each ray's shape quadratic, is the
+        # Cartesian coefficient at the lattice points, and exactly a0 off
+        # every bounding circle
+        ph = request.getfixturevalue(which)
+        ctx = make_context(ph, Grid(33))
+        cfg = AcousticConfig(eta=0.0625)
+        inside = outside = 0
+        for r in cfg.radii(16)[1:]:
+            quad = acousto._ShellQuadrature(ctx, cfg, r)
+            nodes = quad.adaptive_theta_nodes(cfg.sources(8))
+            y = (nodes.ys[nodes.cell, :1], nodes.ys[nodes.cell, 1:])
+            ct, st = nodes.ct[:, None], nodes.st[:, None]
+            for radii in (quad.rho, quad.rho_star):
+                got = ph.along_rays(y, ct, st, radii)
+                px, py = y[0] + ct * radii, y[1] + st * radii
+                assert np.max(np.abs(got - ph.eval(px, py))) <= 1e-14, r
+                off = np.ones(px.shape, dtype=bool)
+                for inc in ph.inclusions:
+                    off &= (np.hypot(px - inc.center[0], py - inc.center[1])
+                            > inc.bounding_radius() + 1e-9)
+                assert np.all(got[off] == ph.a0), r
+                inside += np.count_nonzero(got != ph.a0)
+                outside += np.count_nonzero(off)
+        assert inside > 1000 and outside > 1000
+
+    @pytest.mark.parametrize("which, l", [("two_disk_phantom", 0.1),
+                                          ("two_disk_phantom", 0.0),
+                                          ("edge_ellipse_phantom", 0.1)])
+    def test_cropped_stack_matches_full_grid_fields(self, request, which, l):
+        # a pass reads the same, bit for bit, from a radius's field stack
+        # held on the crop as from the same fields on the whole grid
+        ctx = make_context(request.getfixturevalue(which), Grid(65), l=l)
+        cfg = AcousticConfig(eta=0.0625)
+        sources = cfg.sources(8)
+        phi = ctx.solution.phi.values
+        n = ctx.grid.n
+        passes, cropped, edge = 0, False, False
+        for r in cfg.radii(16):
+            live = [m for m in range(8) if not acousto._ShellQuadrature
+                    .misses_support(ctx.phantom, cfg, sources[m], r)]
+            if not live:
+                continue
+            quad = acousto._ShellQuadrature(ctx, cfg, r)
+            ys = sources[live]
+            shells = acousto._displaced_shells(ctx, cfg, ys, r)
+            moving = [c for c, shell in enumerate(shells)
+                      if acousto._moves(ctx, shell)]
+            full = phi[None]
+            if moving:
+                full = np.concatenate([full, acousto._displaced_phis(
+                    ctx, [shells[c] for c in moving])])
+            own = np.zeros(len(live), dtype=np.intp)
+            own[moving] = np.arange(1, len(moving) + 1)
+            i0, i1, j0, j1 = quad.crop
+            got = quad.measure_M_eta(ys, full[:, i0:i1, j0:j1], own)
+            assert np.array_equal(got, quad.measure_M_eta(ys, full, own)), r
+            passes += bool(got.any())
+            cropped |= (i1 - i0) * (j1 - j0) < n * n
+            edge |= i0 == 0 or j0 == 0 or i1 == n or j1 == n
+        assert passes > 2 and cropped
+        assert edge == (which == "edge_ellipse_phantom")
+
+
 @pytest.fixture(scope="module")
 def ellipse_phantom():
     return phantom.Phantom(
         a0=1.0, lower=0.5, upper=2.0,
         inclusions=[phantom.Inclusion("ellipse", (0.55, 0.45),
                                       semi_axes=(0.16, 0.1), angle=0.5,
+                                      base=1.25, amplitude=0.25)],
+    )
+
+
+@pytest.fixture(scope="module")
+def edge_ellipse_phantom():
+    """A flat ellipse near the bottom of D, whose bounding circle, and so
+    each radius's crop, reaches past the grid's edge."""
+    return phantom.Phantom(
+        a0=1.0, lower=0.5, upper=2.0,
+        inclusions=[phantom.Inclusion("ellipse", (0.5, 0.2),
+                                      semi_axes=(0.3, 0.05), angle=0.0,
                                       base=1.25, amplitude=0.25)],
     )
 
@@ -669,11 +747,12 @@ class TestStackedSweep:
             not acousto._ShellQuadrature.misses_support(ctx.phantom, cfg, y, r)
             for y in sources)]
         callers = [name for name, _ in roots]
-        # one shell build per live radius, one root batch per pass, and the
-        # lattice's displaced radii once per radius
+        # one shell build, one quadrature pass (of still and moving cells
+        # alike) and so one root batch, and the lattice's displaced radii
+        # once, per live radius
         assert [r for name, r in roots
                 if name == "_shell_displacements"] == live
-        assert callers.count("measure_M_eta") == passes[0] > len(live)
+        assert callers.count("measure_M_eta") == passes[0] == len(live)
         assert callers.count("rho_star") == len(live)
         assert len(callers) == 2 * len(live) + passes[0]
         # the stacked solves apply the stencil only to check their result

@@ -52,24 +52,33 @@ def test_stacked_gather_matches_single_fields():
         assert np.max(np.abs(single - ref)) <= 1e-15 * np.max(np.abs(f))
 
 
-def test_per_point_field_matches_stacked_gather():
+def test_box_corners_match_the_whole_grid():
     rng = np.random.default_rng(10)
-    stack = rng.standard_normal((4, N, N))
-    # points partly outside the unit square, where gather reads zero
-    px = rng.random((40, 50)) * 1.3 - 0.15
-    py = rng.random((40, 50)) * 1.3 - 0.15
-    every = kernels.bilinear_gather(stack, px, py, H)
-    rows = rng.integers(0, 4, (40, 1))
-    # field 0 at every point, and one field per row of points
-    got = kernels.bilinear_gather(stack, px, py, H,
-                                  field=np.stack([np.zeros_like(rows), rows]))
-    assert got.shape == (2, 40, 50)
-    assert np.array_equal(got[0], every[0])
-    assert np.array_equal(got[1],
-                          np.take_along_axis(every, rows[None], axis=0)[0])
-    # without leading axes, one read per point
-    one = kernels.bilinear_gather(stack, px, py, H, field=rows)
-    assert np.array_equal(one, got[1])
+    f = rng.standard_normal((N, N))
+    # points all over the unit square and past it
+    px = rng.random(4000) * 1.3 - 0.15
+    py = rng.random(4000) * 1.3 - 0.15
+    for box in [(5, 20, 9, 31), (0, N, 0, N), (0, 12, 17, N)]:
+        i0, i1, j0, j1 = box
+        index, weight = kernels.box_corners(px, py, H, box)
+        crop = f[i0:i1, j0:j1].ravel()
+        got = np.sum(crop[index] * weight, axis=0)
+        # a point in one of the box's cells reads what the whole grid's
+        # gather reads, bit for bit
+        inside = ((px >= i0 * H) & (px <= (i1 - 1) * H)
+                  & (py >= j0 * H) & (py <= (j1 - 1) * H)
+                  & (px <= 1.0) & (py <= 1.0))
+        assert inside.any() and not inside.all()
+        keep, full_index, full_weight = kernels.bilinear_corners(
+            px[inside], py[inside], H, N)
+        assert keep.all()
+        assert np.array_equal(weight[:, inside], full_weight)
+        ref = np.sum(f.ravel()[full_index] * full_weight, axis=0)
+        assert np.array_equal(got[inside], ref)
+        # any other point reads the corners of a cell of the box
+        assert index.min() >= 0 and index.max() < crop.size
+        assert np.all((weight >= 0.0) & (weight <= 1.0))
+        assert np.allclose(weight.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
 
 def test_stacked_robin_apply_matches_single_fields():
