@@ -18,9 +18,10 @@ the fast-diagonalised operator at the median coefficient, which is the
 background a0 unless the inclusions cover half the grid, and it applies only
 the coefficient's difference from that level, which lives on the inclusions
 and the shell; so CG runs on the box of those nodes, which lies in the
-inclusions' box grown by the displacement's amplitude. The pass reads its
-fields on that box too, grown by one node (``_ShellQuadrature.crop``), and
-reads the coefficient from each ray's shape quadratic.
+inclusions' box grown by the displacement's amplitude. The M_eta and the
+Mtilde pass differ only in their integrand: both read their fields on that
+box grown by one node (``_ShellQuadrature.crop``), the coefficient from each
+ray's shape quadratic, and build angular nodes only near the inclusions.
 
 The one-cell measurements ``measure_M_eta`` and ``measure_Mtilde`` are what
 a sweep computes for one cell; the tests compare sweeps against them. The
@@ -280,6 +281,8 @@ def _shell_displacements(config: AcousticConfig, ys, r, c, box=None):
     lo = max(r - width, 0.0) * (1.0 - 1e-9)
     hi = (r + width) * (1.0 + 1e-9)
     s, i, j = np.nonzero((dsq >= lo * lo) & (dsq <= hi * hi))
+    # freed before the per-node arrays, which set the sweep's peak memory
+    del dsq
     d = np.hypot(cx[s, i], cy[s, j])
     shell = np.abs(d - r) <= width
     s, i, j, d = s[shell], i[shell], j[shell], d[shell]
@@ -354,7 +357,8 @@ class ForwardContext:
     @cached_property
     def phi_and_gradient(self):
         """phi and the two components of its gradient as one (3, n, n)
-        stack, gathered together by ``measure_Mtilde``."""
+        stack, which an Mtilde pass reads on its crop in one corner
+        computation."""
         grad_phi = gradient(self.solution.phi)
         return np.stack([self.solution.phi.values, grad_phi.vx, grad_phi.vy])
 
@@ -507,42 +511,25 @@ def _meets_support(phantom, y, lo, hi, ct, st):
 # lattice points per piece of a quadrature pass: a pass evaluates its lattice
 # rows in pieces of at most this many points, with about 130 bytes of
 # temporaries per point. By tracemalloc, a 16 x 32 sweep of a disk of radius
-# 0.2 peaks at 3.7 MB (n=65, eta 1/16) and 4.4 MB (n=129, eta 1/32) at
-# 16384 points, and 2.1 MB higher at both at 32768
+# 0.2 peaks at 3.4 (M_eta) and 2.9 MB (Mtilde) at n=65, eta 1/16, and 3.7 and
+# 3.0 MB at n=129, eta 1/32, at 16384 points; 2.1-2.2 MB higher at 32768
 _PASS_POINTS = 16384
 
 
 @dataclass
 class _ShellNodes:
-    """The angular nodes of the cells of one pass, as flat arrays.
-
-    Cell c (source ``ys[c]``) owns the entries ``start[c]:start[c + 1]``,
-    sorted by angle over one period. ``near`` holds the flat indices of the
-    rays that can come near an inclusion, and ``keep`` those of the rays the
-    lattice is evaluated on.
+    """The near angular nodes of the cells of one pass (cell c is the
+    source ``ys[c]``), as flat arrays in (cell, angle) order. ``weight`` is
+    each node's periodic-trapezoid weight among all its cell's angles, and
+    ``keep`` marks the rays the lattice is evaluated on.
     """
 
     ys: np.ndarray
-    angles: np.ndarray
     ct: np.ndarray
     st: np.ndarray
     cell: np.ndarray
-    start: np.ndarray
-    near: np.ndarray
+    weight: np.ndarray
     keep: np.ndarray
-
-    def theta_totals(self, per_ray):
-        """Periodic trapezoid over each cell's sorted, possibly non-uniform
-        angle set, given values on every ray."""
-        first, last = self.start[:-1], self.start[1:] - 1
-        ahead = np.arange(1, self.angles.size + 1)
-        ahead[last] = first
-        gaps = self.angles[ahead]
-        gaps[last] += 2 * np.pi
-        gaps -= self.angles
-        terms = 0.5 * gaps * (per_ray + per_ray[ahead])
-        return np.array([np.sum(terms[a:b])
-                         for a, b in zip(first, self.start[1:])])
 
     def kept_rays(self):
         """The cell index, the source coordinates and the direction cosines
@@ -578,15 +565,15 @@ class _ShellQuadrature:
 
     The object holds what depends on r alone: the radial lattice rho and its
     displaced radii rho*, the base angles, the trapezoid weights and the
-    ``crop`` that an M_eta pass needs its fields on. ``measure_M_eta`` and
-    ``measure_Mtilde`` measure several sources' cells in one pass; a sweep
-    measures each radius in one. The pass's lattice rows are the kept rays of
-    all its cells, evaluated in pieces of at most ``_PASS_POINTS`` points;
-    the jump corrections of the pass are computed once. Every value is an
-    elementwise operation, a row-wise sum or a root that stops on its own,
-    so a cell's value does not depend on the cells that share its pass, nor
-    on the size of the pieces, nor on whether its fields are held on the
-    crop or on the whole grid.
+    ``crop`` that a pass reads its fields on (``read``). ``measure_M_eta``
+    and ``measure_Mtilde`` measure several sources' cells in one pass; a
+    sweep measures each radius in one. The pass's lattice rows are the kept
+    rays of all its cells, evaluated in pieces of at most ``_PASS_POINTS``
+    points; the jump corrections of the pass are computed once. Every value
+    is an elementwise operation, a row-wise sum, a sum over one cell's rays
+    in order or a root that stops on its own, so a cell's value does not
+    depend on the cells that share its pass, nor on the size of the pieces,
+    nor on whether its fields are held on the crop or on the whole grid.
     """
 
     def __init__(self, ctx, config, r):
@@ -717,15 +704,15 @@ class _ShellQuadrature:
                            minlength=size)
 
     def adaptive_theta_nodes(self, ys):
-        """Base angular nodes plus refined nodes over the rim-sweep bands,
-        for the cells at the sources ``ys`` (k, 2), as ``_ShellNodes``.
+        """The near angular nodes of the cells at the sources ``ys`` (k, 2),
+        base and refined over the rim-sweep bands, as ``_ShellNodes``.
 
         The near rays are the base rays that reach an inclusion's bounding
-        circle within r +- 1.5 eta, and every refined ray; the kept rays are
-        the near rays that ``rays_meeting_support`` keeps (a ray that is not
-        near misses the narrower shell segment too). Refinement of a base
-        interval is driven by how far the crossing radii move across it
-        relative to eta.
+        circle within r +- 1.5 eta, and every refined ray; only they are
+        built. The kept rays are the near rays that ``rays_meeting_support``
+        keeps (a ray that is not near misses the narrower shell segment
+        too). Refinement of a base interval is driven by how far the
+        crossing radii move across it relative to eta.
 
         The rim quadratic is solved only on the near base rays and one
         neighbour on each side. That changes no angle: a root in the band
@@ -753,35 +740,39 @@ class _ShellQuadrature:
                             np.clip(np.ceil(sweep / (self.eta / 8.0)), 1, 64),
                             64).astype(int)
             subdiv[ac, aj] = np.maximum(subdiv[ac, aj], fine)
-        # base node j of a cell is followed by the subdiv - 1 refined nodes
+        # base interval j of a cell holds the subdiv - 1 refined nodes
         # theta_j + step i / subdiv, i = 1, ..., subdiv - 1, which lie
-        # strictly between theta_j and the next base node: that is the
-        # sorted order
-        size = subdiv.ravel()
-        owner = np.repeat(np.arange(size.size), size)
-        i = np.arange(owner.size) - (np.cumsum(size) - size)[owner]
-        j = owner % nt
-        refined = np.nonzero(i)[0]
+        # strictly between theta_j and the next base node: after its base
+        # node, if that is near, they are in angle order
+        built = subdiv - 1 + base_near
+        bc, bj = np.nonzero(built)
+        count = built[bc, bj]
+        owner = np.repeat(np.arange(count.size), count)
+        # i = 0 is the base node
+        i = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+        i += ~base_near[bc, bj][owner]
+        cell, j, size = bc[owner], bj[owner], subdiv[bc, bj][owner]
         step = 2 * np.pi / nt
-        angles = self.theta[j]
-        angles[refined] += step * i[refined] / size[owner[refined]]
         ct, st = self.ct[j], self.st[j]
-        ct[refined] = np.cos(angles[refined])
-        st[refined] = np.sin(angles[refined])
-        cell = owner // nt
-        near = np.nonzero((i > 0) | base_near.ravel()[owner])[0]
-        y = ys[cell[near]]
-        hit = self.rays_meeting_support((y[:, 0], y[:, 1]), ct[near],
-                                        st[near])
-        start = np.concatenate([[0], np.cumsum(subdiv.sum(axis=1))])
-        return _ShellNodes(ys, angles, ct, st, cell, start, near, near[hit])
+        refined = np.nonzero(i)[0]
+        angles = self.theta[j[refined]] + step * i[refined] / size[refined]
+        ct[refined] = np.cos(angles)
+        st[refined] = np.sin(angles)
+        # half the gaps to the neighbours: step / subdiv on each side of a
+        # refined node; a base node's lower gap is its previous interval's
+        weight = step / size
+        base = np.nonzero(i == 0)[0]
+        weight[base] = 0.5 * (step / subdiv[cell[base], j[base] - 1]
+                              + step / size[base])
+        keep = self.rays_meeting_support((ys[cell, 0], ys[cell, 1]), ct, st)
+        return _ShellNodes(ys, ct, st, cell, weight, keep)
 
     def integrate(self, nodes, jumps, lattice):
         """(1/eta^2) times the shell integral of each cell of ``nodes``.
 
         The integrand is zero off the kept rays. ``jumps`` are the jump
-        tuples of ``radial_integrals`` on the kept rays, counted in the
-        order of ``nodes.keep``. ``lattice(cell, ct, st)`` gives the
+        tuples of ``radial_integrals`` on the kept rays, counted in (cell,
+        angle) order. ``lattice(cell, ct, st)`` gives the
         integrand (radial Jacobian included) on the radial lattice of the
         rays with those cell indices and direction cosines and sines; it is
         called on at most ``_PASS_POINTS`` lattice points at a time.
@@ -793,37 +784,72 @@ class _ShellQuadrature:
         groups = self.jump_groups(jumps)
         rays, cells = groups[:2]
         g_lo, g_hi = np.empty(rays.size), np.empty(rays.size)
-        kept = np.empty(nodes.keep.size)
+        cell, _, _, ct, st = nodes.kept_rays()
+        kept = np.empty(cell.size)
         step = max(1, _PASS_POINTS // self.rho.size)
-        for s in range(0, nodes.keep.size, step):
-            part = nodes.keep[s:s + step]
-            vals = lattice(nodes.cell[part], nodes.ct[part], nodes.st[part])
-            kept[s:s + step] = self.radial_integrals(vals, [])
+        for s in range(0, cell.size, step):
+            part = slice(s, s + step)
+            vals = lattice(cell[part], ct[part], st[part])
+            kept[part] = self.radial_integrals(vals, [])
             a, b = np.searchsorted(rays, [s, s + step])
             g_lo[a:b] = vals[rays[a:b] - s, cells[a:b]]
             g_hi[a:b] = vals[rays[a:b] - s, cells[a:b] + 1]
         kept += self.jump_corrections(groups, g_lo, g_hi, kept.size)
-        per_ray = np.zeros(nodes.angles.size)
-        per_ray[nodes.keep] = kept
-        return nodes.theta_totals(per_ray) / self.eta**2
+        # the periodic trapezoid in angle: a sequential sum over each cell's
+        # kept rays, in angle order
+        kept *= nodes.weight[nodes.keep]
+        return np.bincount(cell, weights=kept,
+                           minlength=len(nodes.ys)) / self.eta**2
 
     @cached_property
     def crop(self):
         """Node index ranges ``(i0, i1, j0, j1)`` of the box that holds every
-        field value an M_eta pass multiplies by a nonzero factor: the box of
-        the inclusions' bounding circles grown by amp (plus 1e-9 for
-        rounding), grown by one node on each side, so that it holds the four
-        corners of every point in that box.
+        field value a pass multiplies by a nonzero factor: the box of the
+        inclusions' bounding circles grown by amp (plus 1e-9 for rounding),
+        grown by one node on each side, so that it holds the four corners of
+        every point in that box.
 
-        A lattice value is nonzero only where rho or rho* lies in a bounding
-        circle, and |rho - rho*| <= amp; a jump lies on a rim or within amp
-        of one. A point off the unit square can see a coefficient change
-        only if the box reaches the grid's edge.
+        A lattice value is nonzero only where rho (Mtilde) or rho or rho*
+        (M_eta) lies in a bounding circle, and |rho - rho*| <= amp; a jump
+        lies on a rim or within amp of one. A point off the unit square can
+        see a coefficient change only if the box reaches the grid's edge.
         """
         n = self.ctx.grid.n
         i0, i1, j0, j1 = _support_box(self.phantom, self.ctx.grid,
                                       self.amp + _NUDGE)
         return max(i0 - 1, 0), min(i1 + 1, n), max(j0 - 1, 0), min(j1 + 1, n)
+
+    def read(self, fields, rows, px, py):
+        """The bilinear values at the points of the field ``fields[row]``
+        for each of ``rows`` (field indices, or arrays of them broadcasting
+        against the points), from one ``kernels.box_corners`` call. The stack
+        is held on the whole grid or on ``crop``; a point off ``crop`` reads
+        the values at its edge, which a pass multiplies by an exact zero.
+        Where ``crop`` reaches the grid's edge, a point off the unit square
+        reads zero."""
+        n = self.ctx.grid.n
+        i0, i1, j0, j1 = box = self.crop
+        if fields.shape[1:] == self.ctx.grid.shape:
+            box = (0, n, 0, n)
+        index, weight = kernels.box_corners(px, py, self.h, box)
+        shape = np.shape(px)
+        flat = fields.reshape(-1)
+        outside = ((px < 0.0) | (px > 1.0) | (py < 0.0) | (py > 1.0)
+                   if 0 in (i0, j0) or n in (i1, j1) else None)
+        out, at = [], 0
+        for row in rows:
+            # the corners move to the row's field in place
+            if np.any(row != at):
+                index.reshape((4,) + shape)[...] += (row - at) * fields[0].size
+                at = row
+            # one corner at a time, so no array holds four corners of a read
+            value = np.take(flat, index[0]) * weight[0]
+            for c in (1, 2, 3):
+                value += np.take(flat, index[c]) * weight[c]
+            out.append(value.reshape(shape))
+            if outside is not None:
+                out[-1][outside] = 0.0
+        return out
 
     def measure_M_eta(self, ys, phi_u=None, own=None):
         """M_eta of the cells at the sources ``ys`` (k, 2), one pass.
@@ -840,9 +866,7 @@ class _ShellQuadrature:
         from its shape quadratics (``Inclusion.ray_quadratic``), the
         displaced radius comes from the radial root solve, and rim-crossing
         jumps are integrated exactly, so the thin support of a_u - a is
-        resolved at any eta. phi and phi_u are read together, from one
-        corner computation (``kernels.box_corners``); a point off the box
-        reads the values at the box's edge, which an exact zero multiplies.
+        resolved at any eta. phi and phi_u are read together (``read``).
         """
         ys = np.asarray(ys, dtype=float).reshape(-1, 2)
         phantom, r, eta, amp = self.phantom, self.r, self.eta, self.amp
@@ -854,30 +878,12 @@ class _ShellQuadrature:
             else:
                 phi_u = np.concatenate([phi, phi_u])
                 own = np.arange(1, len(ys) + 1)
-        n = self.ctx.grid.n
-        box = ((0, n, 0, n) if phi_u.shape[1:] == self.ctx.grid.shape
-               else self.crop)
-        flat = phi_u.reshape(-1)
-        size = phi_u[0].size
-        i0, i1, j0, j1 = self.crop
-        past_edge = i0 == 0 or j0 == 0 or i1 == n or j1 == n
 
         def paired(cell, px, py):
             """phi times phi_u at points of the cells ``cell``, which
-            broadcast against the points; zero off the unit square."""
-            index, weight = kernels.box_corners(px, py, self.h, box)
-            # one corner at a time, so no array holds four corners of a read
-            at_phi = np.take(flat, index[0]) * weight[0]
-            for c in (1, 2, 3):
-                at_phi += np.take(flat, index[c]) * weight[c]
-            index.reshape((4,) + np.shape(px))[...] += own[cell] * size
-            out = np.take(flat, index[0]) * weight[0]
-            for c in (1, 2, 3):
-                out += np.take(flat, index[c]) * weight[c]
+            broadcast against the points."""
+            at_phi, out = self.read(phi_u, (0, own[cell]), px, py)
             out *= at_phi
-            out = out.reshape(np.shape(px))
-            if past_edge:
-                out[(px < 0.0) | (px > 1.0) | (py < 0.0) | (py > 1.0)] = 0.0
             return out
 
         nodes = self.adaptive_theta_nodes(ys)
@@ -928,54 +934,46 @@ class _ShellQuadrature:
 
         return self.integrate(nodes, jumps, lattice)
 
-    def profile(self, radii):
-        """The displacement profile f = amp w((r - rho)/eta) and its
-        derivative f' in rho at the radii."""
-        s = (self.r - radii) / self.eta
-        return (self.amp * kernels.bump(s),
-                -(self.config.r0 / self.r) * kernels.bump_prime(s))
-
-    @staticmethod
-    def divergence_factor(gathered, radii, ct, st, f, fprime):
-        """[d/drho(phi^2) f + phi^2 (f' + f/rho)] * rho from phi and its
-        gradient ``gathered`` at the polar points (radii, ct, st)."""
-        phi_at, dphix, dphiy = gathered
-        dphi2 = 2.0 * phi_at * (dphix * ct + dphiy * st)
-        return (dphi2 * f + phi_at**2 * (fprime + f / radii)) * radii
-
     def measure_Mtilde(self, ys):
         """Mtilde of the cells at the sources ``ys`` (k, 2), one pass.
 
-        The coefficient is evaluated symbolically (rim jumps handled
-        exactly), the displacement profile and its divergence are
-        closed-form, and phi^2 is interpolated from the grid solution.
+        a - a0 is evaluated along each ray from its shape quadratics, with
+        rim jumps handled exactly, the displacement profile and its
+        divergence are closed-form, and phi and its gradient are read
+        together on the crop (``read``).
         """
         ys = np.asarray(ys, dtype=float).reshape(-1, 2)
         phantom, rho = self.phantom, self.rho
-        # phi and its gradient are read at the same points
-        phi_fields = self.ctx.phi_and_gradient
-        lattice_profile = self.profile(rho)
+        i0, i1, j0, j1 = self.crop
+        phi_fields = np.ascontiguousarray(
+            self.ctx.phi_and_gradient[:, i0:i1, j0:j1])
+
+        def factor(px, py, radii, ct, st):
+            """[d/drho(phi^2) f + phi^2 (f' + f/rho)] rho at the polar points
+            (radii, ct, st), f = amp w((r - rho)/eta) the profile."""
+            phi, dphix, dphiy = self.read(phi_fields, (0, 1, 2), px, py)
+            s = (self.r - radii) / self.eta
+            f = self.amp * kernels.bump(s)
+            fprime = -(self.config.r0 / self.r) * kernels.bump_prime(s)
+            return (2.0 * phi * (dphix * ct + dphiy * st) * f
+                    + phi**2 * (fprime + f / radii)) * radii
 
         nodes = self.adaptive_theta_nodes(ys)
         cell, yx, yy, ct, st = nodes.kept_rays()
         rays, rc = self.shell_crossings((yx, yy), ct, st)
-        yx, yy, ct, st = yx[rays], yy[rays], ct[rays], st[rays]
-        side = rc + np.array([[-_NUDGE], [_NUDGE]])
-        q_in, q_out = phantom.eval(yx + side * ct,
-                                   yy + side * st) - phantom.a0
-        sm = self.divergence_factor(
-            kernels.bilinear_gather(phi_fields, yx + rc * ct, yy + rc * st,
-                                    self.h),
-            rc, ct, st, *self.profile(rc))
+        y, ct, st = (yx[rays], yy[rays]), ct[rays], st[rays]
+        # the coefficient change just below and above rc, in one evaluation
+        q_in, q_out = phantom.along_rays(
+            y, ct, st, rc + np.array([[-_NUDGE], [_NUDGE]])) - phantom.a0
+        sm = factor(y[0] + rc * ct, y[1] + rc * st, rc, ct, st)
 
         def lattice(cell, ct, st):
-            yx, yy = ys[cell, :1], ys[cell, 1:]
-            px = yx + np.outer(ct, rho)
-            py = yy + np.outer(st, rho)
-            qvals = phantom.eval(px, py) - phantom.a0
-            return qvals * self.divergence_factor(
-                kernels.bilinear_gather(phi_fields, px, py, self.h), rho,
-                ct[:, None], st[:, None], *lattice_profile)
+            y = ys[cell, :1], ys[cell, 1:]
+            ct, st = ct[:, None], st[:, None]
+            q = phantom.along_rays(y, ct, st, rho)
+            q -= phantom.a0
+            q *= factor(y[0] + ct * rho, y[1] + st * rho, rho, ct, st)
+            return q
 
         return self.integrate(nodes, [(rays, rc, q_in * sm, q_out * sm)],
                               lattice)

@@ -14,8 +14,9 @@ branch choice in :func:`radial_invert` both read it.
 bilinear interpolation once. :func:`bilinear_corners` is that arithmetic on
 the whole grid, for the points inside the unit square; :func:`bilinear_gather`,
 :func:`bilinear_scatter` and the circle quadrature matrix of ``radon``
-(``radon._SampleLayout``) are built on it, and the M_eta shell quadrature of
-``acousto`` reads its fields on a box through :func:`box_corners`.
+(``radon._SampleLayout``) are built on it; both shell quadrature passes of
+``acousto`` read their fields on a box through :func:`box_corners`, and only
+the benchmark and the test oracles call :func:`bilinear_gather`.
 
 All arrays are float64 and C-contiguous; fields are (n, n) with index [i, j]
 mapping to the point (i*h, j*h).
@@ -151,14 +152,10 @@ def bilinear_gather(values, px, py, h):
     keep, index, weight = bilinear_corners(px, py, h, n)
     shape = values.shape[:-2] + np.shape(px)
     stack = values.reshape(-1, n * n)
-
-    def corner(c):
-        return np.take(stack, index[c], axis=1)
     # one corner at a time, so no array holds all four corners of every read
-    v = corner(0) * weight[0]
-    v += corner(1) * weight[1]
-    v += corner(2) * weight[2]
-    v += corner(3) * weight[3]
+    v = np.take(stack, index[0], axis=1) * weight[0]
+    for c in (1, 2, 3):
+        v += np.take(stack, index[c], axis=1) * weight[c]
     if keep.all():
         return v.reshape(shape)
     out = np.zeros((v.shape[0], keep.size))

@@ -287,6 +287,56 @@ def disk_ellipse_phantom():
     )
 
 
+def full_angle_nodes(quad, y):
+    """Reference: the rim quadratic solved on every base angle of the
+    source y, the refined angles sorted in."""
+    theta = quad.theta
+    step = 2 * np.pi / quad.ntheta
+    roots = quad.crossing_roots(y, np.cos(theta), np.sin(theta))
+    subdiv = np.ones(quad.ntheta, dtype=int)
+    for root in roots:
+        in_band = np.abs(root - quad.r) < 1.5 * quad.eta
+        active = np.nonzero(in_band | np.roll(in_band, -1))[0]
+        if not active.size:
+            continue
+        sweep = np.abs(root[(active + 1) % quad.ntheta] - root[active])
+        fine = np.where(np.isfinite(sweep),
+                        np.clip(np.ceil(sweep / (quad.eta / 8.0)), 1, 64),
+                        64).astype(int)
+        subdiv[active] = np.maximum(subdiv[active], fine)
+    nodes = [theta] + [theta[k] + step * np.arange(1, s) / s
+                       for k, s in enumerate(subdiv) if s > 1]
+    return np.sort(np.concatenate(nodes))
+
+
+def reference_pass(quad, ys):
+    """Reference: every angle of a pass over the sources ``ys``, each
+    cell's ``full_angle_nodes`` in (cell, angle) order, as ``(cell, angles,
+    weight, near)``. ``weight`` is half the two gaps of each angle in its
+    cell's periodic angle set, and ``near`` marks the refined angles and the
+    base angles of ``quad.near_rays``."""
+    base_near = quad.near_rays(ys)
+    parts = []
+    for c, y in enumerate(ys):
+        angles = full_angle_nodes(quad, y)
+        gaps = np.diff(np.append(angles, angles[0] + 2 * np.pi))
+        base = np.isin(angles, quad.theta)
+        near = ~base
+        near[base] = base_near[c, np.searchsorted(quad.theta, angles[base])]
+        parts.append((np.full(angles.size, c), angles,
+                      0.5 * (gaps + np.roll(gaps, 1)), near))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def built_nodes_of(nodes, angles, near):
+    """Assert that the built nodes ``nodes`` are the reference's near
+    nodes (``reference_pass``), with ct and st bit for bit, and return the
+    reference index of each built node."""
+    assert np.array_equal(nodes.ct, np.cos(angles)[near])
+    assert np.array_equal(nodes.st, np.sin(angles)[near])
+    return np.nonzero(near)[0]
+
+
 class TestRayCull:
     SOURCES = np.array([source_at(a) for a in (0.0, 0.8, 2.0, 4.0)])
 
@@ -309,22 +359,27 @@ class TestRayCull:
         kept_total = dropped_total = 0
         for r in self.probe_radii(ph):
             quad = acousto._ShellQuadrature(ctx, cfg, r)
-            # one pass over every source at this radius
+            # one pass over every source at this radius, against every angle
+            # of the reference
             nodes = quad.adaptive_theta_nodes(self.SOURCES)
-            dropped = np.setdiff1d(np.arange(nodes.angles.size), nodes.keep)
-            sx, sy = self.SOURCES[nodes.cell, 0], self.SOURCES[nodes.cell, 1]
+            cell, angles, _, near = reference_pass(quad, self.SOURCES)
+            kept = built_nodes_of(nodes, angles, near)[nodes.keep]
+            assert np.array_equal(nodes.cell[nodes.keep], cell[kept])
+            dropped = np.setdiff1d(np.arange(angles.size), kept)
+            sx, sy = self.SOURCES[cell, 0], self.SOURCES[cell, 1]
+            ct, st = np.cos(angles), np.sin(angles)
             rho_star = kernels.radial_invert(
                 quad.rho, r, cfg.eta * cfg.r0 / r, cfg.eta)
             for radii in (quad.rho, rho_star):
-                px = sx[dropped] + np.outer(radii, nodes.ct[dropped])
-                py = sy[dropped] + np.outer(radii, nodes.st[dropped])
+                px = sx[dropped] + np.outer(radii, ct[dropped])
+                py = sy[dropped] + np.outer(radii, st[dropped])
                 assert np.all(ph.eval(px, py) == ph.a0), r
             # every ray with a rim crossing inside the shell is kept
-            for root in quad.crossing_roots((sx, sy), nodes.ct, nodes.st):
+            for root in quad.crossing_roots((sx, sy), ct, st):
                 inside = np.isfinite(root) & (root > quad.rho[0]) & (
                     root < quad.rho[-1])
-                assert np.all(np.isin(np.nonzero(inside)[0], nodes.keep))
-            kept_total += nodes.keep.size
+                assert np.all(np.isin(np.nonzero(inside)[0], kept))
+            kept_total += kept.size
             dropped_total += dropped.size
         assert kept_total > 0 and dropped_total > kept_total
 
@@ -340,50 +395,29 @@ class TestRayCull:
         full = sample_sinogram(ctx, cfg, 8, 16, which=which)
         assert np.array_equal(culled.values, full.values)
 
-    @staticmethod
-    def full_angle_nodes(quad, y):
-        """Reference: the rim quadratic solved on every base angle of the
-        source y, the refined angles sorted in."""
-        theta = quad.theta
-        step = 2 * np.pi / quad.ntheta
-        roots = quad.crossing_roots(y, np.cos(theta), np.sin(theta))
-        subdiv = np.ones(quad.ntheta, dtype=int)
-        for root in roots:
-            in_band = np.abs(root - quad.r) < 1.5 * quad.eta
-            active = np.nonzero(in_band | np.roll(in_band, -1))[0]
-            if not active.size:
-                continue
-            sweep = np.abs(root[(active + 1) % quad.ntheta] - root[active])
-            fine = np.where(np.isfinite(sweep),
-                            np.clip(np.ceil(sweep / (quad.eta / 8.0)), 1, 64),
-                            64).astype(int)
-            subdiv[active] = np.maximum(subdiv[active], fine)
-        nodes = [theta] + [theta[k] + step * np.arange(1, s) / s
-                           for k, s in enumerate(subdiv) if s > 1]
-        return np.sort(np.concatenate(nodes))
-
     def test_windowed_rim_solve_keeps_the_angles(self, disk_ellipse_phantom):
         ph = disk_ellipse_phantom
         cfg = AcousticConfig(eta=0.0625)
         ctx = make_context(ph, Grid(33))
         refined = 0
+        # the angles' rounding bounds how well their gaps are known
+        ulp = np.spacing(2 * np.pi)
         for r in self.probe_radii(ph, extra=[(-1.0, -0.1)]):
             quad = acousto._ShellQuadrature(ctx, cfg, r)
             nodes = quad.adaptive_theta_nodes(self.SOURCES)
-            for c, y in enumerate(self.SOURCES):
-                own = slice(nodes.start[c], nodes.start[c + 1])
-                angles = nodes.angles[own]
-                assert np.array_equal(angles, self.full_angle_nodes(quad, y))
-                assert np.array_equal(nodes.ct[own], np.cos(angles))
-                assert np.array_equal(nodes.st[own], np.sin(angles))
-                assert np.all(nodes.cell[own] == c)
-                refined += angles.size > quad.ntheta
+            cell, angles, weight, near = reference_pass(quad, self.SOURCES)
+            built = built_nodes_of(nodes, angles, near)
+            assert np.array_equal(nodes.cell, cell[built])
+            # each node's weight is half its two gaps among all the angles
+            assert np.all(np.abs(nodes.weight - weight[built]) <= 4 * ulp), r
+            refined += np.count_nonzero(
+                np.bincount(cell, minlength=len(self.SOURCES)) > quad.ntheta)
             # the exact cull on every angle keeps only near rays
-            sx, sy = self.SOURCES[nodes.cell, 0], self.SOURCES[nodes.cell, 1]
-            kept = np.nonzero(quad.rays_meeting_support((sx, sy), nodes.ct,
-                                                        nodes.st))[0]
-            assert np.all(np.isin(kept, nodes.near))
-            assert np.array_equal(nodes.keep, kept)
+            sx, sy = self.SOURCES[cell, 0], self.SOURCES[cell, 1]
+            kept = np.nonzero(quad.rays_meeting_support(
+                (sx, sy), np.cos(angles), np.sin(angles)))[0]
+            assert np.all(near[kept])
+            assert np.array_equal(built[nodes.keep], kept)
         assert refined > 0
 
     @pytest.mark.parametrize("which", ["M_eta", "Mtilde"])
@@ -559,9 +593,11 @@ class TestShellPass:
         inside = outside = 0
         for r in cfg.radii(16)[1:]:
             quad = acousto._ShellQuadrature(ctx, cfg, r)
-            nodes = quad.adaptive_theta_nodes(cfg.sources(8))
-            y = (nodes.ys[nodes.cell, :1], nodes.ys[nodes.cell, 1:])
-            ct, st = nodes.ct[:, None], nodes.st[:, None]
+            # every angle of a pass, as the reference builds them
+            ys = cfg.sources(8)
+            cell, angles, _, _ = reference_pass(quad, ys)
+            y = (ys[cell, :1], ys[cell, 1:])
+            ct, st = np.cos(angles)[:, None], np.sin(angles)[:, None]
             for radii in (quad.rho, quad.rho_star):
                 got = ph.along_rays(y, ct, st, radii)
                 px, py = y[0] + ct * radii, y[1] + st * radii
@@ -611,6 +647,65 @@ class TestShellPass:
             edge |= i0 == 0 or j0 == 0 or i1 == n or j1 == n
         assert passes > 2 and cropped
         assert edge == (which == "edge_ellipse_phantom")
+
+    @pytest.mark.parametrize("which", ["disk_ellipse_phantom",
+                                       "edge_ellipse_phantom"])
+    def test_whole_grid_crop_changes_no_value(self, request, monkeypatch,
+                                              which):
+        # both passes read their fields on the crop because their integrands
+        # vanish off it; a crop of the whole grid reads the same, bit for bit
+        ctx = make_context(request.getfixturevalue(which), Grid(65))
+        cfg = AcousticConfig(eta=0.0625)
+        n = ctx.grid.n
+        i0, i1, j0, j1 = acousto._ShellQuadrature(ctx, cfg, 1.0).crop
+        assert (i1 - i0) * (j1 - j0) < n * n
+        assert (0 in (i0, j0) or n in (i1, j1)) == (
+            which == "edge_ellipse_phantom")
+        cropped = {kind: sample_sinogram(ctx, cfg, 8, 16, which=kind)
+                   for kind in ("M_eta", "Mtilde")}
+        monkeypatch.setattr(acousto._ShellQuadrature, "crop",
+                            property(lambda self: (0, n, 0, n)))
+        for kind, sino in cropped.items():
+            assert sino.values.any(), kind
+            whole = sample_sinogram(ctx, cfg, 8, 16, which=kind)
+            assert np.array_equal(whole.values, sino.values), kind
+
+    def test_passes_call_neither_eval_nor_gather(self, disk_ellipse_phantom,
+                                                 monkeypatch):
+        # the passes read the coefficient along their rays and the fields
+        # through box_corners: the Cartesian coefficient and the whole-grid
+        # gather raise inside them
+        ctx = make_context(disk_ellipse_phantom, Grid(65))
+        cfg = AcousticConfig(eta=0.0625)
+        passes = []
+
+        def forbidden(name, original):
+            def call(*args, **kwargs):
+                assert not passes, f"a shell pass called {name}"
+                return original(*args, **kwargs)
+            return call
+
+        def counted(original):
+            def run(*args, **kwargs):
+                passes.append(original.__name__)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    passes.pop()
+            return run
+
+        monkeypatch.setattr(phantom.Phantom, "eval", forbidden(
+            "Phantom.eval", phantom.Phantom.eval))
+        monkeypatch.setattr(kernels, "bilinear_gather", forbidden(
+            "bilinear_gather", kernels.bilinear_gather))
+        for name in ("measure_M_eta", "measure_Mtilde"):
+            monkeypatch.setattr(acousto._ShellQuadrature, name, counted(
+                getattr(acousto._ShellQuadrature, name)))
+        y = cfg.sources(8)[0]
+        for kind, one in (("M_eta", measure_M_eta),
+                          ("Mtilde", measure_Mtilde)):
+            assert sample_sinogram(ctx, cfg, 8, 16, which=kind).values.any()
+            assert one(ctx, cfg, y, 1.0) != 0.0, kind
 
 
 @pytest.fixture(scope="module")

@@ -526,6 +526,7 @@ UNCALLED = {
     "helmholtz.ground_truth_psi": "bench: traced, reconstruct-exhaustive",
     "inversion.initial_guess_exhaustion.<locals>.memo_misfits":
         "branch: coordinate mode, for more than three masks",
+    "kernels.bilinear_gather": "bench: traced; tests/reference.py oracles",
     "kernels.bilinear_scatter": "bench: traced",
     "kernels.edge_form_apply": "bench: traced",
     "phantom.Inclusion.contains": "bench: Phantom.interior_mask calls it",
